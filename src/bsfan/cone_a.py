@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import NotInCone, ValidationError
 from .sequences import EMPTY, DegreeSequence
-from .tables import BettiTable, linear_combine
+from .tables import BettiTable, WorkingTable
 
 
 def chi(table, i, j):
@@ -36,7 +36,7 @@ def chi(table, i, j):
 
 def euler(table):
     """Alternating sum of all entries."""
-    return sum(((-1) ** i * v for (i, _), v in table.items()), Fraction(0))
+    return sum((-v if i % 2 else v for (i, _), v in table.items()), Fraction(0))
 
 
 def _margins():
@@ -177,36 +177,34 @@ def decompose_a(table, c):
     the constraint forces torsion it is matched with the lowest-degree entry
     one column to the left, and the maximal multiple of the block is
     subtracted (one whole entry is cleared per step, so the number of steps
-    is at most the number of nonzero entries).
+    is at most the number of nonzero entries).  Only the input can hold a
+    negative entry: no subtraction exceeds the entries it touches.
     """
     _check_shape(c)
+    if not table.is_nonnegative():
+        entry = table.negative_entries()[0]
+        raise NotInCone(f"negative entry at {entry}", [], blocking_entry=entry)
     pieces = []
-    current = table
-    budget = len(table)
-    for _ in range(budget + 1):
-        if not current:
+    work = WorkingTable(table)
+    for _ in range(len(table) + 1):
+        if not work:
             return pieces
-        if not current.is_nonnegative():
-            entry = current.negative_entries()[0]
-            raise NotInCone(f"negative entry at {entry}", pieces,
-                            blocking_entry=entry)
-        s = current.columns()[-1]
-        t = current.column_degrees(s)[0]
+        s = work.last_column()
+        t = work.lowest(s)
         if c.value(s) == EMPTY:
             raise NotInCone(f"entry at ({s}, {t}) in a forbidden column",
                             pieces, blocking_entry=(s, t))
         if c.value(s) == 0:
             piece = APiece("free", s, t)
-            coeff = current[(s, t)]
+            coeff = work[(s, t)]
         else:
-            left = current.column_degrees(s - 1)
-            if not left or left[0] >= t:
+            r = work.lowest(s - 1)
+            if r is None or r >= t:
                 raise NotInCone(
                     f"no generator below degree {t} to pair with ({s}, {t})",
                     pieces, blocking_entry=(s, t))
-            r = left[0]
             piece = APiece("torsion", s - 1, r, t)
-            coeff = min(current[(s - 1, r)], current[(s, t)])
+            coeff = min(work[(s - 1, r)], work[(s, t)])
         pieces.append((coeff, piece))
-        current = linear_combine([(1, current), (-coeff, piece.table())])
+        work.subtract(coeff, piece.table())
     raise AssertionError("decomposition exceeded its step budget")

@@ -6,10 +6,12 @@ rightmost column, extended leftward while the next column still has a
 strictly smaller degree), trims the strand from the left down to the
 minimal subrun the codimension constraint allows, and subtracts the largest
 multiple of the corresponding pure diagram that keeps every entry
-nonnegative.  Every step clears at least one entry, so the loop terminates
-in at most as many steps as there are nonzero entries; when a strand admits
-no compatible trim, or nothing can be subtracted, the input is outside the
-cone and the stuck strand is the certificate.
+nonnegative.  The diagram's keys are positive entries and the multiple is
+the smallest ratio over them, so each step clears an entry, drives none
+negative, and touches only those at most n + 2 keys of one WorkingTable:
+an N-entry table costs O(N * n) table updates.  When a strand admits no
+compatible trim, the input is outside the cone and the stuck strand is the
+certificate.
 
 Monad splitting runs the decomposition once on the table (free constraint
 in nonpositive positions, full codimension above) and once on its dual, and
@@ -25,7 +27,7 @@ from fractions import Fraction
 from .diagrams import pure_diagram
 from .errors import MonadViolation, NotInCone, ValidationError
 from .sequences import CodimensionSequence, DegreeSequence, is_compatible
-from .tables import BettiTable, dual, linear_combine
+from .tables import BettiTable, WorkingTable, dual, linear_combine
 
 
 @dataclass
@@ -85,21 +87,6 @@ class SVerdict:
         return obj
 
 
-def _top_strand(table):
-    """Degree sequence of the top strand ending at the rightmost column."""
-    cols = table.columns()
-    m = cols[-1]
-    degrees = [table.column_degrees(m)[0]]
-    i = m - 1
-    while True:
-        here = table.column_degrees(i)
-        if not here or here[0] >= degrees[0]:
-            break
-        degrees.insert(0, here[0])
-        i -= 1
-    return DegreeSequence(i + 1, tuple(degrees))
-
-
 def _trim_compatible(strand, c):
     """Minimal compatible subrun: trim from the left as far as possible.
 
@@ -129,29 +116,20 @@ def decompose_s(table, c, n):
             f"decomposition needs a nonnegative table; negative at "
             f"{table.negative_entries()[0]}")
     pieces = []
-    current = table
-    budget = len(table)
-    for _ in range(budget + 1):
-        if not current:
+    work = WorkingTable(table)
+    for _ in range(len(table) + 1):
+        if not work:
             return Decomposition(pieces, BettiTable())
-        strand = _top_strand(current)
+        strand = DegreeSequence(*work.top_strand())
         d = _trim_compatible(strand, c)
         if d is None:
             raise NotInCone(
                 f"strand {strand} admits no compatible trim", pieces,
                 blocking_strand=strand)
         diagram = pure_diagram(d)
-        coeff = min(current[key] / diagram[key] for key in diagram.support())
-        if coeff <= 0:
-            raise NotInCone(
-                f"nothing subtractable along {d}", pieces, blocking_strand=d)
+        coeff = min(work[key] / diagram[key] for key in diagram.support())
         pieces.append((coeff, d))
-        current = linear_combine([(1, current), (-coeff, diagram)])
-        if not current.is_nonnegative():
-            entry = current.negative_entries()[0]
-            raise NotInCone(
-                f"subtraction along {d} drove ({entry[0]}, {entry[1]}) "
-                "negative", pieces, blocking_strand=d, blocking_entry=entry)
+        work.subtract(coeff, diagram)
     raise AssertionError("decomposition exceeded its step budget")
 
 

@@ -151,6 +151,9 @@ class WindowEvaluator(CohomologyEvaluator):
                 raise ValidationError(
                     f"entry at twist {j} outside declared range [{jmin}, {jmax}]"
                 )
+            if not 0 <= q <= self.dimension:
+                raise ValidationError(
+                    f"entry at index q = {q} outside 0..{self.dimension}")
             if v:
                 self.values[(int(q), int(j))] = v
 

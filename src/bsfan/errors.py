@@ -30,7 +30,7 @@ class NotInCone(BsfanError):
 
     Carries the pieces extracted so far plus what blocked the next step:
     either a strand with no compatible trim (``blocking_strand``) or an
-    entry that a subtraction would drive negative (``blocking_entry``).
+    entry the one-variable split cannot place (``blocking_entry``).
     """
 
     def __init__(self, message, partial_pieces=(), blocking_strand=None,

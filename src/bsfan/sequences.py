@@ -207,6 +207,10 @@ class CodimensionSequence:
             )
         except KeyError as exc:
             raise ParseError(f"codimension sequence JSON missing {exc}") from exc
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad codimension sequence JSON: {obj!r}") from exc
 
 
 def validate_codim_sequence(raw):

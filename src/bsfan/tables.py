@@ -82,10 +82,6 @@ class BettiTable:
         """Sorted homological indices that carry at least one entry."""
         return sorted({i for i, _ in self._entries})
 
-    def column_degrees(self, i):
-        """Sorted degrees with a nonzero entry in column i."""
-        return sorted(j for (ii, j) in self._entries if ii == i)
-
     def restrict_columns(self, lo=None, hi=None):
         """Table with only the columns in [lo, hi] kept."""
         keep = {
@@ -99,6 +95,66 @@ class BettiTable:
 
     def negative_entries(self):
         return sorted(key for key, v in self._entries.items() if v < 0)
+
+
+class WorkingTable:
+    """Mutable copy of a table for the greedy decompositions.
+
+    Keeps each column's degrees in descending order, so a column's lowest
+    degree is its last.  subtract() touches only the given keys, which must
+    be present, and drops those that reach zero.
+    """
+
+    __slots__ = ("_entries", "_degrees")
+
+    def __init__(self, table):
+        self._entries = dict(table._entries)
+        self._degrees = {}
+        for i, j in sorted(self._entries, reverse=True):
+            self._degrees.setdefault(i, []).append(j)
+
+    def __bool__(self):
+        return bool(self._entries)
+
+    def __getitem__(self, key):
+        return self._entries.get(key, Fraction(0))
+
+    def last_column(self):
+        """Rightmost column that still carries an entry."""
+        return max(self._degrees)
+
+    def lowest(self, i):
+        """Lowest degree with an entry in column i, or None."""
+        degrees = self._degrees.get(i)
+        return degrees[-1] if degrees else None
+
+    def top_strand(self):
+        """(start, degrees) of the top strand: the lowest degree of the
+        rightmost column, extended leftward while the next column's lowest
+        degree is strictly smaller."""
+        i = self.last_column()
+        degrees = [self.lowest(i)]
+        while (low := self.lowest(i - 1)) is not None and low < degrees[-1]:
+            degrees.append(low)
+            i -= 1
+        return i, tuple(reversed(degrees))
+
+    def subtract(self, coeff, table):
+        """Subtract coeff * table over the keys of table, dropping zeros."""
+        for key, value in table._entries.items():
+            left = self._entries[key] - coeff * value
+            if left:
+                self._entries[key] = left
+                continue
+            del self._entries[key]
+            i, j = key
+            degrees = self._degrees[i]
+            if degrees[-1] == j:
+                degrees.pop()
+            else:
+                degrees.remove(j)
+            if not degrees:
+                del self._degrees[i]
 
 
 def linear_combine(terms):
@@ -138,7 +194,7 @@ def table_from_obj(obj):
         if not isinstance(raw, dict) or not {"i", "j", "value"} <= set(raw):
             raise ParseError(f"entry must have i, j and value fields: {raw!r}")
         i, j = raw["i"], raw["j"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if type(i) is not int or type(j) is not int:  # rejects JSON true
             raise ParseError(f"entry ({i!r}, {j!r}): indices must be integers")
         if (i, j) in data:
             raise ParseError(f"duplicate entry for ({i}, {j})")

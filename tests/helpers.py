@@ -5,13 +5,19 @@ two variables, a tensor product of two monomial resolutions, a monomial
 quotient resolution, a two-strand table whose homology cannot have finite
 length, a four-term monad for an ideal sheaf, and the truncation of an
 infinite resolution over a union of two planes.
+
+reference_decompose_s and reference_decompose_a are the plain greedy
+decompositions that rebuild and rescan the whole table after every step;
+the library's incremental versions must agree with them exactly.
 """
 
 import random
 from fractions import Fraction
 from math import comb
 
-from bsfan import BettiTable, DegreeSequence, linear_combine, pure_diagram
+from bsfan import (EMPTY, APiece, BettiTable, Decomposition, DegreeSequence,
+                   NotInCone, ValidationError, is_compatible, linear_combine,
+                   pure_diagram)
 
 
 def T(entries):
@@ -138,3 +144,99 @@ def solve_chain_coefficients(table, chain):
     for row, col in pivots:
         solution[col] = rows[row][m]
     return solution
+
+
+def _column_degrees(table, i):
+    return sorted(j for (ii, j) in table.support() if ii == i)
+
+
+def _reference_top_strand(table):
+    m = table.columns()[-1]
+    degrees = [_column_degrees(table, m)[0]]
+    i = m - 1
+    while True:
+        here = _column_degrees(table, i)
+        if not here or here[0] >= degrees[0]:
+            break
+        degrees.insert(0, here[0])
+        i -= 1
+    return DegreeSequence(i + 1, tuple(degrees))
+
+
+def _reference_trim(strand, c):
+    for k in range(strand.end, strand.start - 1, -1):
+        candidate = strand.trimmed(k)
+        if is_compatible(candidate, c):
+            return candidate
+    return None
+
+
+def reference_decompose_s(table, c, n):
+    """Greedy chain decomposition that rebuilds the table after each step."""
+    if c.n != n:
+        raise ValidationError(
+            f"codimension sequence is declared for n = {c.n}, not n = {n}")
+    if not table.is_nonnegative():
+        raise ValidationError(
+            f"decomposition needs a nonnegative table; negative at "
+            f"{table.negative_entries()[0]}")
+    pieces = []
+    current = table
+    for _ in range(len(table) + 1):
+        if not current:
+            return Decomposition(pieces, BettiTable())
+        strand = _reference_top_strand(current)
+        d = _reference_trim(strand, c)
+        if d is None:
+            raise NotInCone(
+                f"strand {strand} admits no compatible trim", pieces,
+                blocking_strand=strand)
+        diagram = pure_diagram(d)
+        coeff = min(current[key] / diagram[key] for key in diagram.support())
+        if coeff <= 0:
+            raise NotInCone(
+                f"nothing subtractable along {d}", pieces, blocking_strand=d)
+        pieces.append((coeff, d))
+        current = linear_combine([(1, current), (-coeff, diagram)])
+        if not current.is_nonnegative():
+            entry = current.negative_entries()[0]
+            raise NotInCone(
+                f"subtraction along {d} drove ({entry[0]}, {entry[1]}) "
+                "negative", pieces, blocking_strand=d, blocking_entry=entry)
+    raise AssertionError("decomposition exceeded its step budget")
+
+
+def reference_decompose_a(table, c):
+    """Greedy block split that rebuilds and rechecks the table each step."""
+    if c.n != 0:
+        raise ValidationError(
+            f"membership over the one-variable ring needs n = 0, got n = {c.n}")
+    pieces = []
+    current = table
+    for _ in range(len(table) + 1):
+        if not current:
+            return pieces
+        if not current.is_nonnegative():
+            entry = current.negative_entries()[0]
+            raise NotInCone(f"negative entry at {entry}", pieces,
+                            blocking_entry=entry)
+        s = current.columns()[-1]
+        t = _column_degrees(current, s)[0]
+        if c.value(s) == EMPTY:
+            raise NotInCone(f"entry at ({s}, {t}) in a forbidden column",
+                            pieces, blocking_entry=(s, t))
+        if c.value(s) == 0:
+            piece = APiece("free", s, t)
+            coeff = current[(s, t)]
+        else:
+            left = _column_degrees(current, s - 1)
+            if not left or left[0] >= t:
+                raise NotInCone(
+                    f"no generator below degree {t} to pair with ({s}, {t})",
+                    pieces, blocking_entry=(s, t))
+            r = left[0]
+            piece = APiece("torsion", s - 1, r, t)
+            coeff = min(current[(s - 1, r)], current[(s, t)])
+        pieces.append((coeff, piece))
+        current = linear_combine([(1, current), (-coeff, piece.table())])
+    raise AssertionError("decomposition exceeded its step budget")

@@ -212,6 +212,30 @@ class TestExitCodes:
         assert run(capsys, ["infinite", "--table", '{"entries":[]}',
                             "--e", "1", "--n", "1"])[0] == 2
 
+    def test_euler_negative_columns_prints_exact_zero(self, capsys):
+        table = ('{"entries":[{"i":-1,"j":0,"value":"1"},'
+                 '{"i":-2,"j":1,"value":"1"}]}')
+        code, out, _ = run(capsys, ["euler", "--table", table])
+        assert code == 0 and json.loads(out) == {"value": "0"}
+        code, out, _ = run(capsys, ["euler", "--table", table,
+                                    "--format", "pretty"])
+        assert code == 0 and out == "0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["check-a", "--table", '{"entries":[]}',
+         "--codim", '{"n":2,"left":0,"window":5,"right":0}'],
+        ["dual", "--table", '{"entries":[{"i":true,"j":0,"value":"1"}]}'],
+        ["pair", "--table", '{"entries":[{"i":0,"j":0,"value":"1"}]}',
+         "--sheaf", json.dumps({"kind": "window", "dim": 1, "jmin": -2,
+                                "jmax": 2, "entries": [
+                                    {"q": 3, "j": 0, "value": "2"}]})],
+    ], ids=["codim-window-not-a-list", "boolean-index", "window-q-past-dim"])
+    def test_malformed_input_exits_two_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

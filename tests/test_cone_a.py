@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bsfan import (APiece, BettiTable, CodimensionSequence, NotInCone,
@@ -73,6 +75,25 @@ class TestEuler:
         assert euler(T({(0, 0): 1, (1, 3): 1})) == 0
         assert euler(T({(0, 0): 1})) == 1
         assert euler(BettiTable()) == 0
+
+    def test_negative_columns_stay_exact(self):
+        value = euler(T({(-1, 0): F(1, 3), (-2, 1): F(2, 7), (-3, 4): 1}))
+        assert type(value) is Fraction and value == -F(1, 3) + F(2, 7) - 1
+        assert type(euler(T({(-1, 0): 1, (-2, 1): 1}))) is Fraction
+
+    def test_positivity_pairing_with_negative_columns(self):
+        # a pure diagram paired with a supernatural class lies in the
+        # one-variable cone; this pairing sits in columns -1..1 with
+        # sevenths, where a floating-point Euler sum misses zero
+        from bsfan import (DegreeSequence, SupernaturalEvaluator,
+                           SupernaturalSheaf, pair, pure_diagram)
+        sheaf = SupernaturalSheaf((-8,), F(3, 7), 3)
+        paired = pair(pure_diagram(DegreeSequence(-1, (-2, 0, 3))),
+                      SupernaturalEvaluator(sheaf))
+        assert paired == T({(-1, -2): F(90, 7), (0, 0): F(120, 7),
+                            (1, 3): F(30, 7)})
+        assert euler(paired) == 0
+        assert membership_a(paired, ALL_ONE).ok
 
 
 class TestMembership:

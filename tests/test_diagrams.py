@@ -126,6 +126,13 @@ class TestWindowEvaluator:
         with pytest.raises(ValidationError):
             WindowEvaluator(1, 0, 1, {(0, 0): F(-1)})
 
+    def test_index_outside_dimension_rejected(self):
+        with pytest.raises(ValidationError):
+            WindowEvaluator(1, 0, 1, {(2, 0): F(1)})
+        with pytest.raises(ValidationError):
+            WindowEvaluator(1, 0, 1, {(-1, 0): F(1)})
+        assert WindowEvaluator(1, 0, 1, {(1, 0): F(1)}).gamma(1, 0) == 1
+
 
 class TestEvaluatorJson:
     def test_supernatural(self):

@@ -106,6 +106,15 @@ class TestCodimSequence:
         with pytest.raises(ParseError):
             validate_codim_sequence("nope")
 
+    def test_malformed_raw_fields_are_parse_errors(self):
+        with pytest.raises(ParseError):
+            validate_codim_sequence(
+                {"n": 2, "left": 0, "window": 5, "right": 0})
+        with pytest.raises(ParseError):
+            validate_codim_sequence({"n": "two", "left": 0, "right": 0})
+        with pytest.raises(ValidationError, match="decreases"):
+            validate_codim_sequence({"n": 2, "left": 2, "right": 1})
+
     def test_occurs(self):
         c = CodimensionSequence(2, EMPTY, 0, (0, 2), INF)
         assert c.occurs(0) and c.occurs(2) and c.occurs(EMPTY) and c.occurs(INF)

@@ -48,6 +48,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_table('{"entries":[{"i":"a","j":0,"value":"1"}]}')
 
+    def test_boolean_index_rejected(self):
+        with pytest.raises(ParseError):
+            parse_table('{"entries":[{"i":true,"j":0,"value":"1"}]}')
+        with pytest.raises(ParseError):
+            parse_table('{"entries":[{"i":0,"j":false,"value":"1"}]}')
+
     def test_zero_values_pruned(self):
         assert parse_table('{"entries":[{"i":0,"j":0,"value":"0"}]}') == BettiTable()
 
@@ -114,6 +120,20 @@ def test_linear_combine_entrywise_algebra():
         assert left == right
         assert (linear_combine([(1, linear_combine([(x, a), (y, b)])), (1, c)])
                 == linear_combine([(x, a), (y, b), (1, c)]))
+
+
+def test_working_table_tracks_column_minima():
+    from bsfan.tables import WorkingTable
+    work = WorkingTable(T({(0, 0): 1, (1, 2): 3, (1, 5): 2, (2, 4): 1}))
+    assert work.last_column() == 2 and work.lowest(1) == 2
+    assert work.top_strand() == (0, (0, 2, 4))
+    work.subtract(F(1, 2), T({(1, 5): 4}))    # not the column minimum
+    assert work[(1, 5)] == 0 and work.lowest(1) == 2
+    work.subtract(F(1), T({(1, 2): 3, (2, 4): 1}))
+    assert work.lowest(1) is None and work.last_column() == 0
+    assert work.top_strand() == (0, (0,))
+    work.subtract(F(1), T({(0, 0): 1}))
+    assert not work
 
 
 def random_fraction_pair(r):
