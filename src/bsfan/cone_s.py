@@ -45,9 +45,6 @@ class Decomposition:
     pieces: list
     remainder: BettiTable = field(default_factory=BettiTable)
 
-    def piece_tables(self):
-        return [linear_combine([(c, pure_diagram(d))]) for c, d in self.pieces]
-
     def total(self):
         terms = [(c, pure_diagram(d)) for c, d in self.pieces]
         terms.append((Fraction(1), self.remainder))

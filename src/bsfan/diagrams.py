@@ -201,32 +201,44 @@ def twist_evaluator(n, a):
     return SupernaturalEvaluator(SupernaturalSheaf(roots, Fraction(1), n))
 
 
+def _json_int(value, where):
+    if type(value) is not int:  # rejects JSON true
+        raise ParseError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def evaluator_from_obj(obj):
-    """Build an evaluator from its decoded JSON description."""
+    """Build an evaluator from its decoded JSON description.
+
+    Integer fields must be JSON integers; rank_scale is a JSON integer or a
+    "p/q" string.
+    """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f'evaluator JSON needs a "kind" field: {obj!r}')
     kind = obj["kind"]
     try:
         if kind == "supernatural":
             sheaf = SupernaturalSheaf(
-                tuple(obj["roots"]),
-                parse_rational(str(obj["rank_scale"]), "rank_scale")
+                tuple(_json_int(f, "root") for f in obj["roots"]),
+                parse_rational(obj["rank_scale"], "rank_scale")
                 if isinstance(obj["rank_scale"], str)
-                else Fraction(obj["rank_scale"]),
-                int(obj["n"]),
+                else Fraction(_json_int(obj["rank_scale"], "rank_scale")),
+                _json_int(obj["n"], "n"),
             )
             return SupernaturalEvaluator(sheaf)
         if kind == "twist":
-            return twist_evaluator(int(obj["n"]), int(obj["a"]))
+            return twist_evaluator(_json_int(obj["n"], "n"),
+                                   _json_int(obj["a"], "a"))
         if kind == "window":
             values = {}
             for raw in obj["entries"]:
-                key = (int(raw["q"]), int(raw["j"]))
+                key = (_json_int(raw["q"], "q"), _json_int(raw["j"], "j"))
                 if key in values:
                     raise ParseError(f"duplicate window entry for {key}")
                 values[key] = parse_rational(raw["value"], where=f"entry {key}")
-            return WindowEvaluator(int(obj["dim"]), int(obj["jmin"]),
-                                   int(obj["jmax"]), values)
+            return WindowEvaluator(_json_int(obj["dim"], "dim"),
+                                   _json_int(obj["jmin"], "jmin"),
+                                   _json_int(obj["jmax"], "jmax"), values)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad evaluator JSON for kind {kind!r}: {exc}") from exc
     raise ParseError(f"unknown evaluator kind {kind!r}")

@@ -12,7 +12,6 @@ column and non-strict one column up.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +19,10 @@ from .diagrams import twist_evaluator
 from .errors import ParseError, ValidationError
 from .sequences import Comparison
 from .tables import parse_rational
+
+
+def _all_ints(values):
+    return all(type(v) is int for v in values)  # rejects JSON true
 
 
 @dataclass(frozen=True)
@@ -130,16 +133,20 @@ class MultiBettiTable:
     def from_obj(cls, obj):
         if not isinstance(obj, dict) or "m" not in obj or "entries" not in obj:
             raise ParseError('multigraded table JSON needs "m" and "entries"')
+        if not _all_ints([obj["m"]]):
+            raise ParseError(f"m must be an integer, got {obj['m']!r}")
         data = {}
         for raw in obj["entries"]:
             try:
-                key = (int(raw["i"]), tuple(int(a) for a in raw["alpha"]))
-            except (KeyError, TypeError, ValueError) as exc:
+                key = (raw["i"], tuple(raw["alpha"]))
+            except (KeyError, TypeError) as exc:
                 raise ParseError(f"bad multigraded entry {raw!r}") from exc
+            if not _all_ints((key[0],) + key[1]):
+                raise ParseError(f"bad multigraded entry {raw!r}")
             if key in data:
                 raise ParseError(f"duplicate entry for {key}")
             data[key] = parse_rational(raw["value"], where=f"entry {key}")
-        return cls(int(obj["m"]), data, require_nonnegative=True)
+        return cls(obj["m"], data, require_nonnegative=True)
 
 
 def multi_chi(table, i, alpha, order):
@@ -223,11 +230,13 @@ class ProductSpace:
         if not isinstance(obj, dict) or obj.get("kind") != "product":
             raise ParseError(f'expected {{"kind": "product", ...}}: {obj!r}')
         try:
-            summands = tuple(
-                (tuple(s["twist"]), int(s.get("mult", 1)))
-                for s in obj["summands"]
-            )
-            return cls(tuple(obj["dims"]), summands)
+            dims = tuple(obj["dims"])
+            summands = tuple((tuple(s["twist"]), s.get("mult", 1))
+                             for s in obj["summands"])
+            flat = dims + tuple(x for t, mult in summands for x in t + (mult,))
+            if not _all_ints(flat):
+                raise TypeError("dims, twists and mults must be integers")
+            return cls(dims, summands)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad product evaluator JSON: {exc}") from exc
 
@@ -257,10 +266,8 @@ def kunneth_gamma(space, q, alpha):
     return total
 
 
-def _margins():
-    if os.environ.get("BSFAN_DEBUG_WIDEN") == "1":
-        return 6, 2
-    return 3, 1
+# Columns below the support scanned by multi_chi_window, and the grade pad.
+LEFT_I, PAD = 3, 1
 
 
 def multi_chi_window(table):
@@ -272,11 +279,10 @@ def multi_chi_window(table):
     """
     if not table:
         return range(0), []
-    left_i, pad = _margins()
     cols = table.columns()
     coords = list(zip(*(alpha for _, alpha in table.support())))
-    box = [range(min(c) - pad, max(c) + pad + 1) for c in coords]
+    box = [range(min(c) - PAD, max(c) + PAD + 1) for c in coords]
     return (
-        range(cols[0] - left_i, cols[-1] + 1),
+        range(cols[0] - LEFT_I, cols[-1] + 1),
         [tuple(alpha) for alpha in itertools.product(*box)],
     )

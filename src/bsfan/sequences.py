@@ -143,9 +143,11 @@ class CodimensionSequence:
     right: object
 
     def __post_init__(self):
-        n = int(self.n)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "window_start", int(self.window_start))
+        n = self.n
+        if type(n) is not int or type(self.window_start) is not int:
+            # rejects JSON true; from_obj turns this into a ParseError
+            raise TypeError(f"n and window_start must be integers, got "
+                            f"{n!r} and {self.window_start!r}")
         left = _check_value(self.left, n, "left fill")
         right = _check_value(self.right, n, "right fill")
         window = tuple(

@@ -9,14 +9,17 @@ infinite resolution over a union of two planes.
 reference_decompose_s and reference_decompose_a are the plain greedy
 decompositions that rebuild and rescan the whole table after every step;
 the library's incremental versions must agree with them exactly.
+reference_membership_a calls chi afresh at every cell of the chi window;
+the library's one-sweep membership_a must give the same verdict.
 """
 
 import random
 from fractions import Fraction
 from math import comb
 
-from bsfan import (EMPTY, APiece, BettiTable, Decomposition, DegreeSequence,
-                   NotInCone, ValidationError, is_compatible, linear_combine,
+from bsfan import (EMPTY, APiece, AVerdict, BettiTable, Decomposition,
+                   DegreeSequence, NotInCone, ValidationError, Violation, chi,
+                   chi_window, euler, is_compatible, linear_combine,
                    pure_diagram)
 
 
@@ -240,3 +243,29 @@ def reference_decompose_a(table, c):
         pieces.append((coeff, piece))
         current = linear_combine([(1, current), (-coeff, piece.table())])
     raise AssertionError("decomposition exceeded its step budget")
+
+
+def reference_membership_a(table, c):
+    """Half-space test that recomputes chi from scratch at every window cell."""
+    if c.n != 0:
+        raise ValidationError(
+            f"membership over the one-variable ring needs n = 0, got n = {c.n}")
+    violations = []
+    for (i, j), value in table.items():
+        if c.value(i) == EMPTY:
+            violations.append(Violation("support_empty", i, j, value))
+    for (i, j) in table.negative_entries():
+        violations.append(Violation("negative_entry", i, j, table[(i, j)]))
+    cols, degs = chi_window(table)
+    for i in cols:
+        if c.rank(i) < 1:
+            continue
+        for j in degs:
+            value = chi(table, i, j)
+            if value < 0:
+                violations.append(Violation("chi_negative", i, j, value))
+    if not c.occurs(0):
+        total = euler(table)
+        if total != 0:
+            violations.append(Violation("euler_nonzero", value=total))
+    return AVerdict(not violations, violations)

@@ -229,7 +229,33 @@ class TestExitCodes:
          "--sheaf", json.dumps({"kind": "window", "dim": 1, "jmin": -2,
                                 "jmax": 2, "entries": [
                                     {"q": 3, "j": 0, "value": "2"}]})],
-    ], ids=["codim-window-not-a-list", "boolean-index", "window-q-past-dim"])
+        ["pair", "--table", '{"entries":[{"i":0,"j":0,"value":"1"}]}',
+         "--sheaf", '{"kind":"window","dim":true,"jmin":-2,"jmax":2,'
+                    '"entries":[{"q":true,"j":0,"value":"2"}]}'],
+        ["pair", "--table", '{"entries":[{"i":0,"j":0,"value":"1"}]}',
+         "--sheaf", '{"kind":"window","dim":1,"jmin":-2,"jmax":2,'
+                    '"entries":[{"q":true,"j":0,"value":"2"}]}'],
+        ["pair", "--table", '{"entries":[{"i":0,"j":0,"value":"1"}]}',
+         "--sheaf", '{"kind":"twist","n":true,"a":0}'],
+        ["pair-check", "--table", '{"entries":[{"i":0,"j":0,"value":"1"}]}',
+         "--sheaves", '[{"kind":"supernatural","roots":[true],'
+                      '"rank_scale":"1","n":1}]', "--n", "1"],
+        ["check", "--table", '{"entries":[{"i":0,"j":0,"value":"1"}]}',
+         "--codim", '{"n":true,"left":0,"right":2}', "--n", "1"],
+        ["check-a", "--table", '{"entries":[{"i":0,"j":0,"value":"1"}]}',
+         "--codim", '{"n":0,"left":0,"window_start":true,"right":1}'],
+        ["multi-pair", "--table",
+         '{"m":1,"entries":[{"i":true,"alpha":[0],"value":"1"}]}',
+         "--space", '{"kind":"product","dims":[1],"summands":[{"twist":[0]}]}'],
+        ["multi-pair", "--table",
+         '{"m":1,"entries":[{"i":0,"alpha":[0],"value":"1"}]}',
+         "--space", '{"kind":"product","dims":[true],'
+                    '"summands":[{"twist":[0]}]}'],
+    ], ids=["codim-window-not-a-list", "boolean-index", "window-q-past-dim",
+            "window-dim-true", "window-q-true", "twist-n-true",
+            "supernatural-root-true", "codim-n-true",
+            "codim-window-start-true", "multi-index-true",
+            "product-dim-true"])
     def test_malformed_input_exits_two_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
