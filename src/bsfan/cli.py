@@ -16,8 +16,7 @@ import sys
 from . import cone_a, cone_s, multigraded, pairing, tables
 from .diagrams import (SupernaturalEvaluator, SupernaturalSheaf,
                        evaluator_from_obj, pure_diagram, supernatural_gamma)
-from .errors import (BsfanError, EvaluatorRangeError, MonadViolation,
-                     NotInCone, ParseError)
+from .errors import BsfanError, MonadViolation, NotInCone, ParseError
 from .multigraded import GradedOrder, MultiBettiTable, ProductSpace
 from .sequences import DegreeSequence, validate_codim_sequence
 from .tables import parse_rational
@@ -41,8 +40,8 @@ def _load_obj(arg):
         raise ParseError(f"malformed JSON in {arg}: {exc}") from exc
 
 
-def _load_table(arg):
-    return tables.table_from_obj(_load_obj(arg))
+def _load_table(arg, cls=tables.BettiTable):
+    return tables.table_from_obj(_load_obj(arg), cls)
 
 
 def _load_codim(arg):
@@ -155,24 +154,16 @@ def _cmd_check_a(args):
 
 
 def _cmd_decompose_a(args):
-    table = _load_table(args.table)
-    try:
-        pieces = cone_a.decompose_a(table, _load_codim(args.codim))
-    except NotInCone as exc:
-        _emit(_not_in_cone_obj(exc))
-        return 1
+    pieces = cone_a.decompose_a(_load_table(args.table),
+                                _load_codim(args.codim))
     _emit({"pieces": [{"coeff": str(c), "piece": p.to_obj()}
                       for c, p in pieces]})
     return 0
 
 
 def _cmd_decompose(args):
-    table = _load_table(args.table)
-    try:
-        dec = cone_s.decompose_s(table, _load_codim(args.codim), args.n)
-    except NotInCone as exc:
-        _emit(_not_in_cone_obj(exc))
-        return 1
+    dec = cone_s.decompose_s(_load_table(args.table), _load_codim(args.codim),
+                             args.n)
     _emit_decomposition(dec, args)
     return 0
 
@@ -198,12 +189,7 @@ def _cmd_monad(args):
 
 
 def _cmd_infinite(args):
-    table = _load_table(args.table)
-    try:
-        dec = cone_s.infinite_prefix(table, args.e, args.n)
-    except NotInCone as exc:
-        _emit(_not_in_cone_obj(exc))
-        return 1
+    dec = cone_s.infinite_prefix(_load_table(args.table), args.e, args.n)
     _emit_decomposition(dec, args)
     return 0
 
@@ -246,7 +232,7 @@ def _cmd_render(args):
 
 
 def _cmd_multi_chi(args):
-    table = MultiBettiTable.from_obj(_load_obj(args.table))
+    table = _load_table(args.table, MultiBettiTable)
     order = GradedOrder(_ints(args.weights))
     value = multigraded.multi_chi(table, args.i, _ints(args.alpha), order)
     _emit_value(value, args.format)
@@ -254,33 +240,10 @@ def _cmd_multi_chi(args):
 
 
 def _cmd_multi_pair(args):
-    table = MultiBettiTable.from_obj(_load_obj(args.table))
+    table = _load_table(args.table, MultiBettiTable)
     space = ProductSpace.from_obj(_load_obj(args.space))
-    qmax = space.total_dim if args.qmax is None else args.qmax
-    _emit(multigraded.multi_pair(table, space, qmax).to_obj())
+    _emit(tables.table_to_obj(multigraded.multi_pair(table, space, args.qmax)))
     return 0
-
-
-def _not_in_cone_obj(exc):
-    obj = {
-        "status": "fail",
-        "message": str(exc),
-        "partial_pieces": [
-            {"coeff": str(c), "degree_sequence": d.to_obj()}
-            for c, d in exc.partial_pieces
-        ],
-    }
-    if exc.blocking_strand is not None:
-        obj["blocking_strand"] = exc.blocking_strand.to_obj()
-    if exc.blocking_entry is not None:
-        obj["blocking_entry"] = list(exc.blocking_entry)
-    return obj
-
-
-def _add_format(parser):
-    parser.add_argument("--format", choices=("json", "pretty"), default="json")
-    parser.add_argument("--mark-origin", action="store_true",
-                        help="decorate the origin cell in pretty output")
 
 
 def build_parser():
@@ -291,17 +254,26 @@ def build_parser():
                     "decompositions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, *flags, **kwargs):
+        """A subcommand; flags names the output options it reads."""
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        _add_format(p)
+        if "format" in flags:
+            p.add_argument("--format", choices=("json", "pretty"),
+                           default="json")
+        if "mark-origin" in flags:
+            p.add_argument("--mark-origin", action="store_true",
+                           help="decorate the origin cell in pretty output")
         return p
 
-    p = add("pure", _cmd_pure, help="pure diagram of a degree sequence")
+    table_out = ("format", "mark-origin")
+
+    p = add("pure", _cmd_pure, *table_out,
+            help="pure diagram of a degree sequence")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--degrees", required=True)
 
-    p = add("supernatural", _cmd_supernatural,
+    p = add("supernatural", _cmd_supernatural, "format",
             help="cohomology window of a supernatural class")
     p.add_argument("--roots", required=True)
     p.add_argument("--rank-scale", default="1")
@@ -309,17 +281,19 @@ def build_parser():
     p.add_argument("--jmin", type=int, required=True)
     p.add_argument("--jmax", type=int, required=True)
 
-    p = add("pair", _cmd_pair, help="pair a table with a cohomology evaluator")
+    p = add("pair", _cmd_pair, *table_out,
+            help="pair a table with a cohomology evaluator")
     p.add_argument("--table", required=True)
     p.add_argument("--sheaf", required=True)
     p.add_argument("--n", type=int)
 
-    p = add("chi", _cmd_chi, help="partial Euler characteristic chi_{i,j}")
+    p = add("chi", _cmd_chi, "format",
+            help="partial Euler characteristic chi_{i,j}")
     p.add_argument("--table", required=True)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
 
-    p = add("euler", _cmd_euler, help="total Euler characteristic")
+    p = add("euler", _cmd_euler, "format", help="total Euler characteristic")
     p.add_argument("--table", required=True)
 
     p = add("check-a", _cmd_check_a,
@@ -332,7 +306,8 @@ def build_parser():
     p.add_argument("--table", required=True)
     p.add_argument("--codim", required=True)
 
-    p = add("decompose", _cmd_decompose, help="greedy chain decomposition")
+    p = add("decompose", _cmd_decompose, *table_out,
+            help="greedy chain decomposition")
     p.add_argument("--table", required=True)
     p.add_argument("--codim", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -346,13 +321,13 @@ def build_parser():
     p.add_argument("--table", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("infinite", _cmd_infinite,
+    p = add("infinite", _cmd_infinite, *table_out,
             help="stable prefix decomposition of a truncated resolution")
     p.add_argument("--table", required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("es", _cmd_es, help="separating functional value")
+    p = add("es", _cmd_es, "format", help="separating functional value")
     p.add_argument("--table", required=True)
     p.add_argument("--roots", required=True)
     p.add_argument("--rank-scale", default="1")
@@ -366,17 +341,19 @@ def build_parser():
     p.add_argument("--sheaves", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("dual", _cmd_dual, help="move (i, j) entries to (-i, -j)")
+    p = add("dual", _cmd_dual, *table_out,
+            help="move (i, j) entries to (-i, -j)")
     p.add_argument("--table", required=True)
 
-    p = add("shift", _cmd_shift, help="homological shift by k")
+    p = add("shift", _cmd_shift, *table_out, help="homological shift by k")
     p.add_argument("--table", required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("render", _cmd_render, help="pretty-print a table")
+    p = add("render", _cmd_render, "mark-origin",
+            help="pretty-print a table")
     p.add_argument("--table", required=True)
 
-    p = add("multi-chi", _cmd_multi_chi,
+    p = add("multi-chi", _cmd_multi_chi, "format",
             help="multigraded partial Euler characteristic")
     p.add_argument("--table", required=True)
     p.add_argument("--i", type=int, required=True)
@@ -398,9 +375,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EvaluatorRangeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except NotInCone as exc:  # a stuck decomposition: its certificate
+        _emit(cone_s.not_in_cone_to_obj(exc))
+        return 1
     except (BsfanError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -18,19 +18,28 @@ from .sequences import EMPTY, DegreeSequence
 from .tables import BettiTable, WorkingTable
 
 
-def chi(table, i, j):
-    """Partial Euler characteristic anchored at column i, degree j."""
+def _partial_euler(table, i, anchor, key):
+    """Column i counts the grades whose key is below the anchor, column i+1
+    those whose key is at most the anchor, with opposite sign, and every
+    further column adds its full alternating column sum (sign +1 at i+2,
+    so the value is invariant under homological shift of table and i)."""
     total = Fraction(0)
-    for (col, deg), value in table.items():
+    for (col, grade), value in table.items():
         if col == i:
-            if deg <= j:
+            if key(grade) < anchor:
                 total += value
         elif col == i + 1:
-            if deg <= j + 1:
+            if key(grade) <= anchor:
                 total -= value
         elif col >= i + 2:
             total += value if (col - i) % 2 == 0 else -value
     return total
+
+
+def chi(table, i, j):
+    """Partial Euler characteristic anchored at column i, degree j: column
+    i up to degree j, column i+1 up to degree j+1."""
+    return _partial_euler(table, i, j + 1, int)
 
 
 def euler(table):

@@ -23,11 +23,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 
 from .diagrams import pure_diagram
 from .errors import MonadViolation, NotInCone, ValidationError
 from .sequences import CodimensionSequence, DegreeSequence, is_compatible
-from .tables import BettiTable, WorkingTable, dual, linear_combine
+from .tables import (BettiTable, WorkingTable, dual, linear_combine,
+                     table_to_obj)
+
+
+def pieces_to_obj(pieces):
+    """(coeff, piece) pairs as JSON; a piece is a degree sequence, or an
+    APiece for the one-variable split, under the same key."""
+    return [{"coeff": str(c), "degree_sequence": d.to_obj()}
+            for c, d in pieces]
+
+
+def not_in_cone_to_obj(exc):
+    """Failure certificate of a stuck greedy decomposition."""
+    obj = {"status": "fail", "message": str(exc),
+           "partial_pieces": pieces_to_obj(exc.partial_pieces)}
+    if exc.blocking_strand is not None:
+        obj["blocking_strand"] = exc.blocking_strand.to_obj()
+    if exc.blocking_entry is not None:
+        obj["blocking_entry"] = list(exc.blocking_entry)
+    return obj
 
 
 @dataclass
@@ -51,15 +71,8 @@ class Decomposition:
         return linear_combine(terms)
 
     def to_obj(self):
-        from .tables import table_to_obj
-
-        return {
-            "pieces": [
-                {"coeff": str(c), "degree_sequence": d.to_obj()}
-                for c, d in self.pieces
-            ],
-            "remainder": table_to_obj(self.remainder),
-        }
+        return {"pieces": pieces_to_obj(self.pieces),
+                "remainder": table_to_obj(self.remainder)}
 
 
 @dataclass
@@ -71,17 +84,7 @@ class SVerdict:
     def to_obj(self):
         if self.ok:
             return {"status": "pass", "decomposition": self.decomposition.to_obj()}
-        w = self.witness
-        obj = {"status": "fail", "message": str(w)}
-        obj["partial_pieces"] = [
-            {"coeff": str(c), "degree_sequence": d.to_obj()}
-            for c, d in w.partial_pieces
-        ]
-        if w.blocking_strand is not None:
-            obj["blocking_strand"] = w.blocking_strand.to_obj()
-        if w.blocking_entry is not None:
-            obj["blocking_entry"] = list(w.blocking_entry)
-        return obj
+        return not_in_cone_to_obj(self.witness)
 
 
 def _trim_compatible(strand, c):
@@ -159,20 +162,14 @@ class MonadSplit:
     back_pieces: list
 
     def to_obj(self):
-        from .tables import table_to_obj
-
-        def piece_list(pieces):
-            return [{"coeff": str(c), "degree_sequence": d.to_obj()}
-                    for c, d in pieces]
-
         return {
             "lambda1": str(self.lambda1),
             "table_f1": table_to_obj(self.table_f1),
             "lambda2": str(self.lambda2),
             "table_f2": table_to_obj(self.table_f2),
             "e_column": table_to_obj(self.e_column),
-            "front_pieces": piece_list(self.front_pieces),
-            "back_pieces": piece_list(self.back_pieces),
+            "front_pieces": pieces_to_obj(self.front_pieces),
+            "back_pieces": pieces_to_obj(self.back_pieces),
         }
 
 
@@ -181,13 +178,9 @@ def _monad_constraint(n):
     return CodimensionSequence(n, 0, 1, (), n + 1)
 
 
-def _positive_codim_prefix(pieces):
-    out = []
-    for coeff, d in pieces:
-        if d.codim == 0:
-            break
-        out.append((coeff, d))
-    return out
+def _prefix(pieces, codim_ok):
+    """The leading pieces whose codimension satisfies codim_ok."""
+    return list(takewhile(lambda piece: codim_ok(piece[1].codim), pieces))
 
 
 def monad_split(table, n):
@@ -201,9 +194,10 @@ def monad_split(table, n):
     if not table.is_nonnegative():
         raise ValidationError("monad splitting needs a nonnegative table")
     constraint = _monad_constraint(n)
-    front = _positive_codim_prefix(decompose_s(table, constraint, n).pieces)
-    back = _positive_codim_prefix(
-        decompose_s(dual(table), constraint, n).pieces)
+    front = _prefix(decompose_s(table, constraint, n).pieces,
+                    lambda codim: codim > 0)
+    back = _prefix(decompose_s(dual(table), constraint, n).pieces,
+                   lambda codim: codim > 0)
     d_front = linear_combine([(c, pure_diagram(d)) for c, d in front])
     d_back = linear_combine([(c, pure_diagram(d)) for c, d in back])
     e_column = linear_combine(
@@ -228,15 +222,6 @@ def monad_split(table, n):
     )
 
 
-def _full_codim_prefix(pieces, n):
-    out = []
-    for coeff, d in pieces:
-        if d.codim != n + 1:
-            break
-        out.append((coeff, d))
-    return out
-
-
 def _prefix_run(table, e, n):
     """Dualize a truncation and decompose it against the one-sided constraint
     (free at positions <= -e, full codimension above); keep the leading run
@@ -248,7 +233,8 @@ def _prefix_run(table, e, n):
     absorbed by the final, deficient pieces touching the boundary column.
     """
     constraint = CodimensionSequence(n, 0, -e + 1, (), n + 1)
-    return _full_codim_prefix(decompose_s(dual(table), constraint, n).pieces, n)
+    return _prefix(decompose_s(dual(table), constraint, n).pieces,
+                   lambda codim: codim == n + 1)
 
 
 def infinite_prefix(table, e, n):

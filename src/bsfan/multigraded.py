@@ -1,5 +1,6 @@
 """Multigraded tables, total orders, chi functionals, and the pairing on
-products of projective spaces.
+products of projective spaces: the single-graded table, chi loop and pairing
+loop over the grading group Z^m.
 
 Gradings live in Z^m in coordinates where the effective cone is the
 standard orthant.  A GradedOrder (positive weights, lexicographic
@@ -15,10 +16,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagrams import twist_evaluator
+from .cone_a import _partial_euler
+from .diagrams import CohomologyEvaluator, twist_evaluator
 from .errors import ParseError, ValidationError
+from .pairing import pair
 from .sequences import Comparison
-from .tables import parse_rational
+from .tables import BettiTable
 
 
 def _all_ints(values):
@@ -49,12 +52,6 @@ class GradedOrder:
                 f"order expects {len(self.weights)}")
         return (sum(w * a for w, a in zip(self.weights, alpha)), tuple(alpha))
 
-    def lt(self, alpha, beta):
-        return self.key(alpha) < self.key(beta)
-
-    def le(self, alpha, beta):
-        return self.key(alpha) <= self.key(beta)
-
     def to_obj(self):
         return {"weights": list(self.weights)}
 
@@ -73,122 +70,70 @@ def order_compare(order, alpha, beta):
     return Comparison.LESS if ka < kb else Comparison.GREATER
 
 
-class MultiBettiTable:
-    """Finite map (column i, grade alpha in Z^m) -> Fraction."""
+class MultiBettiTable(BettiTable):
+    """Finite map (column i, grade alpha in Z^m) -> Fraction: the Z^m case
+    of BettiTable, whose storage, validation and JSON format it shares."""
 
-    __slots__ = ("m", "_entries")
+    __slots__ = ("m",)
+    HEADER = ("m",)
+    GRADE = "alpha"
 
     def __init__(self, m, entries=None, *, require_nonnegative=False):
         self.m = int(m)
-        cleaned = {}
-        for (i, alpha), value in (entries or {}).items():
-            q = value if isinstance(value, Fraction) else Fraction(value)
-            if q == 0:
-                continue
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.m:
-                raise ValidationError(
-                    f"grade {alpha} has rank {len(alpha)}, expected {self.m}")
-            if require_nonnegative and q < 0:
-                raise ValidationError(f"negative entry {q} at ({i}, {alpha})")
-            cleaned[(int(i), alpha)] = q
-        self._entries = cleaned
+        super().__init__(entries, require_nonnegative=require_nonnegative)
 
-    def __getitem__(self, key):
-        return self._entries.get(key, Fraction(0))
+    def normalize_grade(self, alpha):
+        alpha = tuple(int(a) for a in alpha)
+        if len(alpha) != self.m:
+            raise ValidationError(
+                f"grade {alpha} has rank {len(alpha)}, expected {self.m}")
+        return alpha
 
-    def __len__(self):
-        return len(self._entries)
+    @staticmethod
+    def negate(alpha):
+        return tuple(-a for a in alpha)
 
-    def __bool__(self):
-        return bool(self._entries)
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiBettiTable) and self.m == other.m
-                and self._entries == other._entries)
-
-    def __repr__(self):
-        body = ", ".join(f"({i},{a}): {v}" for (i, a), v in self.items())
-        return f"MultiBettiTable(m={self.m}, {{{body}}})"
-
-    def items(self):
-        return [(key, self._entries[key]) for key in sorted(self._entries)]
-
-    def support(self):
-        return sorted(self._entries)
-
-    def columns(self):
-        return sorted({i for i, _ in self._entries})
-
-    def to_obj(self):
-        return {
-            "m": self.m,
-            "entries": [
-                {"i": i, "alpha": list(alpha), "value": str(v)}
-                for (i, alpha), v in self.items()
-            ],
-        }
-
-    @classmethod
-    def from_obj(cls, obj):
-        if not isinstance(obj, dict) or "m" not in obj or "entries" not in obj:
-            raise ParseError('multigraded table JSON needs "m" and "entries"')
-        if not _all_ints([obj["m"]]):
-            raise ParseError(f"m must be an integer, got {obj['m']!r}")
-        data = {}
-        for raw in obj["entries"]:
-            try:
-                key = (raw["i"], tuple(raw["alpha"]))
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"bad multigraded entry {raw!r}") from exc
-            if not _all_ints((key[0],) + key[1]):
-                raise ParseError(f"bad multigraded entry {raw!r}")
-            if key in data:
-                raise ParseError(f"duplicate entry for {key}")
-            data[key] = parse_rational(raw["value"], where=f"entry {key}")
-        return cls(obj["m"], data, require_nonnegative=True)
+    @staticmethod
+    def grade_from_json(value):
+        if isinstance(value, list) and _all_ints(value):
+            return tuple(value)
+        return None
 
 
 def multi_chi(table, i, alpha, order):
-    """Partial Euler characteristic at column i anchored at grade alpha.
-
-    Column i counts grades strictly below alpha, column i+1 grades at most
-    alpha with opposite sign, and columns past i+1 contribute their full
-    alternating column sums (sign +1 at column i+2, matching the
-    single-graded normalization so that the functional is invariant under
-    homological shift of both arguments).
-    """
-    alpha = tuple(alpha)
-    total = Fraction(0)
-    for (col, gamma), value in table.items():
-        if col == i:
-            if order.lt(gamma, alpha):
-                total += value
-        elif col == i + 1:
-            if order.le(gamma, alpha):
-                total -= value
-        elif col >= i + 2:
-            total += value if (col - i) % 2 == 0 else -value
-    return total
+    """Partial Euler characteristic at column i anchored at grade alpha:
+    chi's loop under the order's key, so column i counts grades strictly
+    below alpha and column i+1 grades at most alpha.  The ranks of alpha,
+    the order and the table must agree."""
+    alpha = table.normalize_grade(alpha)
+    return _partial_euler(table, i, order.key(alpha), order.key)
 
 
-def multi_pair(table, evaluator, qmax):
-    """Convolution with a multigraded cohomology evaluator:
+class _Capped(CohomologyEvaluator):
+    """A product space queried only for cohomology indices up to qmax."""
+
+    def __init__(self, space, qmax):
+        self.gamma = space.gamma
+        self.qmax = qmax
+
+    def q_upper(self):
+        return self.qmax
+
+
+def multi_pair(table, space, qmax=None):
+    """pair over Z^m, the cohomology index capped at qmax when given:
     result[i, alpha] = sum over p - q = i, 0 <= q <= qmax of
     table[p, alpha] * gamma(q, -alpha)."""
-    acc = {}
-    for (p, alpha), value in table.items():
-        neg = tuple(-a for a in alpha)
-        for q in range(qmax + 1):
-            gamma = evaluator.gamma(q, neg)
-            if gamma:
-                key = (p - q, alpha)
-                acc[key] = acc.get(key, Fraction(0)) + value * gamma
-    return MultiBettiTable(table.m, acc)
+    if table.m != space.rank:
+        raise ValidationError(
+            f"table has rank {table.m}, the space has rank {space.rank}")
+    if qmax is not None and qmax < 0:
+        raise ValidationError(f"qmax must be >= 0, got {qmax}")
+    return pair(table, space if qmax is None else _Capped(space, qmax))
 
 
 @dataclass(frozen=True)
-class ProductSpace:
+class ProductSpace(CohomologyEvaluator):
     """Sum of line bundles on a product of projective spaces.
 
     factor_dims lists the factor dimensions (n_1, ..., n_r); each summand is
@@ -219,8 +164,11 @@ class ProductSpace:
         return len(self.factor_dims)
 
     @property
-    def total_dim(self):
+    def dimension(self):
         return sum(self.factor_dims)
+
+    def q_upper(self):
+        return self.dimension
 
     def gamma(self, q, alpha):
         return kunneth_gamma(self, q, alpha)

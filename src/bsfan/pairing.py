@@ -17,29 +17,29 @@ from . import cone_a
 from .diagrams import SupernaturalEvaluator, SupernaturalSheaf, root_at
 from .errors import EvaluatorRangeError
 from .sequences import CodimensionSequence
-from .tables import BettiTable
 
 
 def pair(table, evaluator):
-    """Betti table of the paired complex.
+    """Betti table of the paired complex, graded like the input (Z or Z^m).
 
     The cohomology index is clamped to [0, q_upper]: nothing lives above the
     ambient dimension.  Window evaluators are pre-checked so a single range
     error lists every missing (q, j) query instead of failing one at a time.
     """
-    needed = sorted({-j for _, j in table.support()})
-    missing = evaluator.missing_degrees(needed)
+    qs = range(evaluator.q_upper() + 1)
+    missing = evaluator.missing_degrees(
+        sorted({table.negate(g) for _, g in table.support()}))
     if missing:
-        qs = range(evaluator.q_upper() + 1)
         raise EvaluatorRangeError([(q, j) for j in missing for q in qs])
     acc = {}
-    for (p, j), value in table.items():
-        for q in range(evaluator.q_upper() + 1):
-            gamma = evaluator.gamma(q, -j)
+    for (p, grade), value in table.items():
+        neg = table.negate(grade)
+        for q in qs:
+            gamma = evaluator.gamma(q, neg)
             if gamma:
-                key = (p - q, j)
+                key = (p - q, grade)
                 acc[key] = acc.get(key, Fraction(0)) + value * gamma
-    return BettiTable(acc)
+    return table.like(acc)
 
 
 def pure_pair_support(d, roots, i, j):

@@ -22,16 +22,15 @@ POS_INF = math.inf
 EMPTY = "empty"
 INF = "inf"
 
-_EMPTY_RANK = -1.0
 
-
-def value_rank(value):
-    """Numeric key realizing the order empty < 0 < 1 < ... < inf."""
+def value_rank(value, n):
+    """Exact integer key realizing the order empty < 0 < 1 < ... < n+1 < inf
+    for a codimension value over n: empty is -1 and inf is n + 2."""
     if value == EMPTY:
-        return _EMPTY_RANK
+        return -1
     if value == INF:
-        return POS_INF
-    return float(value)
+        return n + 2
+    return value
 
 
 class Comparison(enum.Enum):
@@ -161,7 +160,7 @@ class CodimensionSequence:
                for idx, v in enumerate(window)]
         run = [("left fill", left)] + run + [("right fill", right)]
         for (wa, a), (wb, b) in zip(run, run[1:]):
-            if value_rank(a) > value_rank(b):
+            if value_rank(a, n) > value_rank(b, n):
                 raise ValidationError(
                     f"codimension sequence decreases from {wa} ({a}) to {wb} ({b})"
                 )
@@ -174,7 +173,7 @@ class CodimensionSequence:
         return self.window[i - self.window_start]
 
     def rank(self, i):
-        return value_rank(self.value(i))
+        return value_rank(self.value(i), self.n)
 
     def occurs(self, value):
         """Whether some position of the full infinite sequence has this value."""

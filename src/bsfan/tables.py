@@ -30,23 +30,49 @@ def parse_rational(text, where="value"):
 class BettiTable:
     """Immutable sparse table; an absent key means a zero entry.
 
+    Keys are (column i, grade) with integer degrees j as grades; the Z^m
+    case MultiBettiTable overrides only the grade hooks, the HEADER (its
+    rank m, also a JSON key) and the JSON grade field GRADE.
+
     Intermediate arithmetic (monad splitting subtracts tables) may produce
     signed "raw" tables, so negative entries are allowed by default; pass
     require_nonnegative=True for validated input tables.
     """
 
     __slots__ = ("_entries",)
+    HEADER = ()
+    GRADE = "j"
 
     def __init__(self, entries=None, *, require_nonnegative=False):
         cleaned = {}
-        for (i, j), value in (entries or {}).items():
+        for (i, grade), value in (entries or {}).items():
             q = value if isinstance(value, Fraction) else Fraction(value)
             if q == 0:
                 continue
+            key = (int(i), self.normalize_grade(grade))
             if require_nonnegative and q < 0:
-                raise ValidationError(f"negative entry {q} at ({i}, {j})")
-            cleaned[(int(i), int(j))] = q
+                raise ValidationError(f"negative entry {q} at {key}")
+            cleaned[key] = q
         self._entries = cleaned
+
+    def normalize_grade(self, j):
+        return int(j)
+
+    @staticmethod
+    def negate(j):
+        return -j
+
+    @staticmethod
+    def grade_from_json(value):
+        """The grade of a JSON entry, or None if it is malformed."""
+        return value if type(value) is int else None  # rejects JSON true
+
+    def _head(self):
+        return tuple(getattr(self, key) for key in self.HEADER)
+
+    def like(self, entries):
+        """Table with the same grading (and rank) holding other entries."""
+        return type(self)(*self._head(), entries)
 
     def __getitem__(self, key):
         return self._entries.get(key, Fraction(0))
@@ -61,21 +87,23 @@ class BettiTable:
         return bool(self._entries)
 
     def __eq__(self, other):
-        return isinstance(other, BettiTable) and self._entries == other._entries
+        return (type(other) is type(self) and self._head() == other._head()
+                and self._entries == other._entries)
 
     def __hash__(self):
         return hash(frozenset(self._entries.items()))
 
     def __repr__(self):
-        body = ", ".join(f"({i},{j}): {v}" for (i, j), v in self.items())
-        return f"BettiTable({{{body}}})"
+        head = "".join(f"{k}={v}, " for k, v in zip(self.HEADER, self._head()))
+        body = ", ".join(f"({i},{g}): {v}" for (i, g), v in self.items())
+        return f"{type(self).__name__}({head}{{{body}}})"
 
     def items(self):
-        """Entries as ((i, j), value) pairs in (i, j) order."""
+        """Entries as ((i, grade), value) pairs in (i, grade) order."""
         return [(key, self._entries[key]) for key in sorted(self._entries)]
 
     def support(self):
-        """Sorted list of (i, j) keys with nonzero entries."""
+        """Sorted list of (i, grade) keys with nonzero entries."""
         return sorted(self._entries)
 
     def columns(self):
@@ -84,11 +112,10 @@ class BettiTable:
 
     def restrict_columns(self, lo=None, hi=None):
         """Table with only the columns in [lo, hi] kept."""
-        keep = {
-            (i, j): v for (i, j), v in self._entries.items()
+        return self.like({
+            (i, g): v for (i, g), v in self._entries.items()
             if (lo is None or i >= lo) and (hi is None or i <= hi)
-        }
-        return BettiTable(keep)
+        })
 
     def is_nonnegative(self):
         return all(v > 0 for v in self._entries.values())
@@ -182,33 +209,42 @@ def shift(table, k):
     return BettiTable({(i + k, j): v for (i, j), v in table.items()})
 
 
-def table_from_obj(obj):
-    """Build a validated table from the decoded JSON object."""
+def table_from_obj(obj, cls=BettiTable):
+    """Validated table of class cls from decoded JSON: integer HEADER
+    fields and an "entries" list of {i, <cls.GRADE>, value} objects."""
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError('table JSON must be an object with an "entries" list')
+    for key in cls.HEADER:
+        if type(obj.get(key)) is not int:  # rejects a missing key and true
+            raise ParseError(f"{key} must be an integer, got {obj.get(key)!r}")
     entries = obj["entries"]
     if not isinstance(entries, list):
         raise ParseError('"entries" must be a list')
+    field = cls.GRADE
     data = {}
     for raw in entries:
-        if not isinstance(raw, dict) or not {"i", "j", "value"} <= set(raw):
-            raise ParseError(f"entry must have i, j and value fields: {raw!r}")
-        i, j = raw["i"], raw["j"]
-        if type(i) is not int or type(j) is not int:  # rejects JSON true
-            raise ParseError(f"entry ({i!r}, {j!r}): indices must be integers")
-        if (i, j) in data:
-            raise ParseError(f"duplicate entry for ({i}, {j})")
-        data[(i, j)] = parse_rational(raw["value"], where=f"entry ({i}, {j})")
-    return BettiTable(data, require_nonnegative=True)
+        if not isinstance(raw, dict) or not {"i", field, "value"} <= set(raw):
+            raise ParseError(f"entry must have i, {field} and value fields: {raw!r}")
+        i, grade = raw["i"], cls.grade_from_json(raw[field])
+        if type(i) is not int or grade is None:  # rejects JSON true
+            raise ParseError(
+                f"entry ({i!r}, {raw[field]!r}): indices must be integers")
+        if (i, grade) in data:
+            raise ParseError(f"duplicate entry for ({i}, {grade})")
+        data[(i, grade)] = parse_rational(raw["value"], where=f"entry ({i}, {grade})")
+    return cls(*(obj[key] for key in cls.HEADER), data, require_nonnegative=True)
 
 
 def table_to_obj(table):
-    """Canonical JSON object: entries ordered lexicographically by (i, j)."""
-    return {
-        "entries": [
-            {"i": i, "j": j, "value": str(v)} for (i, j), v in table.items()
-        ]
-    }
+    """Canonical JSON object: the HEADER fields, then the entries ordered
+    lexicographically by (i, grade)."""
+    obj = dict(zip(table.HEADER, table._head()))
+    obj["entries"] = [
+        {"i": i, table.GRADE: list(g) if isinstance(g, tuple) else g,
+         "value": str(v)}
+        for (i, g), v in table.items()
+    ]
+    return obj
 
 
 def parse_table(text):

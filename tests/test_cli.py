@@ -251,16 +251,75 @@ class TestExitCodes:
          '{"m":1,"entries":[{"i":0,"alpha":[0],"value":"1"}]}',
          "--space", '{"kind":"product","dims":[true],'
                     '"summands":[{"twist":[0]}]}'],
+        ["multi-pair", "--table", '{"m":1,"entries":5}', "--space",
+         '{"kind":"product","dims":[1],"summands":[{"twist":[0]}]}'],
+        ["multi-chi", "--table",
+         '{"m":2,"entries":[{"i":5,"alpha":[0,0],"value":"1"}]}',
+         "--i", "0", "--alpha", "0,0,0", "--weights", "1,1,1"],
+        ["multi-chi", "--table",
+         '{"m":2,"entries":[{"i":5,"alpha":[0,0],"value":"1"}]}',
+         "--i", "0", "--alpha", "0,0", "--weights", "1,1,1"],
+        ["multi-pair", "--table", '{"m":2,"entries":[]}', "--space",
+         '{"kind":"product","dims":[1],"summands":[{"twist":[0]}]}'],
+        ["multi-pair", "--table",
+         '{"m":1,"entries":[{"i":0,"alpha":[0],"value":"1"}]}',
+         "--space", '{"kind":"product","dims":[1],"summands":[{"twist":[0]}]}',
+         "--qmax", "-1"],
     ], ids=["codim-window-not-a-list", "boolean-index", "window-q-past-dim",
             "window-dim-true", "window-q-true", "twist-n-true",
             "supernatural-root-true", "codim-n-true",
             "codim-window-start-true", "multi-index-true",
-            "product-dim-true"])
+            "product-dim-true", "multi-entries-not-a-list",
+            "multi-alpha-rank-vs-m", "multi-alpha-rank-vs-weights",
+            "multi-table-rank-vs-space", "multi-qmax-negative"])
     def test_malformed_input_exits_two_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_monad_stuck_decomposition_exits_one(self, capsys):
+        # a lone generator in column 1 admits no trim under the monad
+        # constraint: not a monad table, so exit 1 with the certificate
+        code, out, err = run(capsys, [
+            "monad", "--table", '{"entries":[{"i":1,"j":0,"value":"1"}]}',
+            "--n", "1"])
+        assert code == 1 and err == ""
+        cert = json.loads(out)
+        assert cert["status"] == "fail" and cert["partial_pieces"] == []
+        assert cert["blocking_strand"] == {"start": 1, "degrees": [0]}
+
+    def test_huge_codimension_exits_one_with_certificate(self, capsys):
+        # ranks of codimension values are exact: n = 10**400 must not
+        # overflow a float
+        n = str(10 ** 400)
+        codim = ('{"n":%s,"left":0,"window_start":0,"window":[],"right":%s}'
+                 % (n, n))
+        code, out, err = run(capsys, ["check", "--table",
+                                      '{"entries":[{"i":0,"j":0,"value":"1"}]}',
+                                      "--codim", codim, "--n", n])
+        assert code == 1 and err == ""
+        cert = json.loads(out)
+        assert cert["status"] == "fail"
+        assert cert["blocking_strand"] == {"start": 0, "degrees": [0]}
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--table", '{"entries":[]}',
+         "--codim", '{"n":1,"left":0,"right":1}', "--n", "1",
+         "--format", "pretty"],
+        ["multi-pair", "--table", '{"m":1,"entries":[]}', "--space",
+         '{"kind":"product","dims":[1],"summands":[{"twist":[0]}]}',
+         "--mark-origin"],
+        ["render", "--table", '{"entries":[]}', "--format", "json"],
+        ["chi", "--table", '{"entries":[]}', "--i", "0", "--j", "0",
+         "--mark-origin"],
+    ], ids=["check-format", "multi-pair-mark-origin", "render-format",
+            "chi-mark-origin"])
+    def test_output_flags_exist_only_where_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -1,9 +1,11 @@
 import pytest
 
-from bsfan import (Comparison, GradedOrder, MultiBettiTable, ParseError,
-                   ProductSpace, ValidationError, chi, kunneth_gamma,
-                   multi_chi, multi_chi_window, multi_pair, order_compare)
-from helpers import F, rng
+from bsfan import (BettiTable, Comparison, GradedOrder, MultiBettiTable,
+                   ParseError, ProductSpace, ValidationError, chi,
+                   kunneth_gamma, multi_chi, multi_chi_window, multi_pair,
+                   order_compare, pair, table_from_obj, table_to_obj,
+                   twist_evaluator)
+from helpers import F, random_table, rng
 
 W11 = GradedOrder((1, 1))
 W1 = GradedOrder((1,))
@@ -93,6 +95,25 @@ class TestMultiChi:
                     assert (strict > 0) == (chi(single, i, a - 1) > 0)
 
 
+    def test_specializes_to_single_graded_on_random_tables(self):
+        r = rng(705)
+        for _ in range(150):
+            single = random_table(r, nonneg=False)
+            multi = M(1, {(i, (j,)): v for (i, j), v in single.items()})
+            for i in range(-4, 5):
+                for a in range(-7, 9):
+                    assert multi_chi(multi, i, (a,), W1) == chi(single, i, a - 1)
+
+    def test_ranks_must_agree(self):
+        table = M(2, {(5, (0, 0)): 1})
+        with pytest.raises(ValidationError):
+            multi_chi(table, 0, (0, 0, 0), GradedOrder((1, 1, 1)))
+        with pytest.raises(ValidationError):
+            multi_chi(table, 0, (0, 0), GradedOrder((1, 1, 1)))
+        with pytest.raises(ValidationError):
+            multi_chi(M(2, {}), 0, (0,), W1)
+
+
 class TestKunneth:
     def test_section_count(self):
         space = ProductSpace((1, 1), (((1, 1), 1),))
@@ -167,6 +188,27 @@ class TestMultiPair:
                 2, {(i + k, alpha): v for (i, alpha), v in p1.items()})
 
 
+    def test_specializes_to_single_graded_pair(self):
+        # the single-graded pairing is the m = 1 case, entry for entry
+        r = rng(706)
+        for _ in range(120):
+            single = random_table(r, max_entries=10)
+            multi = M(1, {(i, (j,)): v for (i, j), v in single.items()})
+            n, a = r.randint(1, 4), r.randint(-4, 4)
+            paired = multi_pair(multi, ProductSpace((n,), (((a,), 1),)), n)
+            expected = pair(single, twist_evaluator(n, a))
+            assert len(paired) == len(expected)
+            for (i, j), value in expected.items():
+                assert paired[(i, (j,))] == value
+
+    def test_rank_and_qmax_checked(self):
+        space = ProductSpace((1,), (((0,), 1),))
+        with pytest.raises(ValidationError):
+            multi_pair(M(2, {}), space, 1)
+        with pytest.raises(ValidationError):
+            multi_pair(M(1, {(0, (0,)): 1}), space, -1)
+
+
 class TestPositivity:
     def test_koszul_pairings_have_nonnegative_chi(self):
         r = rng(704)
@@ -185,14 +227,15 @@ class TestPositivity:
 class TestJson:
     def test_round_trip(self):
         table = bigraded_koszul()
-        assert MultiBettiTable.from_obj(table.to_obj()) == table
+        assert table_from_obj(table_to_obj(table), MultiBettiTable) == table
 
     def test_duplicate_rejected(self):
         with pytest.raises(ParseError):
-            MultiBettiTable.from_obj({
+            table_from_obj({
                 "m": 1,
                 "entries": [{"i": 0, "alpha": [0], "value": "1"},
-                            {"i": 0, "alpha": [0], "value": "2"}]})
+                            {"i": 0, "alpha": [0], "value": "2"}]},
+                MultiBettiTable)
 
     def test_product_space(self):
         space = ProductSpace.from_obj({
@@ -205,3 +248,16 @@ class TestJson:
     def test_rank_mismatch(self):
         with pytest.raises(ValidationError):
             MultiBettiTable(2, {(0, (1,)): 1})
+
+    def test_entries_must_be_a_list_and_m_an_integer(self):
+        for obj in ({"m": 1, "entries": 5}, {"m": True, "entries": []},
+                    {"entries": []}, {"m": 1, "entries": [
+                        {"i": 0, "alpha": [True], "value": "1"}]}):
+            with pytest.raises(ParseError):
+                table_from_obj(obj, MultiBettiTable)
+
+    def test_equality_separates_types_and_ranks(self):
+        assert BettiTable() != MultiBettiTable(2)
+        assert MultiBettiTable(1) != MultiBettiTable(2)
+        assert BettiTable({(0, 0): 1}) != M(1, {(0, (0,)): 1})
+        assert M(2, {(0, (1, 0)): 2}) == M(2, {(0, (1, 0)): F(2)})

@@ -157,7 +157,7 @@ class TestCompatibility:
             values = sorted(
                 (r.choice([EMPTY, 0, 1, min(2, n + 1), n + 1, INF])
                  for _ in range(3)),
-                key=value_rank)
+                key=lambda v: value_rank(v, n))
             c = CodimensionSequence(n, values[0], r.randint(-2, 2),
                                     (values[1],), values[2])
             feasible = [k for k in strand.positions()
