@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import cone_a, cone_s, multigraded, pairing, tables
@@ -53,6 +54,11 @@ def _ints(text):
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ParseError(f"expected comma-separated integers: {text!r}") from exc
+
+
+# argparse's own negative-number pattern, widened to comma lists such as
+# -1,-2, so that they are read as option values and not as options.
+NEGATIVE_VALUE = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
 
 def _emit(obj):
@@ -257,6 +263,7 @@ def build_parser():
     def add(name, func, *flags, **kwargs):
         """A subcommand; flags names the output options it reads."""
         p = sub.add_parser(name, **kwargs)
+        p._negative_number_matcher = NEGATIVE_VALUE
         p.set_defaults(func=func)
         if "format" in flags:
             p.add_argument("--format", choices=("json", "pretty"),

@@ -101,15 +101,12 @@ def supernatural_gamma(sheaf, q, j):
 
 
 class CohomologyEvaluator:
-    """Exact evaluator gamma(q, j) with a declared dimension."""
+    """Exact evaluator gamma(q, j) with a declared dimension: gamma(q, j)
+    is zero for every q > dimension, so pair queries q = 0..dimension only."""
 
     dimension = 0
 
     def gamma(self, q, j):
-        raise NotImplementedError
-
-    def q_upper(self):
-        """Largest q worth querying; everything above evaluates to zero."""
         raise NotImplementedError
 
     def missing_degrees(self, js):
@@ -124,9 +121,6 @@ class SupernaturalEvaluator(CohomologyEvaluator):
 
     def gamma(self, q, j):
         return supernatural_gamma(self.sheaf, q, j)
-
-    def q_upper(self):
-        return self.sheaf.n
 
 
 class WindowEvaluator(CohomologyEvaluator):
@@ -162,9 +156,6 @@ class WindowEvaluator(CohomologyEvaluator):
             raise EvaluatorRangeError([(q, j)])
         return self.values.get((q, j), Fraction(0))
 
-    def q_upper(self):
-        return self.dimension
-
     def missing_degrees(self, js):
         return sorted(j for j in set(js) if not self.jmin <= j <= self.jmax)
 
@@ -178,9 +169,6 @@ class FormalEvaluator(CohomologyEvaluator):
 
     def gamma(self, q, j):
         return sum((c * ev.gamma(q, j) for c, ev in self.terms), Fraction(0))
-
-    def q_upper(self):
-        return max((ev.q_upper() for _, ev in self.terms), default=0)
 
     def missing_degrees(self, js):
         missing = set()

@@ -13,11 +13,12 @@ column and non-strict one column up.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cone_a import _partial_euler
-from .diagrams import CohomologyEvaluator, twist_evaluator
+from .diagrams import CohomologyEvaluator
 from .errors import ParseError, ValidationError
 from .pairing import pair
 from .sequences import Comparison
@@ -51,16 +52,6 @@ class GradedOrder:
                 f"grade {tuple(alpha)} has rank {len(alpha)}, "
                 f"order expects {len(self.weights)}")
         return (sum(w * a for w, a in zip(self.weights, alpha)), tuple(alpha))
-
-    def to_obj(self):
-        return {"weights": list(self.weights)}
-
-    @classmethod
-    def from_obj(cls, obj):
-        try:
-            return cls(tuple(obj["weights"]))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad order JSON: {obj!r}") from exc
 
 
 def order_compare(order, alpha, beta):
@@ -110,14 +101,15 @@ def multi_chi(table, i, alpha, order):
 
 
 class _Capped(CohomologyEvaluator):
-    """A product space queried only for cohomology indices up to qmax."""
+    """A product space with its cohomology above index qmax dropped."""
 
     def __init__(self, space, qmax):
-        self.gamma = space.gamma
-        self.qmax = qmax
+        self.space, self.dimension = space, min(qmax, space.dimension)
 
-    def q_upper(self):
-        return self.qmax
+    def gamma(self, q, alpha):
+        if q > self.dimension:
+            return Fraction(0)
+        return self.space.gamma(q, alpha)
 
 
 def multi_pair(table, space, qmax=None):
@@ -167,9 +159,6 @@ class ProductSpace(CohomologyEvaluator):
     def dimension(self):
         return sum(self.factor_dims)
 
-    def q_upper(self):
-        return self.dimension
-
     def gamma(self, q, alpha):
         return kunneth_gamma(self, q, alpha)
 
@@ -191,26 +180,26 @@ class ProductSpace(CohomologyEvaluator):
 
 def kunneth_gamma(space, q, alpha):
     """Cohomology of a sum of line bundles on a product of projective
-    spaces: product of factorwise values over all splittings of q."""
+    spaces.  By Bott's formula O(a) on P^n has one nonzero cohomology group:
+    C(n + a, n) in degree 0 when a >= 0, otherwise C(-a - 1, n) in degree n
+    (zero for -n <= a <= -1).  By Kunneth a summand adds the product of its
+    factors' values when their degrees sum to q."""
     alpha = tuple(alpha)
     if len(alpha) != space.rank:
         raise ValidationError(
             f"grade {alpha} has rank {len(alpha)}, expected {space.rank}")
-    factors = [twist_evaluator(n, 0) for n in space.factor_dims]
     total = Fraction(0)
     for twist, mult in space.summands:
-        for split in itertools.product(
-                *(range(n + 1) for n in space.factor_dims)):
-            if sum(split) != q:
-                continue
-            prod = Fraction(mult)
-            for qt, nt, at, ct, ev in zip(
-                    split, space.factor_dims, alpha, twist, factors):
-                del nt
-                prod *= ev.gamma(qt, at + ct)
-                if not prod:
-                    break
-            total += prod
+        degree, value = 0, mult
+        for n, at, ct in zip(space.factor_dims, alpha, twist):
+            a = at + ct
+            if a >= 0:
+                value *= math.comb(n + a, n)
+            else:
+                degree += n
+                value *= math.comb(-a - 1, n)
+        if degree == q:
+            total += value
     return total
 
 

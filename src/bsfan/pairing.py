@@ -22,11 +22,12 @@ from .sequences import CodimensionSequence
 def pair(table, evaluator):
     """Betti table of the paired complex, graded like the input (Z or Z^m).
 
-    The cohomology index is clamped to [0, q_upper]: nothing lives above the
-    ambient dimension.  Window evaluators are pre-checked so a single range
-    error lists every missing (q, j) query instead of failing one at a time.
+    The cohomology index is clamped to [0, dimension]: the evaluator is
+    zero above its dimension.  Window evaluators are pre-checked so a single
+    range error lists every missing (q, j) query instead of failing one at
+    a time.
     """
-    qs = range(evaluator.q_upper() + 1)
+    qs = range(evaluator.dimension + 1)
     missing = evaluator.missing_degrees(
         sorted({table.negate(g) for _, g in table.support()}))
     if missing:

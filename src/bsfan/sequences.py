@@ -183,19 +183,6 @@ class CodimensionSequence:
     def constant(cls, k, n):
         return cls(n, k, 0, (), k)
 
-    def __str__(self):
-        body = ",".join(str(v) for v in self.window)
-        return f"({self.left},...[{self.window_start}: {body}]...,{self.right}; n={self.n})"
-
-    def to_obj(self):
-        return {
-            "n": self.n,
-            "left": self.left,
-            "window_start": self.window_start,
-            "window": list(self.window),
-            "right": self.right,
-        }
-
     @classmethod
     def from_obj(cls, obj):
         try:

@@ -11,8 +11,11 @@ decompositions that rebuild and rescan the whole table after every step;
 the library's incremental versions must agree with them exactly.
 reference_membership_a calls chi afresh at every cell of the chi window;
 the library's one-sweep membership_a must give the same verdict.
+reference_kunneth_gamma walks every split of q over the factors of a
+product space; the library's closed form must give the same value.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -20,7 +23,7 @@ from math import comb
 from bsfan import (EMPTY, APiece, AVerdict, BettiTable, Decomposition,
                    DegreeSequence, NotInCone, ValidationError, Violation, chi,
                    chi_window, euler, is_compatible, linear_combine,
-                   pure_diagram)
+                   pure_diagram, twist_evaluator)
 
 
 def T(entries):
@@ -269,3 +272,20 @@ def reference_membership_a(table, c):
         if total != 0:
             violations.append(Violation("euler_nonzero", value=total))
     return AVerdict(not violations, violations)
+
+
+def reference_kunneth_gamma(space, q, alpha):
+    """Kunneth sum over every split of q into factor indices, each factor
+    read off the supernatural evaluator of the twisted structure sheaf."""
+    factors = [twist_evaluator(n, 0) for n in space.factor_dims]
+    total = Fraction(0)
+    for twist, mult in space.summands:
+        for split in itertools.product(
+                *(range(n + 1) for n in space.factor_dims)):
+            if sum(split) != q:
+                continue
+            prod = Fraction(mult)
+            for qt, at, ct, ev in zip(split, alpha, twist, factors):
+                prod *= ev.gamma(qt, at + ct)
+            total += prod
+    return total

@@ -321,10 +321,40 @@ class TestExitCodes:
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_option_value_is_not_a_negative_list(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["pure", "--degrees", "-x"])
+        assert err.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+MULTI3 = ('{"m":3,"entries":[{"i":0,"alpha":[0,0,0],"value":"1"},'
+          '{"i":1,"alpha":[-2,-3,4],"value":"2"}]}')
+
+
+class TestNegativeLists:
+    """A comma list that starts with a negative number is an option value:
+    the spaced spelling prints what the --opt=value spelling prints."""
+
+    @pytest.mark.parametrize("head, option, value, tail", [
+        (["supernatural"], "--roots", "-1,-2",
+         ["--n", "2", "--jmin", "-3", "--jmax", "1"]),
+        (["es", "--table", serialize_table(TWO_STRAND_TABLE)], "--roots",
+         "-1,-2", ["--n", "2", "--tau", "1", "--kappa", "0"]),
+        (["pure"], "--degrees", "-1,0", []),
+        (["multi-chi", "--table", MULTI3, "--i", "0"], "--alpha", "-2,-3,3",
+         ["--weights", "1,2,2"]),
+    ], ids=["supernatural", "es", "pure", "multi-chi"])
+    def test_spaced_equals_joined(self, capsys, head, option, value, tail):
+        spaced = run(capsys, head + [option, value] + tail)
+        joined = run(capsys, head + [f"{option}={value}"] + tail)
+        assert spaced == joined
+        assert spaced[0] == 0 and spaced[1] and spaced[2] == ""
 
 
 class TestDeterminism:

@@ -35,6 +35,19 @@ KOSZUL = compact({"m": 2, "entries": [
 SPACE = compact({"kind": "product", "dims": [1, 1],
                  "summands": [{"twist": [1, -1], "mult": 2},
                               {"twist": [0, 0]}]})
+MULTI3 = compact({"m": 3, "entries": [
+    {"i": i, "alpha": alpha, "value": value} for i, alpha, value in [
+        (0, [0, 0, 0], "1"), (1, [1, 0, 0], "2"), (1, [0, 1, 1], "3/2"),
+        (2, [1, 2, 1], "1")]]})
+# the twist -2 on P^2 lies in the band -n..-1 where O(a) has no cohomology
+SPACE3 = compact({"kind": "product", "dims": [1, 2, 3], "summands": [
+    {"twist": [0, -2, 1], "mult": 3}, {"twist": [-3, 0, -5]},
+    {"twist": [1, 1, 0], "mult": 2}]})
+PROBE4 = compact({"m": 4, "entries": [
+    {"i": 0, "alpha": [0, 0, 0, 0], "value": "1"},
+    {"i": 1, "alpha": [1, 1, 1, 1], "value": "1"}]})
+SPACE4 = compact({"kind": "product", "dims": [12, 12, 12, 12],
+                  "summands": [{"twist": [1, -20, 2, 3], "mult": 2}]})
 
 ARGV = {
     "check_fail": ["check", "--table", serialize_table(TWO_STRAND_TABLE),
@@ -59,7 +72,26 @@ ARGV = {
     "pair": ["pair", "--table", serialize_table(TWO_STRAND_TABLE),
              "--sheaf", compact({"kind": "supernatural", "roots": [0, -8],
                                  "rank_scale": "8", "n": 2})],
+    # two roots against n = 4: nothing above q = 2
+    "pair_short_supernatural": [
+        "pair", "--table", serialize_table(TENSOR_TABLE),
+        "--sheaf", compact({"kind": "supernatural", "roots": [-1, -3],
+                            "rank_scale": "2", "n": 4})],
+    "pair_window": [
+        "pair", "--table", serialize_table(TENSOR_TABLE),
+        "--sheaf", compact({"kind": "window", "dim": 2, "jmin": -6,
+                            "jmax": 0, "entries": [
+                                {"q": 0, "j": 0, "value": "1"},
+                                {"q": 1, "j": -3, "value": "2/3"},
+                                {"q": 2, "j": -4, "value": "5"},
+                                {"q": 2, "j": -6, "value": "1"}]})],
     "multi_pair": ["multi-pair", "--table", KOSZUL, "--space", SPACE],
+    "multi_pair_rank3_band": ["multi-pair", "--table", MULTI3,
+                              "--space", SPACE3],
+    "multi_pair_p12_4": ["multi-pair", "--table", PROBE4, "--space", SPACE4],
+    "supernatural_negative_roots": ["supernatural", "--roots=-1,-2",
+                                    "--n", "3", "--jmin", "-4",
+                                    "--jmax", "1"],
     "multi_pair_qmax": ["multi-pair", "--table", KOSZUL, "--space", SPACE,
                         "--qmax", "1"],
     "multi_chi": ["multi-chi", "--table", KOSZUL, "--i", "1",
@@ -109,6 +141,25 @@ EXPECTED = {
     "pair": (0, (
         '{"entries":[{"i":0,"j":3,"value":"240"},{"i":0,"j":4,"value":"25'
         '6"},{"i":1,"j":4,"value":"256"},{"i":1,"j":5,"value":"240"}]}\n')),
+    "pair_short_supernatural": (0, (
+        '{"entries":[{"i":0,"j":0,"value":"3"},{"i":0,"j":2,"value":"5"},'
+        '{"i":0,"j":4,"value":"12"},{"i":1,"j":4,"value":"3"},{"i":1,"j":'
+        '5,"value":"32"},{"i":2,"j":6,"value":"15"}]}\n')),
+    "pair_window": (0, (
+        '{"entries":[{"i":0,"j":0,"value":"1"},{"i":0,"j":4,"value":"20"}'
+        ',{"i":1,"j":3,"value":"8/3"},{"i":1,"j":4,"value":"5"},{"i":2,"j'
+        '":6,"value":"1"}]}\n')),
+    "multi_pair_rank3_band": (0, (
+        '{"m":3,"entries":[{"i":-4,"alpha":[0,0,0],"value":"8"},{"i":-3,"'
+        'alpha":[1,0,0],"value":"24"},{"i":-1,"alpha":[0,1,1],"value":"9/'
+        '2"},{"i":0,"alpha":[0,0,0],"value":"12"},{"i":1,"alpha":[1,0,0],'
+        '"value":"12"}]}\n')),
+    "multi_pair_p12_4": (0, (
+        '{"m":4,"entries":[{"i":-12,"alpha":[0,0,0,0],"value":"5424419364'
+        '0"},{"i":-11,"alpha":[1,1,1,1],"value":"298045020"}]}\n')),
+    "supernatural_negative_roots": (0, (
+        '{"entries":[{"q":0,"j":0,"value":"1"},{"q":0,"j":1,"value":"3"},'
+        '{"q":2,"j":-4,"value":"3"},{"q":2,"j":-3,"value":"1"}]}\n')),
     "multi_pair": (0, (
         '{"m":2,"entries":[{"i":0,"alpha":[0,0],"value":"1"},{"i":0,"alph'
         'a":[0,1],"value":"8"},{"i":1,"alpha":[0,2],"value":"9"},{"i":1,"'

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bsfan import (BettiTable, Comparison, GradedOrder, MultiBettiTable,
@@ -5,7 +7,7 @@ from bsfan import (BettiTable, Comparison, GradedOrder, MultiBettiTable,
                    kunneth_gamma, multi_chi, multi_chi_window, multi_pair,
                    order_compare, pair, table_from_obj, table_to_obj,
                    twist_evaluator)
-from helpers import F, random_table, rng
+from helpers import F, random_table, reference_kunneth_gamma, rng
 
 W11 = GradedOrder((1, 1))
 W1 = GradedOrder((1,))
@@ -133,6 +135,23 @@ class TestKunneth:
         space = ProductSpace((1, 1), (((1, 1), 2), ((0, 0), 1)))
         assert kunneth_gamma(space, 0, (0, 0)) == 2 * 4 + 1
 
+    def test_matches_split_enumeration(self):
+        # twists and grades in -8..8 put every factor in its vanishing band
+        # -n..-1 as well as in degree 0 and degree n
+        r = rng(707)
+        for _ in range(150):
+            rank = r.randint(1, 3)
+            dims = tuple(r.randint(1, 4) for _ in range(rank))
+            space = ProductSpace(dims, tuple(
+                (tuple(r.randint(-8, 8) for _ in dims), r.randint(1, 3))
+                for _ in range(r.randint(1, 3))))
+            for _ in range(8):
+                alpha = tuple(r.randint(-8, 8) for _ in dims)
+                for q in range(space.dimension + 2):
+                    got = kunneth_gamma(space, q, alpha)
+                    want = reference_kunneth_gamma(space, q, alpha)
+                    assert (got, type(got)) == (want, Fraction), (space, q, alpha)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             ProductSpace((0,), (((0,), 1),))
@@ -200,6 +219,12 @@ class TestMultiPair:
             assert len(paired) == len(expected)
             for (i, j), value in expected.items():
                 assert paired[(i, (j,))] == value
+
+    def test_qmax_past_the_dimension_changes_nothing(self):
+        # the cap is clamped to the space: no work per q above its dimension
+        space = ProductSpace((1, 2), (((1, -2), 2), ((-3, 0), 1)))
+        table = M(2, {(0, (0, 0)): 1, (1, (1, 2)): F(3, 2), (2, (2, 4)): 2})
+        assert multi_pair(table, space, 10 ** 12) == multi_pair(table, space)
 
     def test_rank_and_qmax_checked(self):
         space = ProductSpace((1,), (((0,), 1),))

@@ -1,11 +1,12 @@
 import pytest
 
 from bsfan import (BettiTable, DegreeSequence, EvaluatorRangeError,
-                   FormalEvaluator, SupernaturalEvaluator, SupernaturalSheaf,
-                   WindowEvaluator, chi, es_functional, linear_combine, pair,
-                   pair_check, pure_diagram, pure_pair_support, shift,
-                   twist_evaluator)
+                   FormalEvaluator, ProductSpace, SupernaturalEvaluator,
+                   SupernaturalSheaf, WindowEvaluator, chi, es_functional,
+                   linear_combine, pair, pair_check, pure_diagram,
+                   pure_pair_support, shift, twist_evaluator)
 from bsfan.diagrams import root_at
+from bsfan.multigraded import _Capped
 from helpers import (F, T, TWO_STRAND_TABLE, koszul_table,
                      random_degree_sequence, random_roots, random_table, rng)
 
@@ -117,6 +118,51 @@ class TestWindowErrors:
     def test_pair_inside_window_succeeds(self):
         ev = WindowEvaluator(1, -1, 1, {(0, 0): F(2), (1, -1): F(3)})
         assert pair(T({(0, 0): 1, (2, 1): 1}), ev) == T({(0, 0): 2, (1, 1): 3})
+
+
+class TestDimensionCap:
+    """pair queries q = 0..dimension only: every evaluator is zero above."""
+
+    def test_gamma_vanishes_above_dimension(self):
+        window = WindowEvaluator(2, -3, 3, {(0, 1): F(2), (2, -3): F(5),
+                                            (1, 0): F(1, 3)})
+        short = supernatural((2, -1), 3, 5)   # s = 2 roots, n = 5
+        space = ProductSpace((1, 2), (((1, -2), 2), ((-3, 0), 1)))
+        assert space.gamma(3, (-2, -4))   # something for the cap to drop
+        grades = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
+        for kind, ev, js in [
+                ("supernatural", short, range(-8, 9)),
+                ("twist", twist_evaluator(3, -2), range(-8, 9)),
+                ("window", window, range(-3, 4)),
+                ("formal", FormalEvaluator([(F(2), window), (F(-1), short)]),
+                 range(-3, 4)),
+                ("product", space, grades),
+                ("capped", _Capped(space, 1), grades)]:
+            for q in range(ev.dimension + 1, ev.dimension + 4):
+                for j in js:
+                    assert ev.gamma(q, j) == 0, (kind, q, j)
+
+    def test_short_supernatural_pairs_like_the_sum_to_n(self):
+        r = rng(811)
+        for _ in range(60):
+            n = r.randint(2, 5)
+            s = r.randint(1, n - 1)
+            ev = supernatural(random_roots(r, s), r.randint(1, 4), n)
+            assert ev.dimension == s < n
+            table = random_table(r, nonneg=False)
+            acc = {}
+            for (p, j), value in table.items():
+                for q in range(n + 1):
+                    key = (p - q, j)
+                    acc[key] = acc.get(key, F(0)) + value * ev.gamma(q, -j)
+            assert pair(table, ev) == T(acc)
+
+    def test_formal_range_error_lists_q_up_to_its_dimension(self):
+        window = WindowEvaluator(1, -1, 1, {(0, 0): F(1)})
+        ev = FormalEvaluator([(F(1), window), (F(1), supernatural((0,), 1, 4))])
+        with pytest.raises(EvaluatorRangeError) as err:
+            pair(T({(0, 3): 1}), ev)
+        assert err.value.missing == [(0, -3), (1, -3)]
 
 
 class TestSeparatingFunctional:
