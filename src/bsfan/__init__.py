@@ -1,28 +1,46 @@
 """Exact rational computations with Betti tables and cohomology tables:
 pure diagrams, the table-level pairing, separating functionals, cone
 membership with certificates, greedy chain decompositions, monad splitting,
-infinite-resolution prefixes, and multigraded analogues."""
+infinite-resolution prefixes, and multigraded analogues.
 
-from .cone_a import (APiece, AVerdict, Violation, chi, chi_window,
-                     decompose_a, euler, membership_a)
-from .cone_s import (Decomposition, MonadSplit, SVerdict, decompose_s,
-                     infinite_prefix, membership_s, monad_split)
-from .diagrams import (CohomologyEvaluator, FormalEvaluator,
-                       SupernaturalEvaluator, SupernaturalSheaf,
-                       WindowEvaluator, evaluator_from_obj, pure_diagram,
-                       supernatural_gamma, twist_evaluator)
-from .errors import (BsfanError, EvaluatorRangeError, MonadViolation,
-                     NotInCone, ParseError, ValidationError)
-from .multigraded import (GradedOrder, MultiBettiTable, ProductSpace,
-                          kunneth_gamma, multi_chi, multi_chi_window,
-                          multi_pair, order_compare)
-from .pairing import es_functional, pair, pair_check, pure_pair_support
-from .sequences import (EMPTY, INF, CodimensionSequence, Comparison,
-                        DegreeSequence, compare_degree_sequences,
-                        is_compatible, validate_codim_sequence)
-from .tables import (BettiTable, dual, linear_combine, parse_table,
-                     pretty_render, serialize_table, shift, table_from_obj,
-                     table_to_obj)
+The public names resolve on first use (PEP 562): `import bsfan` loads no
+layer module, and `bsfan.chi` loads cone_a and what it imports.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "cone_a": "APiece AVerdict Violation chi chi_window decompose_a euler "
+              "membership_a",
+    "cone_s": "Decomposition MonadSplit SVerdict decompose_s infinite_prefix "
+              "membership_s monad_split",
+    "diagrams": "CohomologyEvaluator FormalEvaluator SupernaturalEvaluator "
+                "SupernaturalSheaf WindowEvaluator evaluator_from_obj "
+                "pure_diagram supernatural_gamma twist_evaluator",
+    "errors": "BsfanError EvaluatorRangeError MonadViolation NotInCone "
+              "ParseError ValidationError",
+    "multigraded": "GradedOrder MultiBettiTable ProductSpace kunneth_gamma "
+                   "multi_chi multi_chi_window multi_pair order_compare",
+    "pairing": "es_functional pair pair_check pure_pair_support",
+    "sequences": "EMPTY INF CodimensionSequence Comparison DegreeSequence "
+                 "compare_degree_sequences is_compatible "
+                 "validate_codim_sequence",
+    "tables": "BettiTable dual linear_combine parse_table pretty_render "
+              "serialize_table shift table_from_obj table_to_obj",
+}
+# name -> home module; each layer module is also exported under its name
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in [module, *names.split()]}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _HOME[name]
+    module = getattr(__import__(f"{__name__}.{home}"), home)
+    return module if name == home else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

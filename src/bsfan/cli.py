@@ -1,10 +1,15 @@
-"""Command-line front end.
+"""Command-line front end, one row of COMMANDS per subcommand.
 
 Every subcommand reads JSON (inline or from files), runs one library
-operation, and writes either canonical JSON or a pretty rendering.  Exit
-codes: 0 for success / in-cone, 1 for a non-membership verdict (the
-machine-readable certificate goes to stdout), 2 for malformed input or
-usage errors (diagnostics go to stderr).
+operation, and writes either canonical JSON or a pretty rendering.  Its row
+holds the help line, the output flags, the options, the call (load the
+arguments, run the library function) and the emitter (write the result,
+return the exit code).  main builds the options of the invoked subcommand
+alone, and the call imports only the layer modules it reaches, so a
+process pays for its own subcommand and nothing else.  Exit codes: 0 for
+success / in-cone, 1 for a non-membership verdict (the machine-readable
+certificate goes to stdout), 2 for malformed input or usage errors
+(diagnostics go to stderr).
 """
 
 from __future__ import annotations
@@ -13,14 +18,15 @@ import argparse
 import json
 import re
 import sys
+from collections import namedtuple
 
-from . import cone_a, cone_s, multigraded, pairing, tables
-from .diagrams import (SupernaturalEvaluator, SupernaturalSheaf,
-                       evaluator_from_obj, pure_diagram, supernatural_gamma)
 from .errors import BsfanError, MonadViolation, NotInCone, ParseError
-from .multigraded import GradedOrder, MultiBettiTable, ProductSpace
-from .sequences import DegreeSequence, validate_codim_sequence
-from .tables import parse_rational
+
+
+def _layer(name):
+    """The layer module name, imported on first use (by __import__ of the
+    dotted name, which -X importtime lists, as import_module is not)."""
+    return getattr(__import__(f"{__package__}.{name}"), name)
 
 
 def _load_obj(arg):
@@ -41,14 +47,6 @@ def _load_obj(arg):
         raise ParseError(f"malformed JSON in {arg}: {exc}") from exc
 
 
-def _load_table(arg, cls=tables.BettiTable):
-    return tables.table_from_obj(_load_obj(arg), cls)
-
-
-def _load_codim(arg):
-    return validate_codim_sequence(_load_obj(arg))
-
-
 def _ints(text):
     try:
         return tuple(int(part) for part in text.split(","))
@@ -56,334 +54,279 @@ def _ints(text):
         raise ParseError(f"expected comma-separated integers: {text!r}") from exc
 
 
-# argparse's own negative-number pattern, widened to comma lists such as
-# -1,-2, so that they are read as option values and not as options.
-NEGATIVE_VALUE = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
+def _table(args):
+    return _layer("tables").table_from_obj(_load_obj(args.table))
+
+
+def _multi_table(args):
+    return _layer("tables").table_from_obj(
+        _load_obj(args.table), _layer("multigraded").MultiBettiTable)
+
+
+def _codim(args):
+    return _layer("sequences").validate_codim_sequence(_load_obj(args.codim))
+
+
+def _rank_scale(args):
+    return _layer("tables").parse_rational(args.rank_scale, "rank scale")
+
+
+def _sheaf(args):
+    diagrams = _layer("diagrams")
+    evaluator = diagrams.evaluator_from_obj(_load_obj(args.sheaf))
+    if args.n is not None and isinstance(evaluator,
+                                         diagrams.SupernaturalEvaluator):
+        if evaluator.sheaf.n != args.n:
+            raise ParseError(
+                f"evaluator ambient {evaluator.sheaf.n} does not match "
+                f"--n {args.n}")
+    return evaluator
+
+
+def _sheaves(args):
+    sheaves = _load_obj(args.sheaves)
+    if not isinstance(sheaves, list):
+        raise ParseError("--sheaves must be a JSON list of evaluators")
+    return [_layer("diagrams").evaluator_from_obj(obj) for obj in sheaves]
+
+
+def _multi_chi(args):
+    multigraded = _layer("multigraded")
+    table = _multi_table(args)
+    order = multigraded.GradedOrder(_ints(args.weights))
+    return multigraded.multi_chi(table, args.i, _ints(args.alpha), order)
 
 
 def _emit(obj):
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def _emit_value(value, fmt):
-    if fmt == "pretty":
+def _emit_json(obj, args):
+    _emit(obj)
+    return 0
+
+
+def _emit_value(value, args):
+    if args.format == "pretty":
         sys.stdout.write(f"{value}\n")
-    else:
-        _emit({"value": str(value)})
+        return 0
+    return _emit_json({"value": str(value)}, args)
+
+
+def _emit_pretty(table, args):
+    sys.stdout.write(_layer("tables").pretty_render(
+        table, mark_origin=args.mark_origin) + "\n")
+    return 0
 
 
 def _emit_table(table, args):
-    if args.format == "pretty":
-        sys.stdout.write(
-            tables.pretty_render(table, mark_origin=args.mark_origin) + "\n")
-    else:
-        _emit(tables.table_to_obj(table))
+    if getattr(args, "format", "json") == "pretty":
+        return _emit_pretty(table, args)
+    return _emit_json(_layer("tables").table_to_obj(table), args)
 
 
-def _emit_decomposition(dec, args):
-    if args.format == "pretty":
-        lines = []
-        for idx, (coeff, d) in enumerate(dec.pieces, 1):
-            lines.append(f"piece {idx}: coeff {coeff} along {d}")
-            piece = tables.linear_combine([(coeff, pure_diagram(d))])
-            lines.append(tables.pretty_render(piece, mark_origin=args.mark_origin))
-        if dec.remainder:
-            lines.append("remainder:")
-            lines.append(tables.pretty_render(dec.remainder,
-                                              mark_origin=args.mark_origin))
-        elif not dec.pieces:
-            lines.append("(empty decomposition)")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        _emit(dec.to_obj())
-
-
-def _cmd_pure(args):
-    d = DegreeSequence(args.start, _ints(args.degrees))
-    _emit_table(pure_diagram(d), args)
-    return 0
-
-
-def _cmd_supernatural(args):
-    sheaf = SupernaturalSheaf(_ints(args.roots),
-                              parse_rational(args.rank_scale, "rank scale"),
-                              args.n)
-    entries = []
-    for q in range(args.n + 1):
-        for j in range(args.jmin, args.jmax + 1):
-            value = supernatural_gamma(sheaf, q, j)
-            if value:
-                entries.append((q, j, value))
-    if args.format == "pretty":
-        lines = [
-            " ".join([f"q={q}".rjust(5)]
-                     + [str(supernatural_gamma(sheaf, q, j) or "-").rjust(6)
-                        for j in range(args.jmin, args.jmax + 1)])
-            for q in range(args.n, -1, -1)
-        ]
-        header = " ".join(["j:".rjust(5)]
-                          + [str(j).rjust(6)
-                             for j in range(args.jmin, args.jmax + 1)])
-        sys.stdout.write("\n".join([header] + lines) + "\n")
-    else:
-        _emit({"entries": [{"q": q, "j": j, "value": str(v)}
-                           for q, j, v in entries]})
-    return 0
-
-
-def _cmd_pair(args):
-    table = _load_table(args.table)
-    evaluator = evaluator_from_obj(_load_obj(args.sheaf))
-    if args.n is not None and isinstance(evaluator, SupernaturalEvaluator):
-        if evaluator.sheaf.n != args.n:
-            raise ParseError(
-                f"evaluator ambient {evaluator.sheaf.n} does not match "
-                f"--n {args.n}")
-    _emit_table(pairing.pair(table, evaluator), args)
-    return 0
-
-
-def _cmd_chi(args):
-    _emit_value(cone_a.chi(_load_table(args.table), args.i, args.j), args.format)
-    return 0
-
-
-def _cmd_euler(args):
-    _emit_value(cone_a.euler(_load_table(args.table)), args.format)
-    return 0
-
-
-def _cmd_check_a(args):
-    verdict = cone_a.membership_a(_load_table(args.table), _load_codim(args.codim))
+def _emit_verdict(verdict, args):
     _emit(verdict.to_obj())
     return 0 if verdict.ok else 1
 
 
-def _cmd_decompose_a(args):
-    pieces = cone_a.decompose_a(_load_table(args.table),
-                                _load_codim(args.codim))
-    _emit({"pieces": [{"coeff": str(c), "piece": p.to_obj()}
-                      for c, p in pieces]})
-    return 0
-
-
-def _cmd_decompose(args):
-    dec = cone_s.decompose_s(_load_table(args.table), _load_codim(args.codim),
-                             args.n)
-    _emit_decomposition(dec, args)
-    return 0
-
-
-def _cmd_check(args):
-    verdict = cone_s.membership_s(_load_table(args.table),
-                                  _load_codim(args.codim), args.n)
-    _emit(verdict.to_obj())
-    return 0 if verdict.ok else 1
-
-
-def _cmd_monad(args):
-    try:
-        split = cone_s.monad_split(_load_table(args.table), args.n)
-    except MonadViolation as exc:
-        obj = {"status": "fail", "message": str(exc)}
-        if exc.e_table is not None:
-            obj["e_column"] = tables.table_to_obj(exc.e_table)
-        _emit(obj)
-        return 1
-    _emit(split.to_obj())
-    return 0
-
-
-def _cmd_infinite(args):
-    dec = cone_s.infinite_prefix(_load_table(args.table), args.e, args.n)
-    _emit_decomposition(dec, args)
-    return 0
-
-
-def _cmd_es(args):
-    value = pairing.es_functional(
-        _load_table(args.table), _ints(args.roots),
-        parse_rational(args.rank_scale, "rank scale"), args.n,
-        args.tau, args.kappa)
-    _emit_value(value, args.format)
-    return 0
-
-
-def _cmd_pair_check(args):
-    table = _load_table(args.table)
-    sheaves = _load_obj(args.sheaves)
-    if not isinstance(sheaves, list):
-        raise ParseError("--sheaves must be a JSON list of evaluators")
-    evaluators = [evaluator_from_obj(obj) for obj in sheaves]
-    verdicts = pairing.pair_check(table, evaluators, args.n)
+def _emit_verdicts(verdicts, args):
     _emit({"verdicts": [v.to_obj() for v in verdicts]})
     return 0 if all(v.ok for v in verdicts) else 1
 
 
-def _cmd_dual(args):
-    _emit_table(tables.dual(_load_table(args.table)), args)
+def _emit_blocks(pieces, args):
+    return _emit_json({"pieces": [{"coeff": str(c), "piece": p.to_obj()}
+                                  for c, p in pieces]}, args)
+
+
+def _emit_decomposition(dec, args):
+    if args.format != "pretty":
+        return _emit_json(dec.to_obj(), args)
+    tables, diagrams = _layer("tables"), _layer("diagrams")
+    lines = []
+    for idx, (coeff, d) in enumerate(dec.pieces, 1):
+        lines.append(f"piece {idx}: coeff {coeff} along {d}")
+        piece = tables.linear_combine([(coeff, diagrams.pure_diagram(d))])
+        lines.append(tables.pretty_render(piece, mark_origin=args.mark_origin))
+    if dec.remainder:
+        lines.append("remainder:")
+        lines.append(tables.pretty_render(dec.remainder,
+                                          mark_origin=args.mark_origin))
+    elif not dec.pieces:
+        lines.append("(empty decomposition)")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_shift(args):
-    _emit_table(tables.shift(_load_table(args.table), args.k), args)
+def _emit_window(sheaf, args):
+    """The class's cohomology at q = 0..n and j = jmin..jmax."""
+    gamma = _layer("diagrams").supernatural_gamma
+    js = range(args.jmin, args.jmax + 1)
+    rows = [[gamma(sheaf, q, j) for j in js] for q in range(args.n + 1)]
+    if args.format != "pretty":
+        return _emit_json({"entries": [
+            {"q": q, "j": j, "value": str(v)}
+            for q, row in enumerate(rows) for j, v in zip(js, row) if v]},
+            args)
+    lines = [" ".join(["j:".rjust(5)] + [str(j).rjust(6) for j in js])]
+    lines += [" ".join([f"q={q}".rjust(5)]
+                       + [str(v or "-").rjust(6) for v in rows[q]])
+              for q in range(args.n, -1, -1)]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_render(args):
-    table = _load_table(args.table)
-    sys.stdout.write(
-        tables.pretty_render(table, mark_origin=args.mark_origin) + "\n")
-    return 0
+# A subcommand: its help line; flags, the output options its emitter
+# reads; options, "--name" for a required string, with ":int" for an
+# integer and "=default" for an optional one (an empty default is None);
+# call, from the parsed namespace to the library's result; and emit, which
+# writes the result and returns the exit code.
+Command = namedtuple("Command", "help flags options call emit")
+TABLE_OUT = ("format", "mark-origin")
+VALUE_OUT = ("format",)
+
+COMMANDS = {
+    "pure": Command(
+        "pure diagram of a degree sequence", TABLE_OUT,
+        "--start:int=0 --degrees",
+        lambda a: _layer("diagrams").pure_diagram(
+            _layer("sequences").DegreeSequence(a.start, _ints(a.degrees))),
+        _emit_table),
+    "supernatural": Command(
+        "cohomology window of a supernatural class", VALUE_OUT,
+        "--roots --rank-scale=1 --n:int --jmin:int --jmax:int",
+        lambda a: _layer("diagrams").SupernaturalSheaf(
+            _ints(a.roots), _rank_scale(a), a.n),
+        _emit_window),
+    "pair": Command(
+        "pair a table with a cohomology evaluator", TABLE_OUT,
+        "--table --sheaf --n:int=",
+        lambda a: _layer("pairing").pair(_table(a), _sheaf(a)), _emit_table),
+    "chi": Command(
+        "partial Euler characteristic chi_{i,j}", VALUE_OUT,
+        "--table --i:int --j:int",
+        lambda a: _layer("cone_a").chi(_table(a), a.i, a.j), _emit_value),
+    "euler": Command(
+        "total Euler characteristic", VALUE_OUT, "--table",
+        lambda a: _layer("cone_a").euler(_table(a)), _emit_value),
+    "check-a": Command(
+        "cone membership over the one-variable ring", (), "--table --codim",
+        lambda a: _layer("cone_a").membership_a(_table(a), _codim(a)),
+        _emit_verdict),
+    "decompose-a": Command(
+        "block decomposition over the one-variable ring", (),
+        "--table --codim",
+        lambda a: _layer("cone_a").decompose_a(_table(a), _codim(a)),
+        _emit_blocks),
+    "decompose": Command(
+        "greedy chain decomposition", TABLE_OUT, "--table --codim --n:int",
+        lambda a: _layer("cone_s").decompose_s(_table(a), _codim(a), a.n),
+        _emit_decomposition),
+    "check": Command(
+        "cone membership with certificate", (), "--table --codim --n:int",
+        lambda a: _layer("cone_s").membership_s(_table(a), _codim(a), a.n),
+        _emit_verdict),
+    "monad": Command(
+        "split a free monad table", (), "--table --n:int",
+        lambda a: _layer("cone_s").monad_split(_table(a), a.n).to_obj(),
+        _emit_json),
+    "infinite": Command(
+        "stable prefix decomposition of a truncated resolution", TABLE_OUT,
+        "--table --e:int --n:int",
+        lambda a: _layer("cone_s").infinite_prefix(_table(a), a.e, a.n),
+        _emit_decomposition),
+    "es": Command(
+        "separating functional value", VALUE_OUT,
+        "--table --roots --rank-scale=1 --n:int --tau:int --kappa:int",
+        lambda a: _layer("pairing").es_functional(
+            _table(a), _ints(a.roots), _rank_scale(a), a.n, a.tau, a.kappa),
+        _emit_value),
+    "pair-check": Command(
+        "pair against evaluators and check the target cone", (),
+        "--table --sheaves --n:int",
+        lambda a: _layer("pairing").pair_check(_table(a), _sheaves(a), a.n),
+        _emit_verdicts),
+    "dual": Command(
+        "move (i, j) entries to (-i, -j)", TABLE_OUT, "--table",
+        lambda a: _layer("tables").dual(_table(a)), _emit_table),
+    "shift": Command(
+        "homological shift by k", TABLE_OUT, "--table --k:int",
+        lambda a: _layer("tables").shift(_table(a), a.k), _emit_table),
+    "render": Command(
+        "pretty-print a table", ("mark-origin",), "--table", _table,
+        _emit_pretty),
+    "multi-chi": Command(
+        "multigraded partial Euler characteristic", VALUE_OUT,
+        "--table --i:int --alpha --weights", _multi_chi, _emit_value),
+    "multi-pair": Command(
+        "pair a multigraded table with line bundles on a product of "
+        "projective spaces", (), "--table --space --qmax:int=",
+        lambda a: _layer("multigraded").multi_pair(
+            _multi_table(a), _layer("multigraded").ProductSpace.from_obj(
+                _load_obj(a.space)), a.qmax),
+        _emit_table),
+}
+
+# argparse's own negative-number pattern, widened to comma lists such as
+# -1,-2, so that they are read as option values and not as options.
+NEGATIVE_VALUE = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
 
-def _cmd_multi_chi(args):
-    table = _load_table(args.table, MultiBettiTable)
-    order = GradedOrder(_ints(args.weights))
-    value = multigraded.multi_chi(table, args.i, _ints(args.alpha), order)
-    _emit_value(value, args.format)
-    return 0
+def _declare(parser, command):
+    parser._negative_number_matcher = NEGATIVE_VALUE
+    if "format" in command.flags:
+        parser.add_argument("--format", choices=("json", "pretty"),
+                            default="json")
+    if "mark-origin" in command.flags:
+        parser.add_argument("--mark-origin", action="store_true",
+                            help="decorate the origin cell in pretty output")
+    for option in command.options.split():
+        flag, optional, default = option.partition("=")
+        flag, _, kind = flag.partition(":")
+        parser.add_argument(flag, type=int if kind == "int" else None,
+                            required=not optional, default=default or None)
 
 
-def _cmd_multi_pair(args):
-    table = _load_table(args.table, MultiBettiTable)
-    space = ProductSpace.from_obj(_load_obj(args.space))
-    _emit(tables.table_to_obj(multigraded.multi_pair(table, space, args.qmax)))
-    return 0
+def build_parser(argv=()):
+    """The parser of argv, with the options of the subcommand it invokes.
 
-
-def build_parser():
+    When argv starts with a subcommand, only that one is built, and the
+    usage line of a top-level error still lists every name; otherwise
+    (top-level help, an unknown name, no name) every name is listed with
+    its help line.
+    """
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
+    alone = invoked in COMMANDS and argv[0] == invoked
     parser = argparse.ArgumentParser(
         prog="bsfan",
         description="Exact computations with Betti tables: pure diagrams, "
                     "cohomology pairings, cone membership and chain "
                     "decompositions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, *flags, **kwargs):
-        """A subcommand; flags names the output options it reads."""
-        p = sub.add_parser(name, **kwargs)
-        p._negative_number_matcher = NEGATIVE_VALUE
-        p.set_defaults(func=func)
-        if "format" in flags:
-            p.add_argument("--format", choices=("json", "pretty"),
-                           default="json")
-        if "mark-origin" in flags:
-            p.add_argument("--mark-origin", action="store_true",
-                           help="decorate the origin cell in pretty output")
-        return p
-
-    table_out = ("format", "mark-origin")
-
-    p = add("pure", _cmd_pure, *table_out,
-            help="pure diagram of a degree sequence")
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--degrees", required=True)
-
-    p = add("supernatural", _cmd_supernatural, "format",
-            help="cohomology window of a supernatural class")
-    p.add_argument("--roots", required=True)
-    p.add_argument("--rank-scale", default="1")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jmin", type=int, required=True)
-    p.add_argument("--jmax", type=int, required=True)
-
-    p = add("pair", _cmd_pair, *table_out,
-            help="pair a table with a cohomology evaluator")
-    p.add_argument("--table", required=True)
-    p.add_argument("--sheaf", required=True)
-    p.add_argument("--n", type=int)
-
-    p = add("chi", _cmd_chi, "format",
-            help="partial Euler characteristic chi_{i,j}")
-    p.add_argument("--table", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-
-    p = add("euler", _cmd_euler, "format", help="total Euler characteristic")
-    p.add_argument("--table", required=True)
-
-    p = add("check-a", _cmd_check_a,
-            help="cone membership over the one-variable ring")
-    p.add_argument("--table", required=True)
-    p.add_argument("--codim", required=True)
-
-    p = add("decompose-a", _cmd_decompose_a,
-            help="block decomposition over the one-variable ring")
-    p.add_argument("--table", required=True)
-    p.add_argument("--codim", required=True)
-
-    p = add("decompose", _cmd_decompose, *table_out,
-            help="greedy chain decomposition")
-    p.add_argument("--table", required=True)
-    p.add_argument("--codim", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("check", _cmd_check, help="cone membership with certificate")
-    p.add_argument("--table", required=True)
-    p.add_argument("--codim", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("monad", _cmd_monad, help="split a free monad table")
-    p.add_argument("--table", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("infinite", _cmd_infinite, *table_out,
-            help="stable prefix decomposition of a truncated resolution")
-    p.add_argument("--table", required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("es", _cmd_es, "format", help="separating functional value")
-    p.add_argument("--table", required=True)
-    p.add_argument("--roots", required=True)
-    p.add_argument("--rank-scale", default="1")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--kappa", type=int, required=True)
-
-    p = add("pair-check", _cmd_pair_check,
-            help="pair against evaluators and check the target cone")
-    p.add_argument("--table", required=True)
-    p.add_argument("--sheaves", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("dual", _cmd_dual, *table_out,
-            help="move (i, j) entries to (-i, -j)")
-    p.add_argument("--table", required=True)
-
-    p = add("shift", _cmd_shift, *table_out, help="homological shift by k")
-    p.add_argument("--table", required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add("render", _cmd_render, "mark-origin",
-            help="pretty-print a table")
-    p.add_argument("--table", required=True)
-
-    p = add("multi-chi", _cmd_multi_chi, "format",
-            help="multigraded partial Euler characteristic")
-    p.add_argument("--table", required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--weights", required=True)
-
-    p = add("multi-pair", _cmd_multi_pair,
-            help="pair a multigraded table with line bundles on a product "
-                 "of projective spaces")
-    p.add_argument("--table", required=True)
-    p.add_argument("--space", required=True)
-    p.add_argument("--qmax", type=int)
-
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(COMMANDS) if alone else None)
+    for name in [invoked] if alone else COMMANDS:
+        subparser = sub.add_parser(name, help=COMMANDS[name].help)
+        if name == invoked:
+            _declare(subparser, COMMANDS[name])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return command.emit(command.call(args), args)
     except NotInCone as exc:  # a stuck decomposition: its certificate
-        _emit(cone_s.not_in_cone_to_obj(exc))
+        _emit(_layer("cone_s").not_in_cone_to_obj(exc))
+        return 1
+    except MonadViolation as exc:  # not a monad table: its central column
+        obj = {"status": "fail", "message": str(exc)}
+        if exc.e_table is not None:
+            obj["e_column"] = _layer("tables").table_to_obj(exc.e_table)
+        _emit(obj)
         return 1
     except (BsfanError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -10,7 +10,7 @@ its full alternating column sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NotInCone, ValidationError
@@ -66,24 +66,21 @@ def chi_window(table):
     )
 
 
-@dataclass(frozen=True)
-class APiece:
+class APiece(namedtuple("APiece", "kind position gen_degree socle_degree")):
     """Free block at (position, degree a) or torsion block generated in
     degree a with socle relation in degree b > a."""
 
-    kind: str
-    position: int
-    gen_degree: int
-    socle_degree: int = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("free", "torsion"):
-            raise ValidationError(f"unknown piece kind {self.kind!r}")
-        if self.kind == "torsion" and self.socle_degree <= self.gen_degree:
+    def __new__(cls, kind, position, gen_degree, socle_degree=None):
+        if kind not in ("free", "torsion"):
+            raise ValidationError(f"unknown piece kind {kind!r}")
+        if kind == "torsion" and socle_degree <= gen_degree:
             raise ValidationError(
-                f"torsion piece needs socle degree > {self.gen_degree}, "
-                f"got {self.socle_degree}"
+                f"torsion piece needs socle degree > {gen_degree}, "
+                f"got {socle_degree}"
             )
+        return super().__new__(cls, kind, position, gen_degree, socle_degree)
 
     def table(self):
         if self.kind == "free":
@@ -106,12 +103,9 @@ class APiece:
         return obj
 
 
-@dataclass
-class Violation:
-    kind: str
-    i: int = None
-    j: int = None
-    value: Fraction = None
+class Violation(namedtuple("Violation", "kind i j value",
+                           defaults=(None, None, None))):
+    __slots__ = ()
 
     def to_obj(self):
         obj = {"kind": self.kind}
@@ -124,10 +118,12 @@ class Violation:
         return obj
 
 
-@dataclass
-class AVerdict:
-    ok: bool
-    violations: list = field(default_factory=list)
+class AVerdict(namedtuple("AVerdict", "ok violations")):
+    __slots__ = ()
+
+    def __new__(cls, ok, violations=None):
+        return super().__new__(
+            cls, ok, [] if violations is None else violations)
 
     def to_obj(self):
         if self.ok:

@@ -21,7 +21,7 @@ decomposing a dualized truncation and keeping the stable leading pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import takewhile
 
@@ -50,8 +50,7 @@ def not_in_cone_to_obj(exc):
     return obj
 
 
-@dataclass
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "pieces remainder")):
     """Ordered pieces (coeff, degree sequence) plus what is left over.
 
     The pieces always satisfy: sum of coeff * pure_diagram(d) + remainder
@@ -62,8 +61,11 @@ class Decomposition:
     one).
     """
 
-    pieces: list
-    remainder: BettiTable = field(default_factory=BettiTable)
+    __slots__ = ()
+
+    def __new__(cls, pieces, remainder=None):
+        return super().__new__(
+            cls, pieces, BettiTable() if remainder is None else remainder)
 
     def total(self):
         terms = [(c, pure_diagram(d)) for c, d in self.pieces]
@@ -75,11 +77,9 @@ class Decomposition:
                 "remainder": table_to_obj(self.remainder)}
 
 
-@dataclass
-class SVerdict:
-    ok: bool
-    decomposition: Decomposition = None
-    witness: NotInCone = None
+class SVerdict(namedtuple("SVerdict", "ok decomposition witness",
+                          defaults=(None, None))):
+    __slots__ = ()
 
     def to_obj(self):
         if self.ok:
@@ -141,8 +141,8 @@ def membership_s(table, c, n):
         return SVerdict(False, witness=exc)
 
 
-@dataclass
-class MonadSplit:
+class MonadSplit(namedtuple("MonadSplit", "lambda1 table_f1 lambda2 table_f2 "
+                            "e_column front_pieces back_pieces")):
     """Split of a free monad table into a resolution part, the dual of a
     corank-zero resolution part, and the central free column.
 
@@ -153,13 +153,7 @@ class MonadSplit:
     decomposition runs produced (the back ones in the dualized orientation).
     """
 
-    lambda1: Fraction
-    table_f1: BettiTable
-    lambda2: Fraction
-    table_f2: BettiTable
-    e_column: BettiTable
-    front_pieces: list
-    back_pieces: list
+    __slots__ = ()
 
     def to_obj(self):
         return {

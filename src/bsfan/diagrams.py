@@ -11,7 +11,7 @@ magnitude given by the Hilbert polynomial |prod (j - f_k)| * r / s!.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import EvaluatorRangeError, ParseError, ValidationError
@@ -47,8 +47,7 @@ def root_at(roots, m):
     return roots[m - 1]
 
 
-@dataclass(frozen=True)
-class SupernaturalSheaf:
+class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n")):
     """Sheaf class with strictly decreasing integer roots f_1 > ... > f_s.
 
     The number of roots is the dimension s; rank_scale rescales the whole
@@ -56,25 +55,21 @@ class SupernaturalSheaf:
     linear subspace, so no extra geometric data is needed.
     """
 
-    roots: tuple
-    rank_scale: Fraction
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        roots = tuple(int(f) for f in self.roots)
+    def __new__(cls, roots, rank_scale, n):
+        roots = tuple(int(f) for f in roots)
         for a, b in zip(roots, roots[1:]):
             if a <= b:
                 raise ValidationError(f"roots must strictly decrease: {a} !> {b}")
-        if len(roots) > self.n:
+        if len(roots) > n:
             raise ValidationError(
-                f"{len(roots)} roots need ambient dimension >= {len(roots)}, got {self.n}"
+                f"{len(roots)} roots need ambient dimension >= {len(roots)}, got {n}"
             )
-        scale = Fraction(self.rank_scale)
+        scale = Fraction(rank_scale)
         if scale <= 0:
             raise ValidationError(f"rank scale must be positive, got {scale}")
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "rank_scale", scale)
-        object.__setattr__(self, "n", int(self.n))
+        return super().__new__(cls, roots, scale, int(n))
 
     @property
     def dimension(self):
@@ -104,6 +99,7 @@ class CohomologyEvaluator:
     """Exact evaluator gamma(q, j) with a declared dimension: gamma(q, j)
     is zero for every q > dimension, so pair queries q = 0..dimension only."""
 
+    __slots__ = ()  # no instance dict: the tuple ProductSpace stays frozen
     dimension = 0
 
     def gamma(self, q, j):

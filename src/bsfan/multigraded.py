@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cone_a import _partial_euler
@@ -29,14 +29,13 @@ def _all_ints(values):
     return all(type(v) is int for v in values)  # rejects JSON true
 
 
-@dataclass(frozen=True)
-class GradedOrder:
+class GradedOrder(namedtuple("GradedOrder", "weights")):
     """Total order on Z^m: weighted sum first, lexicographic on ties."""
 
-    weights: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        weights = tuple(int(w) for w in self.weights)
+    def __new__(cls, weights):
+        weights = tuple(int(w) for w in weights)
         if not weights:
             raise ValidationError("order needs at least one weight")
         bad = [w for w in weights if w <= 0]
@@ -44,7 +43,7 @@ class GradedOrder:
             raise ValidationError(
                 f"weights must be positive to refine the effective-cone "
                 f"order; got {bad[0]}")
-        object.__setattr__(self, "weights", weights)
+        return super().__new__(cls, weights)
 
     def key(self, alpha):
         if len(alpha) != len(self.weights):
@@ -124,32 +123,30 @@ def multi_pair(table, space, qmax=None):
     return pair(table, space if qmax is None else _Capped(space, qmax))
 
 
-@dataclass(frozen=True)
-class ProductSpace(CohomologyEvaluator):
+class ProductSpace(namedtuple("ProductSpace", "factor_dims summands"),
+                   CohomologyEvaluator):
     """Sum of line bundles on a product of projective spaces.
 
     factor_dims lists the factor dimensions (n_1, ..., n_r); each summand is
     a twist vector with a positive multiplicity.
     """
 
-    factor_dims: tuple
-    summands: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        dims = tuple(int(n) for n in self.factor_dims)
+    def __new__(cls, factor_dims, summands):
+        dims = tuple(int(n) for n in factor_dims)
         if not dims or any(n < 1 for n in dims):
             raise ValidationError(f"factor dimensions must be >= 1: {dims}")
-        summands = []
-        for twist, mult in self.summands:
+        checked = []
+        for twist, mult in summands:
             twist = tuple(int(c) for c in twist)
             if len(twist) != len(dims):
                 raise ValidationError(
                     f"twist {twist} has rank {len(twist)}, expected {len(dims)}")
             if int(mult) < 1:
                 raise ValidationError(f"multiplicity must be >= 1: {mult}")
-            summands.append((twist, int(mult)))
-        object.__setattr__(self, "factor_dims", dims)
-        object.__setattr__(self, "summands", tuple(summands))
+            checked.append((twist, int(mult)))
+        return super().__new__(cls, dims, tuple(checked))
 
     @property
     def rank(self):
@@ -208,11 +205,15 @@ LEFT_I, PAD = 3, 1
 
 
 def multi_chi_window(table):
-    """Column range and grade box capturing every distinct chi value.
+    """Column range and grade box of a heuristic multi_chi scan.
 
     Grades are scanned over the support box padded by one generator step per
     coordinate; columns from three below the support (both parities of the
-    tail sums) up to the top.
+    tail sums) up to the top.  For m = 1 this captures every distinct chi
+    value.  For m >= 2 it can miss some: a grade whose order key falls
+    between two support keys may lie far outside the box.  The table
+    {(1, (1, 0)): -1, (2, (0, 1)): -1} under weights (2, 3) has multi_chi
+    >= 0 at column 1 on the whole box, but -1 at alpha = (-6, 5).
     """
     if not table:
         return range(0), []

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import cone_a
+from .cone_a import chi, membership_a
 from .diagrams import SupernaturalEvaluator, SupernaturalSheaf, root_at
 from .errors import EvaluatorRangeError
 from .sequences import CodimensionSequence
@@ -72,7 +72,7 @@ def es_functional(table, roots, rank_scale, n, tau, kappa):
     if tau < s:
         nu = min(nu, -roots[tau] - 1)
     sheaf = SupernaturalSheaf(tuple(roots), Fraction(rank_scale), n)
-    return cone_a.chi(pair(table, SupernaturalEvaluator(sheaf)), 0, nu)
+    return chi(pair(table, SupernaturalEvaluator(sheaf)), 0, nu)
 
 
 def pair_check(table, evaluators, n):
@@ -87,4 +87,4 @@ def pair_check(table, evaluators, n):
             raise ValueError(
                 f"evaluator ambient {ev.sheaf.n} does not match n = {n}")
     all_one = CodimensionSequence.constant(1, 0)
-    return [cone_a.membership_a(pair(table, ev), all_one) for ev in evaluators]
+    return [membership_a(pair(table, ev), all_one) for ev in evaluators]

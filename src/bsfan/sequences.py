@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParseError, ValidationError
 
@@ -40,22 +40,19 @@ class Comparison(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(namedtuple("DegreeSequence", "start degrees")):
     """Finite strictly increasing run d_start < ... < d_{start+codim}."""
 
-    start: int
-    degrees: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        degrees = tuple(int(d) for d in self.degrees)
+    def __new__(cls, start, degrees):
+        degrees = tuple(int(d) for d in degrees)
         if not degrees:
             raise ValidationError("degree sequence needs at least one finite entry")
         for a, b in zip(degrees, degrees[1:]):
             if a >= b:
                 raise ValidationError(f"degrees must strictly increase: {a} !< {b}")
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "start", int(self.start))
+        return super().__new__(cls, int(start), degrees)
 
     @property
     def codim(self):
@@ -127,36 +124,28 @@ def _check_value(value, n, where):
     return value
 
 
-@dataclass(frozen=True)
-class CodimensionSequence:
+class CodimensionSequence(namedtuple(
+        "CodimensionSequence", "n left window_start window right")):
     """Nondecreasing doubly infinite sequence with a finite window.
 
     Positions below window_start take the left fill, positions past the
     window take the right fill.
     """
 
-    n: int
-    left: object
-    window_start: int
-    window: tuple
-    right: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.n
-        if type(n) is not int or type(self.window_start) is not int:
+    def __new__(cls, n, left, window_start, window, right):
+        if type(n) is not int or type(window_start) is not int:
             # rejects JSON true; from_obj turns this into a ParseError
             raise TypeError(f"n and window_start must be integers, got "
-                            f"{n!r} and {self.window_start!r}")
-        left = _check_value(self.left, n, "left fill")
-        right = _check_value(self.right, n, "right fill")
+                            f"{n!r} and {window_start!r}")
+        left = _check_value(left, n, "left fill")
+        right = _check_value(right, n, "right fill")
         window = tuple(
-            _check_value(v, n, f"position {self.window_start + idx}")
-            for idx, v in enumerate(self.window)
+            _check_value(v, n, f"position {window_start + idx}")
+            for idx, v in enumerate(window)
         )
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "window", window)
-        run = [(f"position {self.window_start + idx}", v)
+        run = [(f"position {window_start + idx}", v)
                for idx, v in enumerate(window)]
         run = [("left fill", left)] + run + [("right fill", right)]
         for (wa, a), (wb, b) in zip(run, run[1:]):
@@ -164,6 +153,7 @@ class CodimensionSequence:
                 raise ValidationError(
                     f"codimension sequence decreases from {wa} ({a}) to {wb} ({b})"
                 )
+        return super().__new__(cls, n, left, window_start, window, right)
 
     def value(self, i):
         if i < self.window_start:

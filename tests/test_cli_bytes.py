@@ -1,10 +1,10 @@
 """Exact stdout bytes and exit codes of the certificate- and table-printing
-subcommands.
+subcommands, and the exact help text and usage errors of the command line.
 
 The other CLI tests parse the output as JSON, which hides key order,
 separators and number formatting; these pin the bytes themselves, so a
-refactor of the table core or of the certificate serializer cannot move
-them.
+refactor of the table core, of the certificate serializer or of the parser
+construction cannot move them.
 """
 
 import json
@@ -182,3 +182,290 @@ def test_exact_bytes(capsys, name):
     captured = capsys.readouterr()
     assert (code, captured.out) == EXPECTED[name]
     assert captured.err == ""
+
+
+# The command-line surface itself: help text and usage errors, captured
+# with the terminal width pinned to 80 columns (argparse wraps to it).
+
+HELP = {
+    "": """\
+usage: bsfan [-h]
+             {pure,supernatural,pair,chi,euler,check-a,decompose-a,decompose,check,monad,infinite,es,pair-check,dual,shift,render,multi-chi,multi-pair}
+             ...
+
+Exact computations with Betti tables: pure diagrams, cohomology pairings, cone
+membership and chain decompositions.
+
+positional arguments:
+  {pure,supernatural,pair,chi,euler,check-a,decompose-a,decompose,check,monad,infinite,es,pair-check,dual,shift,render,multi-chi,multi-pair}
+    pure                pure diagram of a degree sequence
+    supernatural        cohomology window of a supernatural class
+    pair                pair a table with a cohomology evaluator
+    chi                 partial Euler characteristic chi_{i,j}
+    euler               total Euler characteristic
+    check-a             cone membership over the one-variable ring
+    decompose-a         block decomposition over the one-variable ring
+    decompose           greedy chain decomposition
+    check               cone membership with certificate
+    monad               split a free monad table
+    infinite            stable prefix decomposition of a truncated resolution
+    es                  separating functional value
+    pair-check          pair against evaluators and check the target cone
+    dual                move (i, j) entries to (-i, -j)
+    shift               homological shift by k
+    render              pretty-print a table
+    multi-chi           multigraded partial Euler characteristic
+    multi-pair          pair a multigraded table with line bundles on a
+                        product of projective spaces
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "pure": """\
+usage: bsfan pure [-h] [--format {json,pretty}] [--mark-origin]
+                  [--start START] --degrees DEGREES
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,pretty}
+  --mark-origin         decorate the origin cell in pretty output
+  --start START
+  --degrees DEGREES
+""",
+    "supernatural": """\
+usage: bsfan supernatural [-h] [--format {json,pretty}] --roots ROOTS
+                          [--rank-scale RANK_SCALE] --n N --jmin JMIN --jmax
+                          JMAX
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,pretty}
+  --roots ROOTS
+  --rank-scale RANK_SCALE
+  --n N
+  --jmin JMIN
+  --jmax JMAX
+""",
+    "pair": """\
+usage: bsfan pair [-h] [--format {json,pretty}] [--mark-origin] --table TABLE
+                  --sheaf SHEAF [--n N]
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,pretty}
+  --mark-origin         decorate the origin cell in pretty output
+  --table TABLE
+  --sheaf SHEAF
+  --n N
+""",
+    "chi": """\
+usage: bsfan chi [-h] [--format {json,pretty}] --table TABLE --i I --j J
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,pretty}
+  --table TABLE
+  --i I
+  --j J
+""",
+    "euler": """\
+usage: bsfan euler [-h] [--format {json,pretty}] --table TABLE
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,pretty}
+  --table TABLE
+""",
+    "check-a": """\
+usage: bsfan check-a [-h] --table TABLE --codim CODIM
+
+options:
+  -h, --help     show this help message and exit
+  --table TABLE
+  --codim CODIM
+""",
+    "decompose-a": """\
+usage: bsfan decompose-a [-h] --table TABLE --codim CODIM
+
+options:
+  -h, --help     show this help message and exit
+  --table TABLE
+  --codim CODIM
+""",
+    "decompose": """\
+usage: bsfan decompose [-h] [--format {json,pretty}] [--mark-origin] --table
+                       TABLE --codim CODIM --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,pretty}
+  --mark-origin         decorate the origin cell in pretty output
+  --table TABLE
+  --codim CODIM
+  --n N
+""",
+    "check": """\
+usage: bsfan check [-h] --table TABLE --codim CODIM --n N
+
+options:
+  -h, --help     show this help message and exit
+  --table TABLE
+  --codim CODIM
+  --n N
+""",
+    "monad": """\
+usage: bsfan monad [-h] --table TABLE --n N
+
+options:
+  -h, --help     show this help message and exit
+  --table TABLE
+  --n N
+""",
+    "infinite": """\
+usage: bsfan infinite [-h] [--format {json,pretty}] [--mark-origin] --table
+                      TABLE --e E --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,pretty}
+  --mark-origin         decorate the origin cell in pretty output
+  --table TABLE
+  --e E
+  --n N
+""",
+    "es": """\
+usage: bsfan es [-h] [--format {json,pretty}] --table TABLE --roots ROOTS
+                [--rank-scale RANK_SCALE] --n N --tau TAU --kappa KAPPA
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,pretty}
+  --table TABLE
+  --roots ROOTS
+  --rank-scale RANK_SCALE
+  --n N
+  --tau TAU
+  --kappa KAPPA
+""",
+    "pair-check": """\
+usage: bsfan pair-check [-h] --table TABLE --sheaves SHEAVES --n N
+
+options:
+  -h, --help         show this help message and exit
+  --table TABLE
+  --sheaves SHEAVES
+  --n N
+""",
+    "dual": """\
+usage: bsfan dual [-h] [--format {json,pretty}] [--mark-origin] --table TABLE
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,pretty}
+  --mark-origin         decorate the origin cell in pretty output
+  --table TABLE
+""",
+    "shift": """\
+usage: bsfan shift [-h] [--format {json,pretty}] [--mark-origin] --table TABLE
+                   --k K
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,pretty}
+  --mark-origin         decorate the origin cell in pretty output
+  --table TABLE
+  --k K
+""",
+    "render": """\
+usage: bsfan render [-h] [--mark-origin] --table TABLE
+
+options:
+  -h, --help     show this help message and exit
+  --mark-origin  decorate the origin cell in pretty output
+  --table TABLE
+""",
+    "multi-chi": """\
+usage: bsfan multi-chi [-h] [--format {json,pretty}] --table TABLE --i I
+                       --alpha ALPHA --weights WEIGHTS
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,pretty}
+  --table TABLE
+  --i I
+  --alpha ALPHA
+  --weights WEIGHTS
+""",
+    "multi-pair": """\
+usage: bsfan multi-pair [-h] --table TABLE --space SPACE [--qmax QMAX]
+
+options:
+  -h, --help     show this help message and exit
+  --table TABLE
+  --space SPACE
+  --qmax QMAX
+""",
+}
+
+EMPTY = '{"entries":[]}'
+ONE_ZERO = '{"n":0,"left":1,"right":1}'
+USAGE_ARGV = {
+    "no-subcommand": [],
+    "unknown-subcommand": ["frobnicate"],
+    "missing-option": ["check-a", "--table", EMPTY],
+    "bad-format": ["chi", "--table", EMPTY, "--i", "0", "--j", "0",
+                   "--format", "xml"],
+    "unknown-option": ["check-a", "--table", EMPTY, "--codim", ONE_ZERO,
+                       "--bogus"],
+}
+
+USAGE_ERRORS = {
+    "no-subcommand": """\
+usage: bsfan [-h]
+             {pure,supernatural,pair,chi,euler,check-a,decompose-a,decompose,check,monad,infinite,es,pair-check,dual,shift,render,multi-chi,multi-pair}
+             ...
+bsfan: error: the following arguments are required: command
+""",
+    "unknown-subcommand": """\
+usage: bsfan [-h]
+             {pure,supernatural,pair,chi,euler,check-a,decompose-a,decompose,check,monad,infinite,es,pair-check,dual,shift,render,multi-chi,multi-pair}
+             ...
+bsfan: error: argument command: invalid choice: 'frobnicate' (choose from 'pure', 'supernatural', 'pair', 'chi', 'euler', 'check-a', 'decompose-a', 'decompose', 'check', 'monad', 'infinite', 'es', 'pair-check', 'dual', 'shift', 'render', 'multi-chi', 'multi-pair')
+""",
+    "missing-option": """\
+usage: bsfan check-a [-h] --table TABLE --codim CODIM
+bsfan check-a: error: the following arguments are required: --codim
+""",
+    "bad-format": """\
+usage: bsfan chi [-h] [--format {json,pretty}] --table TABLE --i I --j J
+bsfan chi: error: argument --format: invalid choice: 'xml' (choose from 'json', 'pretty')
+""",
+    "unknown-option": """\
+usage: bsfan [-h]
+             {pure,supernatural,pair,chi,euler,check-a,decompose-a,decompose,check,monad,infinite,es,pair-check,dual,shift,render,multi-chi,multi-pair}
+             ...
+bsfan: error: unrecognized arguments: --bogus
+""",
+}
+
+
+@pytest.fixture
+def columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_help_bytes(capsys, columns, name):
+    with pytest.raises(SystemExit) as done:
+        main([name, "--help"] if name else ["--help"])
+    captured = capsys.readouterr()
+    assert (done.value.code, captured.out, captured.err) == (0, HELP[name], "")
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ARGV))
+def test_usage_error_bytes(capsys, columns, name):
+    with pytest.raises(SystemExit) as done:
+        main(USAGE_ARGV[name])
+    captured = capsys.readouterr()
+    assert (done.value.code, captured.out) == (2, "")
+    assert captured.err == USAGE_ERRORS[name]

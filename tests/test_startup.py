@@ -1,0 +1,163 @@
+"""What a bsfan process imports, and the lazy package namespace.
+
+Each subcommand runs on a tiny valid input under `python -X importtime`,
+whose stderr names every module imported by its dotted name (the CLI and
+the package load layers that way).  A subcommand loads exactly the layer
+modules its call reaches and never `dataclasses` or `inspect`, and
+`import bsfan` loads no layer module.  Nothing here asserts a time.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bsfan
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+TABLE = '{"entries":[{"i":0,"j":0,"value":"1"}]}'
+EMPTY = '{"entries":[]}'
+ALL_ONE = '{"n":0,"left":1,"right":1}'
+FREE = '{"n":1,"left":0,"right":0}'
+MULTI = '{"m":1,"entries":[{"i":0,"alpha":[0],"value":"1"}]}'
+SPACE = '{"kind":"product","dims":[1],"summands":[{"twist":[0]}]}'
+TWIST = '{"kind":"twist","n":1,"a":0}'
+
+TABLES = {"errors", "tables"}
+ONE_VARIABLE = TABLES | {"sequences", "cone_a"}
+DIAGRAMS = TABLES | {"sequences", "diagrams"}
+CHAINS = DIAGRAMS | {"cone_s"}
+PAIRING = DIAGRAMS | {"cone_a", "pairing"}
+MULTIGRADED = PAIRING | {"multigraded"}
+
+FOOTPRINT = {
+    "--help": (["--help"], {"errors"}),
+    "pure": (["pure", "--degrees", "0,1"], DIAGRAMS),
+    "supernatural": (["supernatural", "--roots", "0", "--n", "1",
+                      "--jmin", "0", "--jmax", "1"], DIAGRAMS),
+    "pair": (["pair", "--table", TABLE, "--sheaf", TWIST], PAIRING),
+    "chi": (["chi", "--table", TABLE, "--i", "0", "--j", "0"], ONE_VARIABLE),
+    "euler": (["euler", "--table", TABLE], ONE_VARIABLE),
+    "check-a": (["check-a", "--table", EMPTY, "--codim", ALL_ONE],
+                ONE_VARIABLE),
+    "decompose-a": (["decompose-a", "--table", EMPTY, "--codim", ALL_ONE],
+                    ONE_VARIABLE),
+    "decompose": (["decompose", "--table", TABLE, "--codim", FREE,
+                   "--n", "1"], CHAINS),
+    "check": (["check", "--table", TABLE, "--codim", FREE, "--n", "1"],
+              CHAINS),
+    "monad": (["monad", "--table", TABLE, "--n", "1"], CHAINS),
+    "infinite": (["infinite", "--table", EMPTY, "--e", "3", "--n", "1"],
+                 CHAINS),
+    "es": (["es", "--table", TABLE, "--roots", "0", "--n", "1",
+            "--tau", "1", "--kappa", "0"], PAIRING),
+    "pair-check": (["pair-check", "--table", EMPTY,
+                    "--sheaves", f"[{TWIST}]", "--n", "1"], PAIRING),
+    "dual": (["dual", "--table", TABLE], TABLES),
+    "shift": (["shift", "--table", TABLE, "--k", "1"], TABLES),
+    "render": (["render", "--table", TABLE], TABLES),
+    "multi-chi": (["multi-chi", "--table", MULTI, "--i", "0",
+                   "--alpha", "0", "--weights", "1"], MULTIGRADED),
+    "multi-pair": (["multi-pair", "--table", MULTI, "--space", SPACE],
+                   MULTIGRADED),
+}
+
+
+def imported(*args):
+    """Exit code and the names of the modules a python process imports."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    names = {line.rsplit("|", 1)[1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc.returncode, names
+
+
+def layers(names):
+    return {name[len("bsfan."):] for name in names
+            if name.startswith("bsfan.")}
+
+
+def test_every_subcommand_has_a_footprint_case():
+    from bsfan.cli import COMMANDS
+    assert set(FOOTPRINT) == set(COMMANDS) | {"--help"}
+
+
+@pytest.mark.parametrize("name", sorted(FOOTPRINT))
+def test_subcommand_imports_only_its_layers(name):
+    argv, expected = FOOTPRINT[name]
+    code, names = imported("-m", "bsfan.cli", *argv)
+    assert code == 0
+    assert "dataclasses" not in names and "inspect" not in names
+    assert layers(names) == expected
+
+
+def test_import_bsfan_loads_no_layer():
+    code, names = imported("-c", "import bsfan")
+    assert code == 0 and "bsfan" in names
+    assert layers(names) == set()
+    assert "dataclasses" not in names and "inspect" not in names
+
+
+# the package's public names: every layer module and the names each
+# re-exports, as `from .layer import ...` bound them before they resolved
+# lazily
+ALL = [
+    "APiece", "AVerdict", "BettiTable", "BsfanError", "CodimensionSequence",
+    "CohomologyEvaluator", "Comparison", "Decomposition", "DegreeSequence",
+    "EMPTY", "EvaluatorRangeError", "FormalEvaluator", "GradedOrder", "INF",
+    "MonadSplit", "MonadViolation", "MultiBettiTable", "NotInCone",
+    "ParseError", "ProductSpace", "SVerdict", "SupernaturalEvaluator",
+    "SupernaturalSheaf", "ValidationError", "Violation", "WindowEvaluator",
+    "chi", "chi_window", "compare_degree_sequences", "cone_a", "cone_s",
+    "decompose_a", "decompose_s", "diagrams", "dual", "errors",
+    "es_functional", "euler", "evaluator_from_obj", "infinite_prefix",
+    "is_compatible", "kunneth_gamma", "linear_combine", "membership_a",
+    "membership_s", "monad_split", "multi_chi", "multi_chi_window",
+    "multi_pair", "multigraded", "order_compare", "pair", "pair_check",
+    "pairing", "parse_table", "pretty_render", "pure_diagram",
+    "pure_pair_support", "sequences", "serialize_table", "shift",
+    "supernatural_gamma", "table_from_obj", "table_to_obj", "tables",
+    "twist_evaluator", "validate_codim_sequence",
+]
+LAYERS = ["cone_a", "cone_s", "diagrams", "errors", "multigraded",
+          "pairing", "sequences", "tables"]
+
+
+class TestLazyNamespace:
+    def test_all_is_unchanged(self):
+        assert bsfan.__all__ == ALL
+
+    def test_names_resolve_to_their_home_objects(self):
+        for name in ALL:
+            value = getattr(bsfan, name)
+            if name in LAYERS:
+                assert value is importlib.import_module(f"bsfan.{name}")
+                continue
+            # the string constants EMPTY and INF live in sequences
+            home = getattr(value, "__module__", "bsfan.sequences")
+            assert getattr(importlib.import_module(home), name) is value
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from bsfan import *", namespace)
+        assert set(ALL) <= set(namespace)
+
+    def test_dir_lists_the_names(self):
+        assert set(ALL) <= set(dir(bsfan))
+        assert "__version__" in dir(bsfan)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            bsfan.no_such_name
+        assert not hasattr(bsfan, "build_parser")
+
+    def test_cli_submodule_imports(self):
+        from bsfan import cli
+        assert callable(cli.main) and cli.__name__ == "bsfan.cli"
