@@ -3,8 +3,10 @@ pure diagrams, the table-level pairing, separating functionals, cone
 membership with certificates, greedy chain decompositions, monad splitting,
 infinite-resolution prefixes, and multigraded analogues.
 
-The public names resolve on first use (PEP 562): `import bsfan` loads no
-layer module, and `bsfan.chi` loads cone_a and what it imports.
+The package exports what the command line, its certificates and the
+README use; test oracles and fixtures live with the tests.  The public
+names resolve on first use (PEP 562): `import bsfan` loads no layer
+module, and `bsfan.chi` loads cone_a and what it imports.
 """
 
 _EXPORTS = {
@@ -12,19 +14,18 @@ _EXPORTS = {
               "membership_a",
     "cone_s": "Decomposition MonadSplit SVerdict decompose_s infinite_prefix "
               "membership_s monad_split",
-    "diagrams": "CohomologyEvaluator FormalEvaluator SupernaturalEvaluator "
+    "diagrams": "CohomologyEvaluator SupernaturalEvaluator "
                 "SupernaturalSheaf WindowEvaluator evaluator_from_obj "
                 "pure_diagram supernatural_gamma twist_evaluator",
     "errors": "BsfanError EvaluatorRangeError MonadViolation NotInCone "
               "ParseError ValidationError",
     "multigraded": "GradedOrder MultiBettiTable ProductSpace kunneth_gamma "
-                   "multi_chi multi_chi_window multi_pair order_compare",
+                   "multi_chi multi_pair",
     "pairing": "es_functional pair pair_check pure_pair_support",
-    "sequences": "EMPTY INF CodimensionSequence Comparison DegreeSequence "
-                 "compare_degree_sequences is_compatible "
-                 "validate_codim_sequence",
-    "tables": "BettiTable dual linear_combine parse_table pretty_render "
-              "serialize_table shift table_from_obj table_to_obj",
+    "sequences": "EMPTY INF CodimensionSequence DegreeSequence "
+                 "is_compatible",
+    "tables": "BettiTable dual linear_combine pretty_render shift "
+              "table_from_obj table_to_obj",
 }
 # name -> home module; each layer module is also exported under its name
 _HOME = {name: module for module, names in _EXPORTS.items()

@@ -31,20 +31,18 @@ def _layer(name):
 
 def _load_obj(arg):
     text = arg.strip()
-    if text.startswith("{") or text.startswith("["):
+    inline = text.startswith("{") or text.startswith("[")
+    if not inline:
         try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed inline JSON: {exc}") from exc
-    try:
-        with open(arg, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {arg}: {exc}") from exc
+            with open(arg, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {arg}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON in {arg}: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
+        where = "inline JSON" if inline else f"JSON in {arg}"
+        raise ParseError(f"malformed {where}: {exc}") from exc
 
 
 def _ints(text):
@@ -64,7 +62,8 @@ def _multi_table(args):
 
 
 def _codim(args):
-    return _layer("sequences").validate_codim_sequence(_load_obj(args.codim))
+    return _layer("sequences").CodimensionSequence.from_obj(
+        _load_obj(args.codim))
 
 
 def _rank_scale(args):

@@ -15,7 +15,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import EvaluatorRangeError, ParseError, ValidationError
-from .sequences import NEG_INF, POS_INF
 from .tables import BettiTable, parse_rational
 
 
@@ -36,15 +35,6 @@ def pure_diagram(d):
         (pos, deg): Fraction(value, g)
         for pos, deg, value in zip(d.positions(), degs, ints)
     })
-
-
-def root_at(roots, m):
-    """Root f_m with the conventions f_0 = +inf and f_{s+1} = -inf."""
-    if m <= 0:
-        return POS_INF
-    if m > len(roots):
-        return NEG_INF
-    return roots[m - 1]
 
 
 class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n")):
@@ -154,23 +144,6 @@ class WindowEvaluator(CohomologyEvaluator):
 
     def missing_degrees(self, js):
         return sorted(j for j in set(js) if not self.jmin <= j <= self.jmax)
-
-
-class FormalEvaluator(CohomologyEvaluator):
-    """Finite signed combination of evaluators; values may be negative."""
-
-    def __init__(self, terms):
-        self.terms = [(Fraction(c), ev) for c, ev in terms]
-        self.dimension = max((ev.dimension for _, ev in self.terms), default=0)
-
-    def gamma(self, q, j):
-        return sum((c * ev.gamma(q, j) for c, ev in self.terms), Fraction(0))
-
-    def missing_degrees(self, js):
-        missing = set()
-        for _, ev in self.terms:
-            missing.update(ev.missing_degrees(js))
-        return sorted(missing)
 
 
 def twist_evaluator(n, a):

@@ -12,7 +12,6 @@ column and non-strict one column up.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -21,7 +20,6 @@ from .cone_a import _partial_euler
 from .diagrams import CohomologyEvaluator
 from .errors import ParseError, ValidationError
 from .pairing import pair
-from .sequences import Comparison
 from .tables import BettiTable
 
 
@@ -51,13 +49,6 @@ class GradedOrder(namedtuple("GradedOrder", "weights")):
                 f"grade {tuple(alpha)} has rank {len(alpha)}, "
                 f"order expects {len(self.weights)}")
         return (sum(w * a for w, a in zip(self.weights, alpha)), tuple(alpha))
-
-
-def order_compare(order, alpha, beta):
-    ka, kb = order.key(alpha), order.key(beta)
-    if ka == kb:
-        return Comparison.EQUAL
-    return Comparison.LESS if ka < kb else Comparison.GREATER
 
 
 class MultiBettiTable(BettiTable):
@@ -198,29 +189,3 @@ def kunneth_gamma(space, q, alpha):
         if degree == q:
             total += value
     return total
-
-
-# Columns below the support scanned by multi_chi_window, and the grade pad.
-LEFT_I, PAD = 3, 1
-
-
-def multi_chi_window(table):
-    """Column range and grade box of a heuristic multi_chi scan.
-
-    Grades are scanned over the support box padded by one generator step per
-    coordinate; columns from three below the support (both parities of the
-    tail sums) up to the top.  For m = 1 this captures every distinct chi
-    value.  For m >= 2 it can miss some: a grade whose order key falls
-    between two support keys may lie far outside the box.  The table
-    {(1, (1, 0)): -1, (2, (0, 1)): -1} under weights (2, 3) has multi_chi
-    >= 0 at column 1 on the whole box, but -1 at alpha = (-6, 5).
-    """
-    if not table:
-        return range(0), []
-    cols = table.columns()
-    coords = list(zip(*(alpha for _, alpha in table.support())))
-    box = [range(min(c) - PAD, max(c) + PAD + 1) for c in coords]
-    return (
-        range(cols[0] - LEFT_I, cols[-1] + 1),
-        [tuple(alpha) for alpha in itertools.product(*box)],
-    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cone_a import chi, membership_a
-from .diagrams import SupernaturalEvaluator, SupernaturalSheaf, root_at
+from .diagrams import SupernaturalEvaluator, SupernaturalSheaf
 from .errors import EvaluatorRangeError
 from .sequences import CodimensionSequence
 
@@ -48,14 +48,16 @@ def pure_pair_support(d, roots, i, j):
     the given roots to a nonzero entry at (i, j).
 
     True exactly when some run position l0 has degree j and the twist -j
-    lands strictly between roots number l0 - i and l0 - i + 1 (with the
-    usual infinite conventions at both ends).
+    lands strictly between roots number m = l0 - i and m + 1, where no
+    root bounds -j from above when m = 0 or from below when m = s.
     """
-    for pos in d.positions():
-        if d.at(pos) == j:
-            m = pos - i
-            return root_at(roots, m) > -j > root_at(roots, m + 1)
-    return False
+    if j not in d.degrees:
+        return False
+    m = d.start + d.degrees.index(j) - i
+    if not 0 <= m <= len(roots):
+        return False
+    return ((m == 0 or roots[m - 1] > -j)
+            and (m == len(roots) or -j > roots[m]))
 
 
 def es_functional(table, roots, rank_scale, n, tau, kappa):

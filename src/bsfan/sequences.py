@@ -10,14 +10,9 @@ homology of a complex must be in each homological position.
 
 from __future__ import annotations
 
-import enum
-import math
 from collections import namedtuple
 
 from .errors import ParseError, ValidationError
-
-NEG_INF = -math.inf
-POS_INF = math.inf
 
 EMPTY = "empty"
 INF = "inf"
@@ -31,13 +26,6 @@ def value_rank(value, n):
     if value == INF:
         return n + 2
     return value
-
-
-class Comparison(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
 
 
 class DegreeSequence(namedtuple("DegreeSequence", "start degrees")):
@@ -62,14 +50,6 @@ class DegreeSequence(namedtuple("DegreeSequence", "start degrees")):
     def end(self):
         return self.start + self.codim
 
-    def at(self, i):
-        """Degree at position i, with -inf / +inf padding outside the run."""
-        if i < self.start:
-            return NEG_INF
-        if i > self.end:
-            return POS_INF
-        return self.degrees[i - self.start]
-
     def positions(self):
         return range(self.start, self.end + 1)
 
@@ -91,25 +71,14 @@ class DegreeSequence(namedtuple("DegreeSequence", "start degrees")):
 
     @classmethod
     def from_obj(cls, obj):
+        """Read {"start", "degrees"}; start and every degree are JSON ints."""
         try:
-            return cls(int(obj["start"]), tuple(obj["degrees"]))
+            start, degrees = obj["start"], tuple(obj["degrees"])
+            if not all(type(x) is int for x in (start, *degrees)):
+                raise TypeError("start and degrees must be integers")
+            return cls(start, degrees)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad degree sequence JSON: {obj!r}") from exc
-
-
-def compare_degree_sequences(d1, d2):
-    """Termwise comparison over all positions, with infinite padding."""
-    lo = min(d1.start, d2.start)
-    hi = max(d1.end, d2.end)
-    le = all(d1.at(i) <= d2.at(i) for i in range(lo, hi + 1))
-    ge = all(d1.at(i) >= d2.at(i) for i in range(lo, hi + 1))
-    if le and ge:
-        return Comparison.EQUAL
-    if le:
-        return Comparison.LESS
-    if ge:
-        return Comparison.GREATER
-    return Comparison.INCOMPARABLE
 
 
 def _check_value(value, n, where):
@@ -175,6 +144,8 @@ class CodimensionSequence(namedtuple(
 
     @classmethod
     def from_obj(cls, obj):
+        if not isinstance(obj, dict):
+            raise ParseError(f"bad codimension sequence description: {obj!r}")
         try:
             return cls(
                 obj["n"],
@@ -189,15 +160,6 @@ class CodimensionSequence(namedtuple(
             raise
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad codimension sequence JSON: {obj!r}") from exc
-
-
-def validate_codim_sequence(raw):
-    """Normalize a raw description (decoded JSON or instance) into a sequence."""
-    if isinstance(raw, CodimensionSequence):
-        return raw
-    if not isinstance(raw, dict):
-        raise ParseError(f"bad codimension sequence description: {raw!r}")
-    return CodimensionSequence.from_obj(raw)
 
 
 def is_compatible(d, c):

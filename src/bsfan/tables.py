@@ -11,7 +11,6 @@ the origin cell may be decorated with a degree-zero marker "°".
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
@@ -245,20 +244,6 @@ def table_to_obj(table):
         for (i, g), v in table.items()
     ]
     return obj
-
-
-def parse_table(text):
-    """Parse the serialized JSON table format (see table_from_obj)."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
-    return table_from_obj(obj)
-
-
-def serialize_table(table):
-    """Serialize canonically; parse_table round-trips this byte for byte."""
-    return json.dumps(table_to_obj(table), separators=(",", ":"))
 
 
 def pretty_render(table, mark_origin=False):

@@ -13,17 +13,28 @@ reference_membership_a calls chi afresh at every cell of the chi window;
 the library's one-sweep membership_a must give the same verdict.
 reference_kunneth_gamma walks every split of q over the factors of a
 product space; the library's closed form must give the same value.
+
+compare_degree_sequences is the termwise partial order on degree
+sequences that the greedy chains must follow; FormalEvaluator is a signed
+combination of evaluators for the bilinearity and range tests;
+multi_chi_box is the heuristic column range and grade box of a multigraded
+chi scan; parse_table and serialize_table read and write a table as the
+command line does.
 """
 
+import enum
 import itertools
+import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
-from bsfan import (EMPTY, APiece, AVerdict, BettiTable, Decomposition,
-                   DegreeSequence, NotInCone, ValidationError, Violation, chi,
-                   chi_window, euler, is_compatible, linear_combine,
-                   pure_diagram, twist_evaluator)
+from bsfan import (EMPTY, APiece, AVerdict, BettiTable, CohomologyEvaluator,
+                   Decomposition, DegreeSequence, NotInCone, ValidationError,
+                   Violation, chi, chi_window, euler, is_compatible,
+                   linear_combine, pure_diagram, table_from_obj, table_to_obj,
+                   twist_evaluator)
+from bsfan.cli import _load_obj
 
 
 def T(entries):
@@ -289,3 +300,78 @@ def reference_kunneth_gamma(space, q, alpha):
                 prod *= ev.gamma(qt, at + ct)
             total += prod
     return total
+
+
+def parse_table(text):
+    return table_from_obj(_load_obj(text))
+
+
+def serialize_table(table):
+    return json.dumps(table_to_obj(table), separators=(",", ":"))
+
+
+class Comparison(enum.Enum):
+    LESS = "less"
+    EQUAL = "equal"
+    GREATER = "greater"
+    INCOMPARABLE = "incomparable"
+
+
+def _padded_degree(d, i):
+    """Degree at position i, with -inf / +inf padding outside the run."""
+    if i < d.start:
+        return -inf
+    if i > d.end:
+        return inf
+    return d.degrees[i - d.start]
+
+
+def compare_degree_sequences(d1, d2):
+    """Termwise comparison over all positions, with infinite padding."""
+    span = range(min(d1.start, d2.start), max(d1.end, d2.end) + 1)
+    le = all(_padded_degree(d1, i) <= _padded_degree(d2, i) for i in span)
+    ge = all(_padded_degree(d1, i) >= _padded_degree(d2, i) for i in span)
+    if le and ge:
+        return Comparison.EQUAL
+    if le:
+        return Comparison.LESS
+    if ge:
+        return Comparison.GREATER
+    return Comparison.INCOMPARABLE
+
+
+class FormalEvaluator(CohomologyEvaluator):
+    """Finite signed combination of evaluators; values may be negative."""
+
+    def __init__(self, terms):
+        self.terms = [(Fraction(c), ev) for c, ev in terms]
+        self.dimension = max((ev.dimension for _, ev in self.terms), default=0)
+
+    def gamma(self, q, j):
+        return sum((c * ev.gamma(q, j) for c, ev in self.terms), Fraction(0))
+
+    def missing_degrees(self, js):
+        missing = set()
+        for _, ev in self.terms:
+            missing.update(ev.missing_degrees(js))
+        return sorted(missing)
+
+
+def multi_chi_box(table):
+    """Column range and grade box of a heuristic multi_chi scan.
+
+    Grades are scanned over the support box padded by one generator step per
+    coordinate; columns from three below the support (both parities of the
+    tail sums) up to the top.  For m = 1 this captures every distinct chi
+    value.  For m >= 2 it can miss some: a grade whose order key falls
+    between two support keys may lie far outside the box.  The table
+    {(1, (1, 0)): -1, (2, (0, 1)): -1} under weights (2, 3) has multi_chi
+    >= 0 at column 1 on the whole box, but -1 at alpha = (-6, 5).
+    """
+    if not table:
+        return range(0), []
+    cols = table.columns()
+    coords = list(zip(*(alpha for _, alpha in table.support())))
+    box = [range(min(c) - 1, max(c) + 2) for c in coords]
+    return (range(cols[0] - 3, cols[-1] + 1),
+            [tuple(alpha) for alpha in itertools.product(*box)])

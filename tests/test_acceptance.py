@@ -12,14 +12,14 @@ from contextlib import contextmanager
 from bsfan import (BettiTable, CodimensionSequence, DegreeSequence,
                    GradedOrder, MultiBettiTable, ProductSpace,
                    SupernaturalEvaluator, SupernaturalSheaf, chi, chi_window,
-                   decompose_s, dual, linear_combine, multi_chi,
-                   multi_chi_window, multi_pair, pair, parse_table,
-                   pure_diagram, serialize_table, shift, twist_evaluator)
+                   decompose_s, dual, linear_combine, multi_chi, multi_pair,
+                   pair, pure_diagram, shift, twist_evaluator)
 from bsfan.cli import main as cli_main
 from helpers import (F, MONAD_TABLE, T, TENSOR_TABLE, TRUNCATION_TABLE,
                      TWO_STRAND_TABLE, chain_combination, koszul_table,
-                     random_chain, random_degree_sequence, random_roots,
-                     random_table, rng, solve_chain_coefficients)
+                     multi_chi_box, parse_table, random_chain,
+                     random_degree_sequence, random_roots, random_table, rng,
+                     serialize_table, solve_chain_coefficients)
 
 MONOMIAL_RES = T({(0, 0): 1, (1, 2): 4, (2, 3): 4, (3, 4): 1})
 
@@ -249,7 +249,7 @@ def test_criterion_10_multigraded():
         for twist in twists:
             space = ProductSpace((1, 1), ((twist, 1),))
             result = multi_pair(koszul, space, 2)
-            cols, box = multi_chi_window(result)
+            cols, box = multi_chi_box(result)
             for i in cols:
                 for alpha in box:
                     assert multi_chi(result, i, alpha, order) >= 0, (twist, i, alpha)

@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from bsfan.cli import main
-from bsfan.tables import serialize_table
-from helpers import MONAD_TABLE, TENSOR_TABLE, TRUNCATION_TABLE, TWO_STRAND_TABLE
+from helpers import (MONAD_TABLE, TENSOR_TABLE, TRUNCATION_TABLE,
+                     TWO_STRAND_TABLE, serialize_table)
 
 STAIRCASE_JSON = json.dumps({"n": 2, "left": "empty", "window_start": 0,
                              "window": [2, 2], "right": "inf"})
@@ -186,9 +186,16 @@ class TestExitCodes:
                                     "--e", "4", "--n", "1"])
         assert code == 1 and json.loads(out)["status"] == "fail"
 
-    def test_bad_inputs_exit_two(self, capsys):
+    def test_bad_inputs_exit_two(self, capsys, tmp_path):
         assert run(capsys, ["chi", "--table", '{"entries":[',
                             "--i", "0", "--j", "0"])[0] == 2
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 50000 + "]" * 50000)
+        code, out, err = run(capsys, ["chi", "--table", str(deep),
+                                      "--i", "0", "--j", "0"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: malformed JSON in {deep}: ")
+        assert err.count("\n") == 1
         assert run(capsys, ["pure", "--degrees", "3,3"])[0] == 2
         assert run(capsys, ["check", "--table", '{"entries":[]}',
                             "--codim", '{"n":2,"left":1,"window_start":0,'
@@ -265,13 +272,15 @@ class TestExitCodes:
          '{"m":1,"entries":[{"i":0,"alpha":[0],"value":"1"}]}',
          "--space", '{"kind":"product","dims":[1],"summands":[{"twist":[0]}]}',
          "--qmax", "-1"],
+        ["chi", "--table", "[" * 50000 + "]" * 50000, "--i", "0", "--j", "0"],
     ], ids=["codim-window-not-a-list", "boolean-index", "window-q-past-dim",
             "window-dim-true", "window-q-true", "twist-n-true",
             "supernatural-root-true", "codim-n-true",
             "codim-window-start-true", "multi-index-true",
             "product-dim-true", "multi-entries-not-a-list",
             "multi-alpha-rank-vs-m", "multi-alpha-rank-vs-weights",
-            "multi-table-rank-vs-space", "multi-qmax-negative"])
+            "multi-table-rank-vs-space", "multi-qmax-negative",
+            "json-nested-too-deep"])
     def test_malformed_input_exits_two_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""

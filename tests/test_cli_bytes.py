@@ -12,8 +12,8 @@ import json
 import pytest
 
 from bsfan.cli import main
-from bsfan.tables import serialize_table
-from helpers import MONAD_TABLE, TENSOR_TABLE, TWO_STRAND_TABLE, T
+from helpers import (MONAD_TABLE, TENSOR_TABLE, TWO_STRAND_TABLE, T,
+                     serialize_table)
 
 
 def compact(obj):

@@ -148,7 +148,7 @@ class TestDecompose:
         assert decompose_a(T({(0, 5): 1}), c) == [(F(1), APiece("free", 0, 5))]
 
     def test_reconstruction_and_chain(self):
-        from bsfan import Comparison, compare_degree_sequences
+        from helpers import Comparison, compare_degree_sequences
         r = rng(504)
         for _ in range(200):
             table = random_torsion_combo(r)

@@ -1,11 +1,12 @@
 import pytest
 
-from bsfan import (EMPTY, INF, BettiTable, CodimensionSequence, Comparison,
-                   DegreeSequence, MonadViolation, NotInCone, compare_degree_sequences,
-                   decompose_s, dual, euler, infinite_prefix, linear_combine,
-                   membership_s, monad_split, pure_diagram)
+from bsfan import (EMPTY, INF, BettiTable, CodimensionSequence,
+                   DegreeSequence, MonadViolation, NotInCone, decompose_s,
+                   dual, euler, infinite_prefix, linear_combine, membership_s,
+                   monad_split, pure_diagram)
 from helpers import (F, MONAD_TABLE, MONOMIAL_RES_TABLE, T, TENSOR_TABLE,
-                     TRUNCATION_TABLE, TWO_STRAND_TABLE, chain_combination,
+                     TRUNCATION_TABLE, TWO_STRAND_TABLE, Comparison,
+                     chain_combination, compare_degree_sequences,
                      koszul_table, random_chain, rng, solve_chain_coefficients)
 
 STAIRCASE = CodimensionSequence(2, EMPTY, 0, (2, 2), INF)

@@ -40,8 +40,8 @@ class TestPureDiagram:
             table = pure_diagram(d)
             for m in range(d.codim):
                 total = sum(
-                    (-1) ** pos * table[(pos, d.at(pos))] * d.at(pos) ** m
-                    for pos in d.positions())
+                    (-1) ** pos * table[(pos, deg)] * deg ** m
+                    for pos, deg in zip(d.positions(), d.degrees))
                 assert total == 0
 
 

@@ -93,7 +93,8 @@ class TestDecomposeS:
             rest = left_over(table, exc.partial_pieces)
             assert rest.is_nonnegative()
             strand = exc.blocking_strand
-            assert all(rest[(i, strand.at(i))] > 0 for i in strand.positions())
+            assert all(rest[(i, strand.degrees[i - strand.start])] > 0
+                       for i in strand.positions())
             partial_seen += bool(exc.partial_pieces)
         assert partial_seen >= 6
 

@@ -1,13 +1,14 @@
+from math import inf
+
 import pytest
 
 from bsfan import (BettiTable, DegreeSequence, EvaluatorRangeError,
-                   FormalEvaluator, ProductSpace, SupernaturalEvaluator,
-                   SupernaturalSheaf, WindowEvaluator, chi, es_functional,
-                   linear_combine, pair, pair_check, pure_diagram,
-                   pure_pair_support, shift, twist_evaluator)
-from bsfan.diagrams import root_at
+                   ProductSpace, SupernaturalEvaluator, SupernaturalSheaf,
+                   WindowEvaluator, chi, es_functional, linear_combine, pair,
+                   pair_check, pure_diagram, pure_pair_support, shift,
+                   twist_evaluator)
 from bsfan.multigraded import _Capped
-from helpers import (F, T, TWO_STRAND_TABLE, koszul_table,
+from helpers import (F, T, TWO_STRAND_TABLE, FormalEvaluator, koszul_table,
                      random_degree_sequence, random_roots, random_table, rng)
 
 
@@ -33,8 +34,9 @@ class TestPairGoldens:
             if -u in (1, -3):
                 assert result == BettiTable()
                 continue
-            p = next(p for p in range(3)
-                     if root_at((1, -3), p) >= -u > root_at((1, -3), p + 1))
+            # the roots padded with f_0 = +inf and f_3 = -inf
+            padded = (inf, 1, -3, -inf)
+            p = next(p for p in range(3) if padded[p] >= -u > padded[p + 1])
             gamma = ev.gamma(p, -u)
             assert result == T({(v - p, u): gamma})
 

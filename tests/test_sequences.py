@@ -1,10 +1,10 @@
 import pytest
 
-from bsfan import (EMPTY, INF, CodimensionSequence, Comparison, DegreeSequence,
-                   ParseError, ValidationError, compare_degree_sequences,
-                   is_compatible, validate_codim_sequence)
+from bsfan import (EMPTY, INF, CodimensionSequence, DegreeSequence,
+                   ParseError, ValidationError, is_compatible)
 from bsfan.sequences import value_rank
-from helpers import random_degree_sequence, rng
+from helpers import (Comparison, compare_degree_sequences,
+                     random_degree_sequence, rng)
 
 LESS, EQUAL = Comparison.LESS, Comparison.EQUAL
 GREATER, INCOMPARABLE = Comparison.GREATER, Comparison.INCOMPARABLE
@@ -22,15 +22,29 @@ class TestDegreeSequence:
     def test_padding(self):
         d = DegreeSequence(1, (2, 3, 4, 6))
         assert d.codim == 3 and d.end == 4
-        assert d.at(0) == float("-inf")
-        assert d.at(5) == float("inf")
-        assert d.at(2) == 3
+        assert d.degrees[2 - d.start] == 3
 
     def test_json_round_trip(self):
         d = DegreeSequence(-2, (0, 5))
         assert DegreeSequence.from_obj(d.to_obj()) == d
         with pytest.raises(ParseError):
             DegreeSequence.from_obj({"degrees": [1]})
+
+    def test_from_obj_takes_json_integers_only(self):
+        assert DegreeSequence.from_obj({"start": -1, "degrees": [0, 2, 5]}) \
+            == DegreeSequence(-1, (0, 2, 5))
+        for obj in ({"start": True, "degrees": [0, 2, 5]},
+                    {"start": 0, "degrees": [0, 2.7, 5]},
+                    {"start": 1.0, "degrees": [0]},
+                    {"start": "1", "degrees": [0]},
+                    {"start": 0, "degrees": [0, "2"]},
+                    {"start": 0, "degrees": [False, 1]},
+                    {"start": 0, "degrees": 3},
+                    {"start": 0, "degrees": [2, 1]},
+                    {"start": 0, "degrees": []},
+                    [0, [1, 2]]):
+            with pytest.raises(ParseError):
+                DegreeSequence.from_obj(obj)
 
     def test_dual(self):
         d = DegreeSequence(1, (2, 3, 5))
@@ -97,23 +111,24 @@ class TestCodimSequence:
         CodimensionSequence(2, 0, 0, (3,), INF)
 
     def test_validate_from_raw(self):
-        c = validate_codim_sequence(
+        c = CodimensionSequence.from_obj(
             {"n": 2, "left": "empty", "window_start": 0,
              "window": [2, 2], "right": "inf"})
         assert c == CodimensionSequence(2, EMPTY, 0, (2, 2), INF)
         with pytest.raises(ParseError):
-            validate_codim_sequence({"n": 2})
-        with pytest.raises(ParseError):
-            validate_codim_sequence("nope")
+            CodimensionSequence.from_obj({"n": 2})
+        with pytest.raises(ParseError,
+                           match="bad codimension sequence description"):
+            CodimensionSequence.from_obj("nope")
 
     def test_malformed_raw_fields_are_parse_errors(self):
         with pytest.raises(ParseError):
-            validate_codim_sequence(
+            CodimensionSequence.from_obj(
                 {"n": 2, "left": 0, "window": 5, "right": 0})
         with pytest.raises(ParseError):
-            validate_codim_sequence({"n": "two", "left": 0, "right": 0})
+            CodimensionSequence.from_obj({"n": "two", "left": 0, "right": 0})
         with pytest.raises(ValidationError, match="decreases"):
-            validate_codim_sequence({"n": 2, "left": 2, "right": 1})
+            CodimensionSequence.from_obj({"n": 2, "left": 2, "right": 1})
 
     def test_occurs(self):
         c = CodimensionSequence(2, EMPTY, 0, (0, 2), INF)

@@ -4,9 +4,9 @@ import math
 import pytest
 
 from bsfan import (BettiTable, ParseError, ValidationError, dual,
-                   linear_combine, parse_table, pretty_render,
-                   serialize_table, shift)
-from helpers import F, INTRO_TABLE, MONAD_TABLE, T, random_table, rng
+                   linear_combine, pretty_render, shift)
+from helpers import (F, INTRO_TABLE, MONAD_TABLE, T, parse_table,
+                     random_table, rng, serialize_table)
 
 
 class TestParse:
