@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import NotInCone, ValidationError
 from .sequences import EMPTY, DegreeSequence
-from .tables import BettiTable, WorkingTable
+from .tables import ZERO, BettiTable, WorkingTable
 
 
 def _partial_euler(table, i, anchor, key):
@@ -162,7 +162,7 @@ def _chi_negatives(table, c):
             continue
         low, high = columns.get(i, []), columns.get(i + 1, [])
         a = b = 0
-        value = tail.get(i + 2, Fraction(0))
+        value = tail.get(i + 2, ZERO)
         for j in degs:
             # chi changes only where a pointer passes an entry
             while a < len(low) and low[a][0] <= j:

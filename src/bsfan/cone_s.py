@@ -9,9 +9,12 @@ multiple of the corresponding pure diagram that keeps every entry
 nonnegative.  The diagram's keys are positive entries and the multiple is
 the smallest ratio over them, so each step clears an entry, drives none
 negative, and touches only those at most n + 2 keys of one WorkingTable:
-an N-entry table costs O(N * n) table updates.  When a strand admits no
-compatible trim, the input is outside the cone and the stuck strand is the
-certificate.
+an N-entry table costs O(N * n) table updates.  The step computes on
+integers: the diagram's entries are lcm(p) / p_i for the integer products
+p_i, the multiple is found by cross-multiplying numerators and
+denominators, and each updated entry is built as one normalised Fraction.
+When a strand admits no compatible trim, the input is outside the cone and
+the stuck strand is the certificate.
 
 Monad splitting runs the decomposition once on the table (free constraint
 in nonpositive positions, full codimension above) and once on its dual, and
@@ -120,14 +123,15 @@ def decompose_s(table, c, n):
     for _ in range(len(table) + 1):
         if not work:
             return Decomposition(pieces, BettiTable())
-        strand = DegreeSequence(*work.top_strand())
+        # degrees strictly increase by construction: no re-validation
+        strand = DegreeSequence._make(work.top_strand())
         d = _trim_compatible(strand, c)
         if d is None:
             raise NotInCone(
                 f"strand {strand} admits no compatible trim", pieces,
                 blocking_strand=strand)
         diagram = pure_diagram(d)
-        coeff = min(work[key] / diagram[key] for key in diagram.support())
+        coeff = work.largest_multiple(diagram)
         pieces.append((coeff, d))
         work.subtract(coeff, diagram)
     raise AssertionError("decomposition exceeded its step budget")

@@ -19,21 +19,24 @@ from .tables import BettiTable, parse_rational
 
 
 def pure_diagram(d):
-    """Smallest positive integer table supported at (position, degree) of d."""
+    """Smallest positive integer table supported at (position, degree) of d.
+
+    Entry i is proportional to 1/p_i, p_i = prod_{k != i} |d_k - d_i|, so
+    with L = lcm(p) it is the integer L // p_i.  These quotients already
+    have gcd 1 (their gcd is L / lcm(p)), so no division follows.
+    """
     degs = d.degrees
-    values = []
+    prods = []
     for i, di in enumerate(degs):
         prod = 1
         for k, dk in enumerate(degs):
             if k != i:
                 prod *= abs(dk - di)
-        values.append(Fraction(1, prod))
-    scale = math.lcm(*(v.denominator for v in values))
-    ints = [int(v * scale) for v in values]
-    g = math.gcd(*ints)
+        prods.append(prod)
+    scale = math.lcm(*prods)
     return BettiTable({
-        (pos, deg): Fraction(value, g)
-        for pos, deg, value in zip(d.positions(), degs, ints)
+        (pos, deg): Fraction(scale // prod)
+        for pos, deg, prod in zip(d.positions(), degs, prods)
     })
 
 

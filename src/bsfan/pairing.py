@@ -17,6 +17,7 @@ from .cone_a import chi, membership_a
 from .diagrams import SupernaturalEvaluator, SupernaturalSheaf
 from .errors import EvaluatorRangeError
 from .sequences import CodimensionSequence
+from .tables import ZERO
 
 
 def pair(table, evaluator):
@@ -39,7 +40,7 @@ def pair(table, evaluator):
             gamma = evaluator.gamma(q, neg)
             if gamma:
                 key = (p - q, grade)
-                acc[key] = acc.get(key, Fraction(0)) + value * gamma
+                acc[key] = acc.get(key, ZERO) + value * gamma
     return table.like(acc)
 
 

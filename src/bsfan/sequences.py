@@ -57,7 +57,8 @@ class DegreeSequence(namedtuple("DegreeSequence", "start degrees")):
         """Subrun starting at position k (k within the run)."""
         if not self.start <= k <= self.end:
             raise ValidationError(f"trim position {k} outside run {self}")
-        return DegreeSequence(k, self.degrees[k - self.start:])
+        # a subrun of a valid run is valid: skip the checks of __new__
+        return self._make((k, self.degrees[k - self.start:]))
 
     def dual(self):
         """Positions and degrees negated; matches dualizing the pure diagram."""

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import ParseError, ValidationError
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+ZERO = Fraction(0)  # the shared value of every absent entry
 
 
 def parse_rational(text, where="value"):
@@ -46,7 +47,7 @@ class BettiTable:
         cleaned = {}
         for (i, grade), value in (entries or {}).items():
             q = value if isinstance(value, Fraction) else Fraction(value)
-            if q == 0:
+            if not q:
                 continue
             key = (int(i), self.normalize_grade(grade))
             if require_nonnegative and q < 0:
@@ -74,7 +75,7 @@ class BettiTable:
         return type(self)(*self._head(), entries)
 
     def __getitem__(self, key):
-        return self._entries.get(key, Fraction(0))
+        return self._entries.get(key, ZERO)
 
     def __iter__(self):
         return iter(sorted(self._entries))
@@ -127,8 +128,9 @@ class WorkingTable:
     """Mutable copy of a table for the greedy decompositions.
 
     Keeps each column's degrees in descending order, so a column's lowest
-    degree is its last.  subtract() touches only the given keys, which must
-    be present, and drops those that reach zero.
+    degree is its last.  largest_multiple() and subtract() read and touch
+    only the keys of the given table and do their arithmetic on numerators
+    and denominators, building one normalised Fraction per result.
     """
 
     __slots__ = ("_entries", "_degrees")
@@ -143,7 +145,7 @@ class WorkingTable:
         return bool(self._entries)
 
     def __getitem__(self, key):
-        return self._entries.get(key, Fraction(0))
+        return self._entries.get(key, ZERO)
 
     def last_column(self):
         """Rightmost column that still carries an entry."""
@@ -165,14 +167,43 @@ class WorkingTable:
             i -= 1
         return i, tuple(reversed(degrees))
 
-    def subtract(self, coeff, table):
-        """Subtract coeff * table over the keys of table, dropping zeros."""
+    def largest_multiple(self, table):
+        """Largest c with c * table <= self on every key of table: the
+        minimum over those keys of self[key] / table[key].
+
+        The table's values must be positive (pure diagrams and one-variable
+        blocks are) and it must have an entry.  Candidates are compared by
+        cross-multiplying numerators and denominators; only the minimum
+        becomes a Fraction.
+        """
+        entries = self._entries
+        num = den = None
         for key, value in table._entries.items():
-            left = self._entries[key] - coeff * value
-            if left:
-                self._entries[key] = left
+            work = entries.get(key, ZERO)
+            n = work.numerator * value.denominator
+            d = work.denominator * value.numerator
+            if num is None or n * den < num * d:
+                num, den = n, d
+        return Fraction(num, den)
+
+    def subtract(self, coeff, table):
+        """Subtract coeff * table over the keys of table, which must be
+        present, dropping the entries that reach zero.
+
+        Each entry a/b becomes (a*q*vd - p*vn*b) / (b*q*vd) for coeff p/q
+        and value vn/vd, normalised once.
+        """
+        entries = self._entries
+        p, q = coeff.numerator, coeff.denominator
+        for key, value in table._entries.items():
+            work = entries[key]
+            a, b = work.numerator, work.denominator
+            vn, vd = value.numerator, value.denominator
+            top = a * q * vd - p * vn * b
+            if top:
+                entries[key] = Fraction(top, b * q * vd)
                 continue
-            del self._entries[key]
+            del entries[key]
             i, j = key
             degrees = self._degrees[i]
             if degrees[-1] == j:
@@ -194,7 +225,7 @@ def linear_combine(terms):
         if c == 0:
             continue
         for key, value in table.items():
-            acc[key] = acc.get(key, Fraction(0)) + c * value
+            acc[key] = acc.get(key, ZERO) + c * value
     return BettiTable(acc)
 
 

@@ -13,13 +13,16 @@ reference_membership_a calls chi afresh at every cell of the chi window;
 the library's one-sweep membership_a must give the same verdict.
 reference_kunneth_gamma walks every split of q over the factors of a
 product space; the library's closed form must give the same value.
+reference_pure_diagram scales the Fractions 1/p_i to integers; the
+library's pure_diagram, which stays on integers, must give the same table.
 
 compare_degree_sequences is the termwise partial order on degree
 sequences that the greedy chains must follow; FormalEvaluator is a signed
 combination of evaluators for the bilinearity and range tests;
 multi_chi_box is the heuristic column range and grade box of a multigraded
 chi scan; parse_table and serialize_table read and write a table as the
-command line does.
+command line does; long_chain_table and bump build the seeded long chains,
+in the cone and bumped out of it, of the greedy and byte tests.
 """
 
 import enum
@@ -27,7 +30,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import comb, inf
+from math import comb, gcd, inf, lcm
 
 from bsfan import (EMPTY, APiece, AVerdict, BettiTable, CohomologyEvaluator,
                    Decomposition, DegreeSequence, NotInCone, ValidationError,
@@ -123,6 +126,26 @@ def chain_combination(chain, coeffs):
         [(c, pure_diagram(d)) for c, d in zip(coeffs, chain)])
 
 
+def long_chain_table(r, k, length=None):
+    """(chain, coeffs, table) for a seeded codimension-k chain of length
+    pieces (120-260 by default) with coefficients p/q, 1 <= p, q <= 9."""
+    if length is None:
+        length = r.randint(120, 260)
+    chain = random_chain(r, k, length)
+    coeffs = [F(r.randint(1, 9), r.randint(1, 9)) for _ in chain]
+    return chain, coeffs, chain_combination(chain, coeffs)
+
+
+def bump(r, chain, table):
+    """Raise an entry of the middle piece's diagram.  Pure diagrams of
+    positive codimension have alternating entry sum 0, so the result is out
+    of every cone of positive-codimension pieces."""
+    keys = pure_diagram(chain[len(chain) // 2]).support()
+    key = r.choice(keys)
+    return linear_combine([(1, table),
+                           (1, T({key: F(r.randint(1, 5), r.randint(1, 5))}))])
+
+
 def solve_chain_coefficients(table, chain):
     """Exact linear-algebra oracle for the decomposition coefficients.
 
@@ -186,6 +209,26 @@ def _reference_trim(strand, c):
         if is_compatible(candidate, c):
             return candidate
     return None
+
+
+def reference_pure_diagram(d):
+    """Pure diagram from the Fractions 1/p_i, p_i = prod_{k != i} |d_k - d_i|,
+    scaled by the lcm of their denominators and divided by the gcd."""
+    degs = d.degrees
+    values = []
+    for i, di in enumerate(degs):
+        prod = 1
+        for k, dk in enumerate(degs):
+            if k != i:
+                prod *= abs(dk - di)
+        values.append(Fraction(1, prod))
+    scale = lcm(*(v.denominator for v in values))
+    ints = [int(v * scale) for v in values]
+    g = gcd(*ints)
+    return BettiTable({
+        (pos, deg): Fraction(value, g)
+        for pos, deg, value in zip(d.positions(), degs, ints)
+    })
 
 
 def reference_decompose_s(table, c, n):

@@ -7,13 +7,14 @@ refactor of the table core, of the certificate serializer or of the parser
 construction cannot move them.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from bsfan.cli import main
-from helpers import (MONAD_TABLE, TENSOR_TABLE, TWO_STRAND_TABLE, T,
-                     serialize_table)
+from helpers import (MONAD_TABLE, TENSOR_TABLE, TWO_STRAND_TABLE, T, bump,
+                     long_chain_table, rng, serialize_table)
 
 
 def compact(obj):
@@ -181,6 +182,42 @@ def test_exact_bytes(capsys, name):
     code = main(ARGV[name])
     captured = capsys.readouterr()
     assert (code, captured.out) == EXPECTED[name]
+    assert captured.err == ""
+
+
+# A seeded 425-entry chain of 420 codimension-5 pieces over n = 6, and the
+# same table bumped out of the cone: too long to spell out, so the exit
+# code, the length and the SHA-256 of stdout are pinned instead.
+def large_chain_tables():
+    r = rng(801)
+    chain, _, table = long_chain_table(r, 5, 420)
+    return table, bump(r, chain, table)
+
+
+CONST5 = compact({"n": 6, "left": 5, "window_start": 0, "window": [],
+                  "right": 5})
+# name: (subcommand, 0 for the chain or 1 for the bumped table, exit code,
+#        stdout length, stdout SHA-256)
+LARGE = {
+    "decompose_large_chain": (
+        "decompose", 0, 0, 35443,
+        "c779950199d78e21ab812cd39f3e2ce01326691def4ec211c553f8b959689a57"),
+    "check_large_chain_bumped": (
+        "check", 1, 1, 18151,
+        "058a07920ac17f9689eeaef1926805904126384cdbcae6c61edfb34540a97d35"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_certificate_bytes(capsys, name):
+    command, which, code, length, digest = LARGE[name]
+    table = large_chain_tables()[which]
+    assert len(table) == 425
+    assert main([command, "--table", serialize_table(table),
+                 "--codim", CONST5, "--n", "6"]) == code
+    captured = capsys.readouterr()
+    out = captured.out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (length, digest)
     assert captured.err == ""
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +8,8 @@ from bsfan import (DegreeSequence, EvaluatorRangeError, SupernaturalEvaluator,
                    SupernaturalSheaf, ValidationError, WindowEvaluator,
                    evaluator_from_obj, pure_diagram, supernatural_gamma,
                    twist_evaluator)
-from helpers import F, T, random_degree_sequence, random_roots, rng
+from helpers import (F, T, random_degree_sequence, random_roots,
+                     reference_pure_diagram, rng)
 
 
 class TestPureDiagram:
@@ -30,6 +33,29 @@ class TestPureDiagram:
             values = [v for _, v in pure_diagram(d).items()]
             assert all(v.denominator == 1 and v > 0 for v in values)
             assert math.gcd(*(v.numerator for v in values)) == 1
+
+    @staticmethod
+    def matches_reference(d):
+        table = pure_diagram(d)
+        assert table == reference_pure_diagram(d)
+        values = [v for _, v in table.items()]
+        assert all(type(v) is Fraction and v.denominator == 1
+                   for v in values)
+        assert math.gcd(*(v.numerator for v in values)) == 1
+
+    def test_matches_fraction_reference_on_small_runs(self):
+        for length in range(1, 7):
+            for degrees in itertools.combinations(range(-6, 7), length):
+                for start in range(-2, 3):
+                    self.matches_reference(DegreeSequence(start, degrees))
+
+    def test_matches_fraction_reference_on_wide_runs(self):
+        r = rng(303)
+        for _ in range(200):
+            degrees = [r.randint(-20, 20)]
+            for _ in range(r.randint(0, 11)):
+                degrees.append(degrees[-1] + r.randint(1, 50))
+            self.matches_reference(DegreeSequence(r.randint(-5, 5), degrees))
 
     def test_alternating_power_sums_vanish(self):
         # the defining linear conditions: sum_i (-1)^i beta_i * d_i^m = 0

@@ -10,8 +10,8 @@ pieces must rebuild the table exactly.
 
 from bsfan import (EMPTY, INF, BettiTable, CodimensionSequence, NotInCone,
                    decompose_a, decompose_s, linear_combine, pure_diagram)
-from helpers import (F, T, chain_combination, random_chain,
-                     reference_decompose_a, reference_decompose_s, rng)
+from helpers import (F, T, bump, long_chain_table, reference_decompose_a,
+                     reference_decompose_s, rng)
 
 ALL_ONE = CodimensionSequence.constant(1, 0)
 
@@ -37,22 +37,6 @@ def matches_reference(fn, reference, *args):
     if got_exc is not None:
         assert certificate(got_exc) == certificate(want_exc)
     return got, got_exc
-
-
-def long_chain_table(r, k):
-    chain = random_chain(r, k, r.randint(120, 260))
-    coeffs = [F(r.randint(1, 9), r.randint(1, 9)) for _ in chain]
-    return chain, coeffs, chain_combination(chain, coeffs)
-
-
-def bump(r, chain, table):
-    """Raise an entry of the middle piece's diagram.  Pure diagrams of
-    positive codimension have alternating entry sum 0, so the result is out
-    of every cone of positive-codimension pieces."""
-    keys = pure_diagram(chain[len(chain) // 2]).support()
-    key = r.choice(keys)
-    return linear_combine([(1, table),
-                           (1, T({key: F(r.randint(1, 5), r.randint(1, 5))}))])
 
 
 def left_over(table, pieces):

@@ -1,10 +1,12 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from bsfan import (BettiTable, ParseError, ValidationError, dual,
                    linear_combine, pretty_render, shift)
+from bsfan.tables import WorkingTable
 from helpers import (F, INTRO_TABLE, MONAD_TABLE, T, parse_table,
                      random_table, rng, serialize_table)
 
@@ -123,7 +125,6 @@ def test_linear_combine_entrywise_algebra():
 
 
 def test_working_table_tracks_column_minima():
-    from bsfan.tables import WorkingTable
     work = WorkingTable(T({(0, 0): 1, (1, 2): 3, (1, 5): 2, (2, 4): 1}))
     assert work.last_column() == 2 and work.lowest(1) == 2
     assert work.top_strand() == (0, (0, 2, 4))
@@ -134,6 +135,47 @@ def test_working_table_tracks_column_minima():
     assert work.top_strand() == (0, (0,))
     work.subtract(F(1), T({(0, 0): 1}))
     assert not work
+
+
+def random_piece(r, keys, integral):
+    """Positive values on a sample of keys: integers, or rationals p/q
+    that are not integers."""
+    piece = {}
+    for key in r.sample(keys, r.randint(1, min(len(keys), 6))):
+        if integral:
+            piece[key] = F(r.randint(1, 40))
+        else:
+            q = r.randint(2, 12)
+            piece[key] = F(q * r.randint(0, 5) + r.randint(1, q - 1), q)
+    return T(piece)
+
+
+def test_working_table_arithmetic_matches_fraction_operators():
+    r = rng(311)
+    for case in range(300):
+        entries = {(r.randint(-3, 4), r.randint(-6, 8)):
+                   F(r.randint(1, 60), r.randint(1, 12))
+                   for _ in range(r.randint(1, 30))}
+        work, expected = WorkingTable(T(entries)), dict(entries)
+        while expected:
+            piece = random_piece(r, sorted(expected), case % 2 == 0)
+            coeff = work.largest_multiple(piece)
+            assert coeff == min(expected[k] / v for k, v in piece.items())
+            if r.random() < 0.3:   # a smaller multiple clears nothing
+                coeff = coeff * F(r.randint(1, 4), 5)
+            work.subtract(coeff, piece)
+            for key, value in piece.items():
+                left = expected.pop(key) - coeff * value
+                if left:
+                    expected[key] = left
+            assert work._entries == expected
+            assert all(type(v) is Fraction for v in work._entries.values())
+            fresh = WorkingTable(T(expected))
+            for i in range(-4, 6):
+                assert work.lowest(i) == fresh.lowest(i)
+            if expected:
+                assert work.top_strand() == fresh.top_strand()
+        assert not work
 
 
 def random_fraction_pair(r):
