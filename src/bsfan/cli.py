@@ -1,8 +1,10 @@
 """Command-line front end, one row of COMMANDS per subcommand.
 
 Every subcommand reads JSON (inline or from files), runs one library
-operation, and writes either canonical JSON or a pretty rendering.  Its row
-holds the help line, the output flags, the options, the call (load the
+operation, and writes either canonical JSON or a pretty rendering.  One
+writer, _json, builds every JSON result and certificate from the value's
+structure, so the library's records carry no serializers.  A row holds
+the help line, the output flags, the options, the call (load the
 arguments, run the library function) and the emitter (write the result,
 return the exit code).  main builds the options of the invoked subcommand
 alone, and the call imports only the layer modules it reaches, so a
@@ -96,8 +98,35 @@ def _multi_chi(args):
     return multigraded.multi_chi(table, args.i, _ints(args.alpha), order)
 
 
-def _emit(obj):
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+def _json(value):
+    """JSON of a result or certificate, by its structure.  A record (a
+    namedtuple) is the object of its fields, a dict keeps its keys, and an
+    error is {"status": "fail", "message"} then its attributes; all three
+    leave out values that are None.  A list or tuple is a list, a table is
+    table_to_obj, an int or str is itself, anything else (a Fraction) its
+    string."""
+    kind = type(value)
+    if kind is int or kind is str:
+        return value
+    if kind is list or kind is tuple:
+        return [v if type(v) is int else _json(v) for v in value]
+    if kind is dict:
+        pairs = value.items()
+    elif isinstance(value, tuple):  # a namedtuple
+        pairs = zip(kind._fields, value)
+    elif isinstance(value, BsfanError):
+        pairs = [("status", "fail"), ("message", str(value)),
+                 *vars(value).items()]
+    elif hasattr(kind, "HEADER"):
+        return _layer("tables").table_to_obj(value)
+    else:
+        return str(value)
+    return {key: v if type(v) is int else _json(v)
+            for key, v in pairs if v is not None}
+
+
+def _emit(value):
+    sys.stdout.write(json.dumps(_json(value), separators=(",", ":")) + "\n")
 
 
 def _emit_json(obj, args):
@@ -121,27 +150,34 @@ def _emit_pretty(table, args):
 def _emit_table(table, args):
     if getattr(args, "format", "json") == "pretty":
         return _emit_pretty(table, args)
-    return _emit_json(_layer("tables").table_to_obj(table), args)
+    return _emit_json(table, args)
+
+
+def _verdict(verdict):
+    """A one-variable verdict: its status, and on failure its violations."""
+    if verdict.ok:
+        return {"status": "pass"}
+    return {"status": "fail", "violations": verdict.violations}
 
 
 def _emit_verdict(verdict, args):
-    _emit(verdict.to_obj())
+    _emit(_verdict(verdict))
     return 0 if verdict.ok else 1
 
 
 def _emit_verdicts(verdicts, args):
-    _emit({"verdicts": [v.to_obj() for v in verdicts]})
+    _emit({"verdicts": [_verdict(v) for v in verdicts]})
     return 0 if all(v.ok for v in verdicts) else 1
 
 
 def _emit_blocks(pieces, args):
-    return _emit_json({"pieces": [{"coeff": str(c), "piece": p.to_obj()}
+    return _emit_json({"pieces": [{"coeff": c, "piece": p}
                                   for c, p in pieces]}, args)
 
 
 def _emit_decomposition(dec, args):
     if args.format != "pretty":
-        return _emit_json(dec.to_obj(), args)
+        return _emit_json(dec, args)
     tables, diagrams = _layer("tables"), _layer("diagrams")
     lines = []
     for idx, (coeff, d) in enumerate(dec.pieces, 1):
@@ -224,12 +260,12 @@ COMMANDS = {
         _emit_decomposition),
     "check": Command(
         "cone membership with certificate", (), "--table --codim --n:int",
-        lambda a: _layer("cone_s").membership_s(_table(a), _codim(a), a.n),
-        _emit_verdict),
+        lambda a: {"status": "pass", "decomposition":
+                   _layer("cone_s").decompose_s(_table(a), _codim(a), a.n)},
+        _emit_json),
     "monad": Command(
         "split a free monad table", (), "--table --n:int",
-        lambda a: _layer("cone_s").monad_split(_table(a), a.n).to_obj(),
-        _emit_json),
+        lambda a: _layer("cone_s").monad_split(_table(a), a.n), _emit_json),
     "infinite": Command(
         "stable prefix decomposition of a truncated resolution", TABLE_OUT,
         "--table --e:int --n:int",
@@ -318,14 +354,8 @@ def main(argv=None):
     command = COMMANDS[args.command]
     try:
         return command.emit(command.call(args), args)
-    except NotInCone as exc:  # a stuck decomposition: its certificate
-        _emit(_layer("cone_s").not_in_cone_to_obj(exc))
-        return 1
-    except MonadViolation as exc:  # not a monad table: its central column
-        obj = {"status": "fail", "message": str(exc)}
-        if exc.e_table is not None:
-            obj["e_column"] = _layer("tables").table_to_obj(exc.e_table)
-        _emit(obj)
+    except (NotInCone, MonadViolation) as exc:  # its failure certificate
+        _emit(exc)
         return 1
     except (BsfanError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

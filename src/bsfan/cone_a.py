@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NotInCone, ValidationError
-from .sequences import EMPTY, DegreeSequence
+from .sequences import EMPTY, DegreeSequence, Piece
 from .tables import ZERO, BettiTable, WorkingTable
 
 
@@ -95,27 +95,10 @@ class APiece(namedtuple("APiece", "kind position gen_degree socle_degree")):
             return DegreeSequence(self.position, (self.gen_degree,))
         return DegreeSequence(self.position, (self.gen_degree, self.socle_degree))
 
-    def to_obj(self):
-        obj = {"kind": self.kind, "position": self.position,
-               "gen_degree": self.gen_degree}
-        if self.kind == "torsion":
-            obj["socle_degree"] = self.socle_degree
-        return obj
-
 
 class Violation(namedtuple("Violation", "kind i j value",
                            defaults=(None, None, None))):
     __slots__ = ()
-
-    def to_obj(self):
-        obj = {"kind": self.kind}
-        if self.i is not None:
-            obj["i"] = self.i
-        if self.j is not None:
-            obj["j"] = self.j
-        if self.value is not None:
-            obj["value"] = str(self.value)
-        return obj
 
 
 class AVerdict(namedtuple("AVerdict", "ok violations")):
@@ -124,12 +107,6 @@ class AVerdict(namedtuple("AVerdict", "ok violations")):
     def __new__(cls, ok, violations=None):
         return super().__new__(
             cls, ok, [] if violations is None else violations)
-
-    def to_obj(self):
-        if self.ok:
-            return {"status": "pass"}
-        return {"status": "fail",
-                "violations": [v.to_obj() for v in self.violations]}
 
 
 def _check_shape(c):
@@ -236,6 +213,6 @@ def decompose_a(table, c):
                     pieces, blocking_entry=(s, t))
             piece = APiece("torsion", s - 1, r, t)
             coeff = min(work[(s - 1, r)], work[(s, t)])
-        pieces.append((coeff, piece))
+        pieces.append(Piece(coeff, piece))
         work.subtract(coeff, piece.table())
     raise AssertionError("decomposition exceeded its step budget")

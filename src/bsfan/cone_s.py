@@ -30,31 +30,13 @@ from itertools import takewhile
 
 from .diagrams import pure_diagram
 from .errors import MonadViolation, NotInCone, ValidationError
-from .sequences import CodimensionSequence, DegreeSequence, is_compatible
-from .tables import (BettiTable, WorkingTable, dual, linear_combine,
-                     table_to_obj)
-
-
-def pieces_to_obj(pieces):
-    """(coeff, piece) pairs as JSON; a piece is a degree sequence, or an
-    APiece for the one-variable split, under the same key."""
-    return [{"coeff": str(c), "degree_sequence": d.to_obj()}
-            for c, d in pieces]
-
-
-def not_in_cone_to_obj(exc):
-    """Failure certificate of a stuck greedy decomposition."""
-    obj = {"status": "fail", "message": str(exc),
-           "partial_pieces": pieces_to_obj(exc.partial_pieces)}
-    if exc.blocking_strand is not None:
-        obj["blocking_strand"] = exc.blocking_strand.to_obj()
-    if exc.blocking_entry is not None:
-        obj["blocking_entry"] = list(exc.blocking_entry)
-    return obj
+from .sequences import (CodimensionSequence, DegreeSequence, Piece,
+                        is_compatible)
+from .tables import BettiTable, WorkingTable, dual, linear_combine
 
 
 class Decomposition(namedtuple("Decomposition", "pieces remainder")):
-    """Ordered pieces (coeff, degree sequence) plus what is left over.
+    """Ordered Pieces (coeff, degree sequence) plus what is left over.
 
     The pieces always satisfy: sum of coeff * pure_diagram(d) + remainder
     equals the decomposed table exactly.  decompose_s leaves an empty
@@ -75,19 +57,10 @@ class Decomposition(namedtuple("Decomposition", "pieces remainder")):
         terms.append((Fraction(1), self.remainder))
         return linear_combine(terms)
 
-    def to_obj(self):
-        return {"pieces": pieces_to_obj(self.pieces),
-                "remainder": table_to_obj(self.remainder)}
-
 
 class SVerdict(namedtuple("SVerdict", "ok decomposition witness",
                           defaults=(None, None))):
     __slots__ = ()
-
-    def to_obj(self):
-        if self.ok:
-            return {"status": "pass", "decomposition": self.decomposition.to_obj()}
-        return not_in_cone_to_obj(self.witness)
 
 
 def _trim_compatible(strand, c):
@@ -132,7 +105,7 @@ def decompose_s(table, c, n):
                 blocking_strand=strand)
         diagram = pure_diagram(d)
         coeff = work.largest_multiple(diagram)
-        pieces.append((coeff, d))
+        pieces.append(Piece(coeff, d))
         work.subtract(coeff, diagram)
     raise AssertionError("decomposition exceeded its step budget")
 
@@ -158,17 +131,6 @@ class MonadSplit(namedtuple("MonadSplit", "lambda1 table_f1 lambda2 table_f2 "
     """
 
     __slots__ = ()
-
-    def to_obj(self):
-        return {
-            "lambda1": str(self.lambda1),
-            "table_f1": table_to_obj(self.table_f1),
-            "lambda2": str(self.lambda2),
-            "table_f2": table_to_obj(self.table_f2),
-            "e_column": table_to_obj(self.e_column),
-            "front_pieces": pieces_to_obj(self.front_pieces),
-            "back_pieces": pieces_to_obj(self.back_pieces),
-        }
 
 
 def _monad_constraint(n):
@@ -262,7 +224,7 @@ def infinite_prefix(table, e, n):
         agree += 1
     if agree < len(shorter):
         kept = kept[:agree]
-    stable = [(coeff, d.dual()) for coeff, d in kept]
+    stable = [Piece(coeff, d.dual()) for coeff, d in kept]
     remainder = linear_combine(
         [(1, table)] + [(-c, pure_diagram(d)) for c, d in stable])
     return Decomposition(stable, remainder)

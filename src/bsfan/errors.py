@@ -30,7 +30,9 @@ class NotInCone(BsfanError):
 
     Carries the pieces extracted so far plus what blocked the next step:
     either a strand with no compatible trim (``blocking_strand``) or an
-    entry the one-variable split cannot place (``blocking_entry``).
+    entry the one-variable split cannot place (``blocking_entry``).  Each
+    attribute name is its key in the failure certificate, and they are set
+    in the certificate's key order.
     """
 
     def __init__(self, message, partial_pieces=(), blocking_strand=None,
@@ -43,8 +45,9 @@ class NotInCone(BsfanError):
 
 class MonadViolation(BsfanError):
     """The monad splitting produced an inconsistent central column, so the
-    input table cannot come from a free monad."""
+    input table cannot come from a free monad.  The column is ``e_column``,
+    as is its key in the failure certificate."""
 
-    def __init__(self, message, e_table=None):
-        self.e_table = e_table
+    def __init__(self, message, e_column=None):
+        self.e_column = e_column
         super().__init__(message)

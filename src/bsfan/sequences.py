@@ -67,9 +67,6 @@ class DegreeSequence(namedtuple("DegreeSequence", "start degrees")):
     def __str__(self):
         return f"({','.join(map(str, self.degrees))})@{self.start}"
 
-    def to_obj(self):
-        return {"start": self.start, "degrees": list(self.degrees)}
-
     @classmethod
     def from_obj(cls, obj):
         """Read {"start", "degrees"}; start and every degree are JSON ints."""
@@ -80,6 +77,12 @@ class DegreeSequence(namedtuple("DegreeSequence", "start degrees")):
             return cls(start, degrees)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad degree sequence JSON: {obj!r}") from exc
+
+
+# One term of a decomposition: a coefficient times the pure diagram of a
+# degree sequence, or times a block (an APiece) of the one-variable split.
+# The field names are the JSON keys of a serialized piece.
+Piece = namedtuple("Piece", "coeff degree_sequence")
 
 
 def _check_value(value, n, where):

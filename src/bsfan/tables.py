@@ -110,12 +110,10 @@ class BettiTable:
         """Sorted homological indices that carry at least one entry."""
         return sorted({i for i, _ in self._entries})
 
-    def restrict_columns(self, lo=None, hi=None):
-        """Table with only the columns in [lo, hi] kept."""
+    def restrict_columns(self, hi):
+        """Table with only the columns up to hi kept."""
         return self.like({
-            (i, g): v for (i, g), v in self._entries.items()
-            if (lo is None or i >= lo) and (hi is None or i <= hi)
-        })
+            (i, g): v for (i, g), v in self._entries.items() if i <= hi})
 
     def is_nonnegative(self):
         return all(v > 0 for v in self._entries.values())

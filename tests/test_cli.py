@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -376,8 +378,10 @@ class TestDeterminism:
         assert first[0] == 0
 
     def test_console_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "bsfan.cli", "pure", "--degrees", "0,2,3,5"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["entries"][1]["value"] == "5"

@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from bsfan.cli import main
+from bsfan import CodimensionSequence, membership_a
+from bsfan.cli import _json, _verdict, main
 from helpers import (MONAD_TABLE, TENSOR_TABLE, TWO_STRAND_TABLE, T, bump,
                      long_chain_table, rng, serialize_table)
 
@@ -27,6 +28,13 @@ STAIRCASE = compact({"n": 2, "left": "empty", "window_start": 0,
                      "window": [2, 2], "right": "inf"})
 ALL_ONE = compact({"n": 0, "left": 1, "window_start": 0, "window": [],
                    "right": 1})
+# forbidden below column 0 and no column admits free homology, so the
+# Euler characteristic is checked too
+EMPTY_LEFT = compact({"n": 0, "left": "empty", "window_start": 0,
+                      "window": [], "right": 1})
+# free blocks up to column 0, torsion blocks from column 1 on
+FREE_LEFT = compact({"n": 0, "left": 0, "window_start": 1, "window": [],
+                     "right": 1})
 SQUEEZED = T({(-2, 1): 2, (-1, 2): 11, (0, 3): 18, (1, 4): 10})
 KOSZUL = compact({"m": 2, "entries": [
     {"i": i, "alpha": alpha, "value": value} for i, alpha, value in [
@@ -66,6 +74,34 @@ ARGV = {
                          serialize_table(T({(0, 0): 1, (1, 2): 1,
                                             (2, 5): 1})),
                          "--codim", ALL_ONE],
+    # the free block has no socle_degree
+    "decompose_a_pass": ["decompose-a", "--table",
+                         serialize_table(T({(0, 0): 1, (1, 2): 1,
+                                            (0, 3): 1})),
+                         "--codim", FREE_LEFT],
+    "decompose_empty": ["decompose", "--table", '{"entries":[]}',
+                        "--codim", CONST3, "--n", "2"],
+    "check_a_pass": ["check-a", "--table",
+                     serialize_table(T({(0, 0): 1, (1, 2): 1})),
+                     "--codim", ALL_ONE],
+    # an euler_nonzero violation has no i and j
+    "check_a_fail": ["check-a", "--table",
+                     serialize_table(T({(-1, 0): 1, (0, 0): 1, (1, 1): 2})),
+                     "--codim", EMPTY_LEFT],
+    "pair_check_mixed": [
+        "pair-check", "--table", serialize_table(T({(0, 0): 1, (1, 2): 1})),
+        "--sheaves", compact([
+            {"kind": "window", "dim": 1, "jmin": -3, "jmax": 3,
+             "entries": [{"q": 1, "j": -1, "value": "1"}]},
+            {"kind": "twist", "n": 1, "a": 0}]), "--n", "1"],
+    "pure": ["pure", "--start", "-1", "--degrees", "0,2,3"],
+    "dual": ["dual", "--table", serialize_table(T({(0, 0): 1, (1, 2): "3/2"}))],
+    "chi": ["chi", "--table", serialize_table(TENSOR_TABLE), "--i", "1",
+            "--j", "2"],
+    "euler": ["euler", "--table",
+              serialize_table(T({(0, 0): 1, (1, 2): "3/2"}))],
+    "es": ["es", "--table", serialize_table(TENSOR_TABLE), "--roots", "-1,-3",
+           "--n", "2", "--tau", "1", "--kappa", "2"],
     "monad_split": ["monad", "--table", serialize_table(MONAD_TABLE),
                     "--n", "4"],
     "monad_violation": ["monad", "--table", serialize_table(SQUEEZED),
@@ -127,6 +163,43 @@ EXPECTED = {
         'with (0, 0)","partial_pieces":[{"coeff":"1","degree_sequence":{"'
         'kind":"torsion","position":1,"gen_degree":2,"socle_degree":5}}],'
         '"blocking_entry":[0,0]}\n')),
+    "decompose_a_pass": (0, (
+        '{"pieces":[{"coeff":"1","piece":{"kind":"torsion","position":0,"gen'
+        '_degree":0,"socle_degree":2}},{"coeff":"1","piece":{"kind":"free","'
+        'position":0,"gen_degree":3}}]}\n')),
+    "decompose_empty": (0, (
+        '{"pieces":[],"remainder":{"entries":[]}}\n')),
+    "check_a_pass": (0, (
+        '{"status":"pass"}\n')),
+    "check_a_fail": (1, (
+        '{"status":"fail","violations":[{"kind":"support_empty","i":-1,"j":0'
+        ',"value":"1"},{"kind":"chi_negative","i":0,"j":0,"value":"-1"},{"ki'
+        'nd":"chi_negative","i":0,"j":1,"value":"-1"},{"kind":"chi_negative"'
+        ',"i":0,"j":2,"value":"-1"},{"kind":"euler_nonzero","value":"-2"}]}'
+        '\n')),
+    "pair_check_mixed": (1, (
+        '{"verdicts":[{"status":"pass"},{"status":"fail","violations":[{"kin'
+        'd":"chi_negative","i":-3,"j":-2,"value":"-2"},{"kind":"chi_negative","i":-3,"j":-1,"v'
+        'alue":"-2"},{"kind":"chi_negative","i":-3,"j":0,"value":"-2"},{"kin'
+        'd":"chi_negative","i":-3,"j":1,"value":"-2"},{"kind":"chi_negative"'
+        ',"i":-3,"j":2,"value":"-2"},{"kind":"chi_negative","i":-3,"j":3,"va'
+        'lue":"-2"},{"kind":"chi_negative","i":-1,"j":-1,"value":"-1"},{"kin'
+        'd":"chi_negative","i":-1,"j":0,"value":"-1"},{"kind":"chi_negative"'
+        ',"i":-1,"j":1,"value":"-2"},{"kind":"chi_negative","i":-1,"j":2,"va'
+        'lue":"-2"},{"kind":"chi_negative","i":-1,"j":3,"value":"-2"},{"kind'
+        '":"euler_nonzero","value":"2"}]}]}\n')),
+    "pure": (0, (
+        '{"entries":[{"i":-1,"j":0,"value":"1"},{"i":0,"j":2,"value":"3"},{"'
+        'i":1,"j":3,"value":"2"}]}\n')),
+    "dual": (0, (
+        '{"entries":[{"i":-1,"j":-2,"value":"3/2"},{"i":0,"j":0,"value":"1"}'
+        ']}\n')),
+    "chi": (0, (
+        '{"value":"5"}\n')),
+    "euler": (0, (
+        '{"value":"-1/2"}\n')),
+    "es": (0, (
+        '{"value":"23/2"}\n')),
     "monad_split": (0, (
         '{"lambda1":"1","table_f1":{"entries":[{"i":0,"j":3,"value":"11"}'
         ',{"i":1,"j":4,"value":"10"}]},"lambda2":"1","table_f2":{"entries'
@@ -183,6 +256,22 @@ def test_exact_bytes(capsys, name):
     captured = capsys.readouterr()
     assert (code, captured.out) == EXPECTED[name]
     assert captured.err == ""
+
+
+# A negative_entry violation needs a signed table, which no command-line
+# input is (tables are read nonnegative), so this verdict goes through the
+# writer directly; it carries all four kinds of violation.
+SIGNED_VERDICT = (
+    '{"status":"fail","violations":[{"kind":"support_empty","i":-1,"j":0,"v'
+    'alue":"1"},{"kind":"negative_entry","i":1,"j":3,"value":"-1"},{"kind":'
+    '"chi_negative","i":0,"j":0,"value":"-1"},{"kind":"chi_negative","i":0,'
+    '"j":1,"value":"-1"},{"kind":"euler_nonzero","value":"-1"}]}')
+
+
+def test_signed_verdict_bytes():
+    table = T({(-1, 0): 1, (0, 0): 1, (1, 1): 2, (1, 3): -1})
+    c = CodimensionSequence.from_obj(json.loads(EMPTY_LEFT))
+    assert compact(_json(_verdict(membership_a(table, c)))) == SIGNED_VERDICT
 
 
 # A seeded 425-entry chain of 420 codimension-5 pieces over n = 6, and the

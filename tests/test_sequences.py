@@ -2,6 +2,7 @@ import pytest
 
 from bsfan import (EMPTY, INF, CodimensionSequence, DegreeSequence,
                    ParseError, ValidationError, is_compatible)
+from bsfan.cli import _json
 from bsfan.sequences import value_rank
 from helpers import (Comparison, compare_degree_sequences,
                      random_degree_sequence, rng)
@@ -26,7 +27,7 @@ class TestDegreeSequence:
 
     def test_json_round_trip(self):
         d = DegreeSequence(-2, (0, 5))
-        assert DegreeSequence.from_obj(d.to_obj()) == d
+        assert DegreeSequence.from_obj(_json(d)) == d
         with pytest.raises(ParseError):
             DegreeSequence.from_obj({"degrees": [1]})
 

@@ -98,6 +98,27 @@ def test_subcommand_imports_only_its_layers(name):
     assert layers(names) == expected
 
 
+# Runs that end in a failure certificate (exit 1) load no more than the
+# layers their call reaches: writing the certificate imports nothing.
+SQUEEZED = ('{"entries":[{"i":-2,"j":1,"value":"2"},{"i":-1,"j":2,"value":'
+            '"11"},{"i":0,"j":3,"value":"18"},{"i":1,"j":4,"value":"10"}]}')
+FAILURES = {
+    "decompose-a": (["decompose-a", "--table", TABLE, "--codim", ALL_ONE],
+                    ONE_VARIABLE),
+    "check": (["check", "--table", TABLE, "--codim",
+               '{"n":1,"left":2,"right":2}', "--n", "1"], CHAINS),
+    "monad": (["monad", "--table", SQUEEZED, "--n", "4"], CHAINS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILURES))
+def test_failure_certificate_imports_only_its_layers(name):
+    argv, expected = FAILURES[name]
+    code, names = imported("-m", "bsfan.cli", *argv)
+    assert code == 1
+    assert layers(names) == expected
+
+
 def test_import_bsfan_loads_no_layer():
     code, names = imported("-c", "import bsfan")
     assert code == 0 and "bsfan" in names
@@ -111,7 +132,7 @@ ALL = [
     "APiece", "AVerdict", "BettiTable", "BsfanError", "CodimensionSequence",
     "CohomologyEvaluator", "Decomposition", "DegreeSequence", "EMPTY",
     "EvaluatorRangeError", "GradedOrder", "INF", "MonadSplit",
-    "MonadViolation", "MultiBettiTable", "NotInCone", "ParseError",
+    "MonadViolation", "MultiBettiTable", "NotInCone", "ParseError", "Piece",
     "ProductSpace", "SVerdict", "SupernaturalEvaluator", "SupernaturalSheaf",
     "ValidationError", "Violation", "WindowEvaluator", "chi", "chi_window",
     "cone_a", "cone_s", "decompose_a", "decompose_s", "diagrams", "dual",
