@@ -76,27 +76,22 @@ def supernatural_gamma(sheaf, q, j):
     located by f_{q0} > j > f_{q0+1} and the value there is
     rank_scale / s! * |prod (j - f_k)|.
     """
-    roots = sheaf.roots
-    if j in roots:
-        return Fraction(0)
-    q0 = sum(1 for f in roots if f > j)
-    if q != q0:
-        return Fraction(0)
-    prod = 1
-    for f in roots:
-        prod *= j - f
-    return sheaf.rank_scale * abs(prod) / math.factorial(len(roots))
+    return SupernaturalEvaluator(sheaf).gamma(q, j)
 
 
 class CohomologyEvaluator:
-    """Exact evaluator gamma(q, j) with a declared dimension: gamma(q, j)
-    is zero for every q > dimension, so pair queries q = 0..dimension only."""
+    """Exact cohomology table with a declared dimension, read one twist at a
+    time: column(j) lists the nonzero (q, gamma(q, j)) pairs, all with
+    q <= dimension, so pair walks only those.  gamma(q, j) reads the column."""
 
     __slots__ = ()  # no instance dict: the tuple ProductSpace stays frozen
     dimension = 0
 
-    def gamma(self, q, j):
+    def column(self, j):
         raise NotImplementedError
+
+    def gamma(self, q, j):
+        return dict(self.column(j)).get(q, Fraction(0))
 
     def missing_degrees(self, js):
         """Subset of the twists js the evaluator cannot answer."""
@@ -108,15 +103,24 @@ class SupernaturalEvaluator(CohomologyEvaluator):
         self.sheaf = sheaf
         self.dimension = sheaf.dimension
 
-    def gamma(self, q, j):
-        return supernatural_gamma(self.sheaf, q, j)
+    def column(self, j):
+        roots = self.sheaf.roots
+        if j in roots:
+            return ()
+        prod = 1
+        for f in roots:
+            prod *= j - f
+        q0 = sum(1 for f in roots if f > j)
+        return ((q0, self.sheaf.rank_scale * abs(prod)
+                 / math.factorial(len(roots))),)
 
 
 class WindowEvaluator(CohomologyEvaluator):
     """Finite explicit cohomology window over a declared twist range.
 
     Queries outside [jmin, jmax] raise instead of silently returning zero;
-    inside the range an absent (q, j) is an honest zero.
+    inside the range an absent (q, j) is an honest zero.  The values are
+    grouped by twist once, so a column is one lookup.
     """
 
     def __init__(self, dimension, jmin, jmax, values):
@@ -125,7 +129,7 @@ class WindowEvaluator(CohomologyEvaluator):
         self.dimension = int(dimension)
         self.jmin = int(jmin)
         self.jmax = int(jmax)
-        self.values = {}
+        self.columns = {}
         for (q, j), value in values.items():
             v = Fraction(value)
             if v < 0:
@@ -138,12 +142,13 @@ class WindowEvaluator(CohomologyEvaluator):
                 raise ValidationError(
                     f"entry at index q = {q} outside 0..{self.dimension}")
             if v:
-                self.values[(int(q), int(j))] = v
+                self.columns.setdefault(int(j), []).append((int(q), v))
 
-    def gamma(self, q, j):
+    def column(self, j):
         if not self.jmin <= j <= self.jmax:
-            raise EvaluatorRangeError([(q, j)])
-        return self.values.get((q, j), Fraction(0))
+            raise EvaluatorRangeError(
+                [(q, j) for q in range(self.dimension + 1)])
+        return self.columns.get(j, ())
 
     def missing_degrees(self, js):
         return sorted(j for j in set(js) if not self.jmin <= j <= self.jmax)

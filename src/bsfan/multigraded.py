@@ -96,10 +96,9 @@ class _Capped(CohomologyEvaluator):
     def __init__(self, space, qmax):
         self.space, self.dimension = space, min(qmax, space.dimension)
 
-    def gamma(self, q, alpha):
-        if q > self.dimension:
-            return Fraction(0)
-        return self.space.gamma(q, alpha)
+    def column(self, alpha):
+        return [(q, v) for q, v in self.space.column(alpha)
+                if q <= self.dimension]
 
 
 def multi_pair(table, space, qmax=None):
@@ -147,8 +146,29 @@ class ProductSpace(namedtuple("ProductSpace", "factor_dims summands"),
     def dimension(self):
         return sum(self.factor_dims)
 
-    def gamma(self, q, alpha):
-        return kunneth_gamma(self, q, alpha)
+    def column(self, alpha):
+        """Bott's formula per factor: O(a) on P^n has one nonzero
+        cohomology group, C(n + a, n) in degree 0 when a >= 0, otherwise
+        C(-a - 1, n) in degree n (zero for -n <= a <= -1).  By Kunneth a
+        summand adds the product of its factors' values in the sum of their
+        degrees: one pass, O(summands x m)."""
+        alpha = tuple(alpha)
+        if len(alpha) != self.rank:
+            raise ValidationError(
+                f"grade {alpha} has rank {len(alpha)}, expected {self.rank}")
+        col = {}
+        for twist, mult in self.summands:
+            degree, value = 0, mult
+            for n, at, ct in zip(self.factor_dims, alpha, twist):
+                a = at + ct
+                if a >= 0:
+                    value *= math.comb(n + a, n)
+                else:
+                    degree += n
+                    value *= math.comb(-a - 1, n)
+            if value:
+                col[degree] = col.get(degree, 0) + value
+        return col.items()
 
     @classmethod
     def from_obj(cls, obj):
@@ -167,25 +187,6 @@ class ProductSpace(namedtuple("ProductSpace", "factor_dims summands"),
 
 
 def kunneth_gamma(space, q, alpha):
-    """Cohomology of a sum of line bundles on a product of projective
-    spaces.  By Bott's formula O(a) on P^n has one nonzero cohomology group:
-    C(n + a, n) in degree 0 when a >= 0, otherwise C(-a - 1, n) in degree n
-    (zero for -n <= a <= -1).  By Kunneth a summand adds the product of its
-    factors' values when their degrees sum to q."""
-    alpha = tuple(alpha)
-    if len(alpha) != space.rank:
-        raise ValidationError(
-            f"grade {alpha} has rank {len(alpha)}, expected {space.rank}")
-    total = Fraction(0)
-    for twist, mult in space.summands:
-        degree, value = 0, mult
-        for n, at, ct in zip(space.factor_dims, alpha, twist):
-            a = at + ct
-            if a >= 0:
-                value *= math.comb(n + a, n)
-            else:
-                degree += n
-                value *= math.comb(-a - 1, n)
-        if degree == q:
-            total += value
-    return total
+    """Cohomology in degree q of a sum of line bundles on a product of
+    projective spaces at the twist alpha: a read of space.column(alpha)."""
+    return Fraction(space.gamma(q, alpha))

@@ -4,6 +4,10 @@ The pairing convolves a Betti table with a cohomology table:
 
     result[i, j] = sum over p - q = i, 0 <= q <= n of  B[p, j] * gamma(q, -j)
 
+Evaluators answer one twist at a time: column(-j) lists the nonzero
+(q, gamma(q, -j)), so pair asks once per distinct grade of the table and
+walks only those q, whatever the declared dimension n.
+
 Everything downstream (support predicates, separating functionals, cone
 checks through the one-variable side) is a composition of this formula with
 the chi functionals.
@@ -23,24 +27,21 @@ from .tables import ZERO
 def pair(table, evaluator):
     """Betti table of the paired complex, graded like the input (Z or Z^m).
 
-    The cohomology index is clamped to [0, dimension]: the evaluator is
-    zero above its dimension.  Window evaluators are pre-checked so a single
-    range error lists every missing (q, j) query instead of failing one at
-    a time.
+    The work is one evaluator column per distinct grade plus one term per
+    (entry, nonzero q).  Window evaluators are pre-checked so a single range
+    error lists every missing (q, j) query instead of failing one at a time.
     """
-    qs = range(evaluator.dimension + 1)
-    missing = evaluator.missing_degrees(
-        sorted({table.negate(g) for _, g in table.support()}))
+    negated = {g: table.negate(g) for _, g in table.support()}
+    missing = evaluator.missing_degrees(sorted(negated.values()))
     if missing:
-        raise EvaluatorRangeError([(q, j) for j in missing for q in qs])
+        raise EvaluatorRangeError([(q, j) for j in missing
+                                   for q in range(evaluator.dimension + 1)])
+    columns = {g: evaluator.column(neg) for g, neg in negated.items()}
     acc = {}
     for (p, grade), value in table.items():
-        neg = table.negate(grade)
-        for q in qs:
-            gamma = evaluator.gamma(q, neg)
-            if gamma:
-                key = (p - q, grade)
-                acc[key] = acc.get(key, ZERO) + value * gamma
+        for q, gamma in columns[grade]:
+            key = (p - q, grade)
+            acc[key] = acc.get(key, ZERO) + value * gamma
     return table.like(acc)
 
 

@@ -15,10 +15,14 @@ reference_kunneth_gamma walks every split of q over the factors of a
 product space; the library's closed form must give the same value.
 reference_pure_diagram scales the Fractions 1/p_i to integers; the
 library's pure_diagram, which stays on integers, must give the same table.
+reference_pair asks reference_gamma, the closed form of each evaluator
+kind, at every q = 0..dimension of every entry; the library's pair, which
+reads one evaluator column per distinct grade, must give the same table.
 
 compare_degree_sequences is the termwise partial order on degree
 sequences that the greedy chains must follow; FormalEvaluator is a signed
-combination of evaluators for the bilinearity and range tests;
+combination of evaluators for the bilinearity and range tests, its column
+the sum of its terms' columns;
 multi_chi_box is the heuristic column range and grade box of a multigraded
 chi scan; parse_table and serialize_table read and write a table as the
 command line does; long_chain_table and bump build the seeded long chains,
@@ -30,14 +34,17 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import comb, gcd, inf, lcm
+from math import comb, factorial, gcd, inf, lcm
 
 from bsfan import (EMPTY, APiece, AVerdict, BettiTable, CohomologyEvaluator,
-                   Decomposition, DegreeSequence, NotInCone, ValidationError,
-                   Violation, chi, chi_window, euler, is_compatible,
+                   Decomposition, DegreeSequence, EvaluatorRangeError,
+                   NotInCone, ProductSpace, SupernaturalEvaluator,
+                   ValidationError, Violation, WindowEvaluator, chi,
+                   chi_window, euler, is_compatible, kunneth_gamma,
                    linear_combine, pure_diagram, table_from_obj, table_to_obj,
                    twist_evaluator)
 from bsfan.cli import _load_obj
+from bsfan.multigraded import _Capped
 
 
 def T(entries):
@@ -345,6 +352,51 @@ def reference_kunneth_gamma(space, q, alpha):
     return total
 
 
+def reference_gamma(ev, q, j):
+    """gamma(q, j) of an evaluator from its closed form: for a supernatural
+    class, rank_scale / s! * |prod (j - f_k)| at the one q with
+    f_q > j > f_{q+1} and zero at a root; kunneth_gamma for a product
+    space (checked against the split enumeration above); the stored value
+    of a window; the definitions of the signed sum and the cap."""
+    if isinstance(ev, SupernaturalEvaluator):
+        roots = ev.sheaf.roots
+        if j in roots or q != sum(1 for f in roots if f > j):
+            return Fraction(0)
+        value = ev.sheaf.rank_scale / factorial(len(roots))
+        for f in roots:
+            value *= abs(j - f)
+        return value
+    if isinstance(ev, WindowEvaluator):
+        return dict(ev.columns.get(j, ())).get(q, Fraction(0))
+    if isinstance(ev, FormalEvaluator):
+        return sum((c * reference_gamma(term, q, j) for c, term in ev.terms),
+                   Fraction(0))
+    if isinstance(ev, ProductSpace):
+        return kunneth_gamma(ev, q, j)
+    if isinstance(ev, _Capped):
+        if q > ev.dimension:
+            return Fraction(0)
+        return reference_gamma(ev.space, q, j)
+    raise TypeError(f"no closed form for {ev!r}")
+
+
+def reference_pair(table, ev):
+    """The pairing by a scan of every q = 0..dimension at every entry."""
+    qs = range(ev.dimension + 1)
+    missing = ev.missing_degrees(
+        sorted({table.negate(g) for _, g in table.support()}))
+    if missing:
+        raise EvaluatorRangeError([(q, j) for j in missing for q in qs])
+    acc = {}
+    for (p, grade), value in table.items():
+        for q in qs:
+            gamma = reference_gamma(ev, q, table.negate(grade))
+            if gamma:
+                key = (p - q, grade)
+                acc[key] = acc.get(key, Fraction(0)) + value * gamma
+    return table.like(acc)
+
+
 def parse_table(text):
     return table_from_obj(_load_obj(text))
 
@@ -390,8 +442,12 @@ class FormalEvaluator(CohomologyEvaluator):
         self.terms = [(Fraction(c), ev) for c, ev in terms]
         self.dimension = max((ev.dimension for _, ev in self.terms), default=0)
 
-    def gamma(self, q, j):
-        return sum((c * ev.gamma(q, j) for c, ev in self.terms), Fraction(0))
+    def column(self, j):
+        col = {}
+        for c, ev in self.terms:
+            for q, value in ev.column(j):
+                col[q] = col.get(q, 0) + c * value
+        return [(q, value) for q, value in col.items() if value]
 
     def missing_degrees(self, js):
         missing = set()

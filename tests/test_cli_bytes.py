@@ -12,10 +12,10 @@ import json
 
 import pytest
 
-from bsfan import CodimensionSequence, membership_a
+from bsfan import CodimensionSequence, MultiBettiTable, membership_a
 from bsfan.cli import _json, _verdict, main
-from helpers import (MONAD_TABLE, TENSOR_TABLE, TWO_STRAND_TABLE, T, bump,
-                     long_chain_table, rng, serialize_table)
+from helpers import (MONAD_TABLE, TENSOR_TABLE, TWO_STRAND_TABLE, F, T, bump,
+                     long_chain_table, random_roots, rng, serialize_table)
 
 
 def compact(obj):
@@ -307,6 +307,69 @@ def test_large_certificate_bytes(capsys, name):
     captured = capsys.readouterr()
     out = captured.out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == (length, digest)
+    assert captured.err == ""
+
+
+# Seeded pairings too large to spell out: a 300-entry table over Z^3 against
+# three twisted line bundles on P^1 x P^2 x P^1, and a 90-entry table paired
+# against supernatural classes on P^3.  Pinned like the large chains.
+def seeded_pairing_argv():
+    r = rng(1205)
+    multi = {}
+    while len(multi) < 300:
+        i = r.randint(0, 4)
+        alpha = tuple(r.randint(i - 2, 2 * i + 3) for _ in range(3))
+        multi[(i, alpha)] = F(r.randint(1, 9), r.randint(1, 9))
+    space = compact({"kind": "product", "dims": [1, 2, 1], "summands": [
+        {"twist": [r.randint(-3, 3) for _ in range(3)],
+         "mult": r.randint(1, 3)} for _ in range(3)]})
+    single = {}
+    while len(single) < 90:
+        i = r.randint(-1, 5)
+        single[(i, r.randint(i - 6, 2 * i + 8))] = F(r.randint(1, 9),
+                                                      r.randint(1, 9))
+    sheaves = compact([{"kind": "supernatural",
+                        "roots": list(random_roots(r, s)),
+                        "rank_scale": f"{r.randint(1, 5)}/{r.randint(1, 3)}",
+                        "n": 3} for s in (3, 2, 1)])
+    multi_arg = serialize_table(MultiBettiTable(3, multi))
+    single_arg = serialize_table(T(single))
+    return {
+        "multi_pair_seeded": ["multi-pair", "--table", multi_arg,
+                              "--space", space],
+        "multi_pair_seeded_qmax": ["multi-pair", "--table", multi_arg,
+                                   "--space", space, "--qmax", "2"],
+        "pair_check_seeded": ["pair-check", "--table", single_arg,
+                              "--sheaves", sheaves, "--n", "3"],
+        "es_seeded": ["es", "--table", single_arg, "--roots=2,-1,-4",
+                      "--rank-scale", "3/2", "--n", "3", "--tau", "2",
+                      "--kappa", "1"],
+    }
+
+
+# name: (exit code, stdout length, stdout SHA-256)
+SEEDED = {
+    "multi_pair_seeded": (
+        0, 15068,
+        "bd48dc30506fdcf78adabbefb2f8cb8627be324c15a67665e0289d13f84e6198"),
+    "multi_pair_seeded_qmax": (
+        0, 5759,
+        "418419a5755d350eaef1080a9ca133d02be06b9cb3f6cf780373d857ab210a68"),
+    "pair_check_seeded": (
+        1, 17711,
+        "5ff8bc965c9dea7988251c78a7d94a3773ee582036d70bbbe192779a1bbcb619"),
+    "es_seeded": (
+        0, 25,
+        "0c49474d261f78981eea7d910db53189f62c96e8e1dfa3e6cc394b5a47840f78"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_seeded_pairing_bytes(capsys, name):
+    code = main(seeded_pairing_argv()[name])
+    captured = capsys.readouterr()
+    out = captured.out.encode()
+    assert (code, len(out), hashlib.sha256(out).hexdigest()) == SEEDED[name]
     assert captured.err == ""
 
 

@@ -1,15 +1,19 @@
+import json
+from fractions import Fraction
 from math import inf
 
 import pytest
 
-from bsfan import (BettiTable, DegreeSequence, EvaluatorRangeError,
-                   ProductSpace, SupernaturalEvaluator, SupernaturalSheaf,
-                   WindowEvaluator, chi, es_functional, linear_combine, pair,
-                   pair_check, pure_diagram, pure_pair_support, shift,
-                   twist_evaluator)
+from bsfan import (BettiTable, CohomologyEvaluator, DegreeSequence,
+                   EvaluatorRangeError, MultiBettiTable, ProductSpace,
+                   SupernaturalEvaluator, SupernaturalSheaf, WindowEvaluator,
+                   chi, es_functional, linear_combine, pair, pair_check,
+                   pure_diagram, pure_pair_support, shift, twist_evaluator)
+from bsfan.cli import main
 from bsfan.multigraded import _Capped
 from helpers import (F, T, TWO_STRAND_TABLE, FormalEvaluator, koszul_table,
-                     random_degree_sequence, random_roots, random_table, rng)
+                     random_degree_sequence, random_fraction, random_roots,
+                     random_table, reference_gamma, reference_pair, rng)
 
 
 def supernatural(roots, scale, n):
@@ -165,6 +169,160 @@ class TestDimensionCap:
         with pytest.raises(EvaluatorRangeError) as err:
             pair(T({(0, 3): 1}), ev)
         assert err.value.missing == [(0, -3), (1, -3)]
+
+
+class Counting(CohomologyEvaluator):
+    """An evaluator that records every twist whose column is asked for and
+    fails if asked for a single gamma."""
+
+    def __init__(self, inner):
+        self.inner, self.dimension, self.asked = inner, inner.dimension, []
+
+    def column(self, j):
+        self.asked.append(j)
+        return self.inner.column(j)
+
+    def gamma(self, q, j):
+        raise AssertionError(f"pair asked for gamma({q}, {j})")
+
+    def missing_degrees(self, js):
+        return self.inner.missing_degrees(js)
+
+
+def random_window(r, dim, jmin=-6, jmax=6):
+    return WindowEvaluator(dim, jmin, jmax, {
+        (r.randint(0, dim), r.randint(jmin, jmax)):
+            random_fraction(r, nonneg=True) for _ in range(r.randint(0, 12))})
+
+
+def random_space(r, m):
+    return ProductSpace([r.randint(1, 3) for _ in range(m)], [
+        ([r.randint(-3, 3) for _ in range(m)], r.randint(1, 3))
+        for _ in range(r.randint(1, 3))])
+
+
+def random_multi_table(r, m):
+    entries = {}
+    for _ in range(r.randint(0, 10)):
+        entries[(r.randint(-2, 4),
+                 tuple(r.randint(-4, 4) for _ in range(m)))] = \
+            random_fraction(r)
+    return MultiBettiTable(m, entries)
+
+
+def random_case(r, kind):
+    """(evaluator, signed table) of one evaluator kind."""
+    n = r.randint(1, 4)
+    if kind in ("product", "capped"):
+        m = r.randint(1, 3)
+        space = random_space(r, m)
+        ev = (space if kind == "product"
+              else _Capped(space, r.randint(0, space.dimension)))
+        return ev, random_multi_table(r, m)
+    table = random_table(r, 10, nonneg=False, degs=(-6, 6))
+    if kind == "supernatural":
+        return supernatural(random_roots(r, r.randint(0, n)),
+                            F(r.randint(1, 5), r.randint(1, 3)), n), table
+    if kind == "twist":
+        return twist_evaluator(n, r.randint(-4, 4)), table
+    if kind == "window":
+        return random_window(r, n), table
+    sheaf = supernatural(random_roots(r, r.randint(0, n)), r.randint(1, 3), n)
+    return FormalEvaluator([(random_fraction(r), random_window(r, n)),
+                            (random_fraction(r), sheaf),
+                            (random_fraction(r), sheaf)]), table
+
+
+def cancelling_table(r, ev, table):
+    """Two entries at one grade whose terms cancel at one key, or None when
+    no grade of the table has two nonzero cohomology indices."""
+    for _, grade in table.support():
+        neg = table.negate(grade)
+        hits = [(q, reference_gamma(ev, q, neg))
+                for q in range(ev.dimension + 1)]
+        hits = [(q, g) for q, g in hits if g]
+        if len(hits) >= 2:
+            (q1, g1), (q2, g2) = hits[:2]
+            p, a = r.randint(-2, 2), F(r.randint(1, 9), r.randint(1, 9))
+            return (p - q1, grade), table.like(
+                {(p, grade): a, (p + q2 - q1, grade): -a * g1 / g2})
+    return None
+
+
+KINDS = ("supernatural", "twist", "window", "formal", "product", "capped")
+
+
+class TestColumnContract:
+    """pair reads one column per distinct grade and agrees with the scan of
+    every q = 0..dimension."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_reference_pair(self, kind):
+        r = rng(1000 + KINDS.index(kind))
+        cancelled = 0
+        for _ in range(80):
+            ev, table = random_case(r, kind)
+            result = pair(table, ev)
+            assert result == reference_pair(table, ev), kind
+            assert all(type(v) is Fraction for _, v in result.items())
+            found = cancelling_table(r, ev, table)
+            if found:
+                key, two = found
+                assert pair(two, ev) == reference_pair(two, ev), kind
+                assert key not in pair(two, ev).support()
+                cancelled += 1
+        if kind not in ("supernatural", "twist"):
+            assert cancelled, kind
+
+    def test_opposite_terms_pair_to_zero(self):
+        r = rng(1010)
+        for _ in range(40):
+            ev, table = random_case(r, "supernatural")
+            opposite = FormalEvaluator([(F(3, 2), ev), (F(-3, 2), ev)])
+            assert pair(table, opposite) == BettiTable()
+            assert reference_pair(table, opposite) == BettiTable()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_column_per_distinct_grade(self, kind):
+        r = rng(1020 + KINDS.index(kind))
+        for _ in range(30):
+            ev, table = random_case(r, kind)
+            counting = Counting(ev)
+            assert pair(table, counting) == pair(table, ev)
+            assert sorted(counting.asked) == sorted(
+                {table.negate(g) for _, g in table.support()})
+
+
+class TestBoundedWork:
+    """pair's work depends on the table, not on the declared dimension."""
+
+    def test_window_of_dimension_a_billion(self):
+        top = 10 ** 9
+        ev = WindowEvaluator(top, -2, 2, {(0, 0): F(2), (top, -1): F(3),
+                                          (5, -1): F(1, 2)})
+        table = T({(0, 0): 1, (4, 1): F(1, 3)})
+        assert pair(table, ev) == T({(0, 0): 2, (4 - top, 1): 1,
+                                     (-1, 1): F(1, 6)})
+
+    @pytest.mark.parametrize("qmax", [None, "0"])
+    def test_multi_pair_on_a_billion_dimensional_space(self, capsys, qmax):
+        top = 10 ** 9
+        table = {"m": 1, "entries": [
+            {"i": 0, "alpha": [-2], "value": "1"},
+            {"i": 3, "alpha": [top + 1], "value": "2"}]}
+        space = {"kind": "product", "dims": [top],
+                 "summands": [{"twist": [0]}]}
+        argv = ["multi-pair", "--table", json.dumps(table),
+                "--space", json.dumps(space)]
+        assert main(argv + (["--qmax", qmax] if qmax else [])) == 0
+        # O(2) has C(top + 2, 2) sections; O(-top - 1) has one top class
+        entries = [{"i": 0, "alpha": [-2],
+                    "value": str((top + 2) * (top + 1) // 2)}]
+        if qmax is None:
+            entries.insert(0, {"i": 3 - top, "alpha": [top + 1],
+                               "value": "2"})
+        assert json.loads(capsys.readouterr().out) == {"m": 1,
+                                                       "entries": entries}
 
 
 class TestSeparatingFunctional:
