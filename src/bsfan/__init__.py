@@ -12,15 +12,15 @@ module, and `bsfan.chi` loads cone_a and what it imports.
 _EXPORTS = {
     "cone_a": "APiece AVerdict Violation chi chi_window decompose_a euler "
               "membership_a",
-    "cone_s": "Decomposition MonadSplit SVerdict decompose_s infinite_prefix "
-              "membership_s monad_split",
+    "cone_s": "Decomposition MonadSplit decompose_s infinite_prefix "
+              "monad_split",
     "diagrams": "CohomologyEvaluator SupernaturalEvaluator "
                 "SupernaturalSheaf WindowEvaluator evaluator_from_obj "
-                "pure_diagram supernatural_gamma twist_evaluator",
+                "pure_diagram twist_evaluator",
     "errors": "BsfanError EvaluatorRangeError MonadViolation NotInCone "
               "ParseError ValidationError",
-    "multigraded": "GradedOrder MultiBettiTable ProductSpace kunneth_gamma "
-                   "multi_chi multi_pair",
+    "multigraded": "GradedOrder MultiBettiTable ProductSpace multi_chi "
+                   "multi_pair",
     "pairing": "es_functional pair pair_check pure_pair_support",
     "sequences": "EMPTY INF CodimensionSequence DegreeSequence Piece "
                  "is_compatible",

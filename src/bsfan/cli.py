@@ -195,10 +195,12 @@ def _emit_decomposition(dec, args):
 
 
 def _emit_window(sheaf, args):
-    """The class's cohomology at q = 0..n and j = jmin..jmax."""
-    gamma = _layer("diagrams").supernatural_gamma
+    """The class's cohomology at q = 0..n and j = jmin..jmax, read one
+    column per twist."""
+    column = _layer("diagrams").SupernaturalEvaluator(sheaf).column
     js = range(args.jmin, args.jmax + 1)
-    rows = [[gamma(sheaf, q, j) for j in js] for q in range(args.n + 1)]
+    cols = [dict(column(j)) for j in js]
+    rows = [[col.get(q, 0) for col in cols] for q in range(args.n + 1)]
     if args.format != "pretty":
         return _emit_json({"entries": [
             {"q": q, "j": j, "value": str(v)}

@@ -14,7 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NotInCone, ValidationError
-from .sequences import EMPTY, DegreeSequence, Piece
+from .sequences import EMPTY, Piece
 from .tables import ZERO, BettiTable, WorkingTable
 
 
@@ -89,11 +89,6 @@ class APiece(namedtuple("APiece", "kind position gen_degree socle_degree")):
             (self.position, self.gen_degree): 1,
             (self.position + 1, self.socle_degree): 1,
         })
-
-    def degree_sequence(self):
-        if self.kind == "free":
-            return DegreeSequence(self.position, (self.gen_degree,))
-        return DegreeSequence(self.position, (self.gen_degree, self.socle_degree))
 
 
 class Violation(namedtuple("Violation", "kind i j value",

@@ -52,16 +52,6 @@ class Decomposition(namedtuple("Decomposition", "pieces remainder")):
         return super().__new__(
             cls, pieces, BettiTable() if remainder is None else remainder)
 
-    def total(self):
-        terms = [(c, pure_diagram(d)) for c, d in self.pieces]
-        terms.append((Fraction(1), self.remainder))
-        return linear_combine(terms)
-
-
-class SVerdict(namedtuple("SVerdict", "ok decomposition witness",
-                          defaults=(None, None))):
-    __slots__ = ()
-
 
 def _trim_compatible(strand, c):
     """Minimal compatible subrun: trim from the left as far as possible.
@@ -95,7 +85,7 @@ def decompose_s(table, c, n):
     work = WorkingTable(table)
     for _ in range(len(table) + 1):
         if not work:
-            return Decomposition(pieces, BettiTable())
+            return Decomposition(pieces)
         # degrees strictly increase by construction: no re-validation
         strand = DegreeSequence._make(work.top_strand())
         d = _trim_compatible(strand, c)
@@ -108,14 +98,6 @@ def decompose_s(table, c, n):
         pieces.append(Piece(coeff, d))
         work.subtract(coeff, diagram)
     raise AssertionError("decomposition exceeded its step budget")
-
-
-def membership_s(table, c, n):
-    """Membership with certificate: the decomposition, or the stuck strand."""
-    try:
-        return SVerdict(True, decomposition=decompose_s(table, c, n))
-    except NotInCone as exc:
-        return SVerdict(False, witness=exc)
 
 
 class MonadSplit(namedtuple("MonadSplit", "lambda1 table_f1 lambda2 table_f2 "
@@ -133,11 +115,6 @@ class MonadSplit(namedtuple("MonadSplit", "lambda1 table_f1 lambda2 table_f2 "
     __slots__ = ()
 
 
-def _monad_constraint(n):
-    # Free homology allowed in nonpositive positions, full codimension above.
-    return CodimensionSequence(n, 0, 1, (), n + 1)
-
-
 def _prefix(pieces, codim_ok):
     """The leading pieces whose codimension satisfies codim_ok."""
     return list(takewhile(lambda piece: codim_ok(piece[1].codim), pieces))
@@ -153,7 +130,8 @@ def monad_split(table, n):
     """
     if not table.is_nonnegative():
         raise ValidationError("monad splitting needs a nonnegative table")
-    constraint = _monad_constraint(n)
+    # Free homology allowed in nonpositive positions, full codimension above.
+    constraint = CodimensionSequence(n, 0, 1, (), n + 1)
     front = _prefix(decompose_s(table, constraint, n).pieces,
                     lambda codim: codim > 0)
     back = _prefix(decompose_s(dual(table), constraint, n).pieces,

@@ -69,16 +69,6 @@ class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n")):
         return len(self.roots)
 
 
-def supernatural_gamma(sheaf, q, j):
-    """Exact value of the (q, j) cohomology entry of a supernatural sheaf.
-
-    Zero when j is a root; otherwise the unique nonvanishing index q0 is
-    located by f_{q0} > j > f_{q0+1} and the value there is
-    rank_scale / s! * |prod (j - f_k)|.
-    """
-    return SupernaturalEvaluator(sheaf).gamma(q, j)
-
-
 class CohomologyEvaluator:
     """Exact cohomology table with a declared dimension, read one twist at a
     time: column(j) lists the nonzero (q, gamma(q, j)) pairs, all with
@@ -146,8 +136,7 @@ class WindowEvaluator(CohomologyEvaluator):
 
     def column(self, j):
         if not self.jmin <= j <= self.jmax:
-            raise EvaluatorRangeError(
-                [(q, j) for q in range(self.dimension + 1)])
+            raise EvaluatorRangeError([j], self.dimension)
         return self.columns.get(j, ())
 
     def missing_degrees(self, js):

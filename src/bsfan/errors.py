@@ -17,12 +17,16 @@ class ValidationError(BsfanError, ValueError):
 class EvaluatorRangeError(BsfanError):
     """An explicit-window evaluator was queried outside its declared range.
 
-    ``missing`` lists the (q, j) pairs that were needed but undeclared.
+    ``twists`` lists the twists j that were needed but undeclared; each was
+    needed at every index q = 0..``dimension``, so the message is as long
+    as the list of twists, whatever the dimension.
     """
 
-    def __init__(self, missing):
-        self.missing = sorted(missing)
-        super().__init__(f"evaluator queried outside declared range at {self.missing}")
+    def __init__(self, twists, dimension):
+        self.twists = sorted(twists)
+        self.dimension = dimension
+        super().__init__(f"evaluator queried outside declared range at "
+                         f"twists {self.twists}, q = 0..{dimension}")
 
 
 class NotInCone(BsfanError):

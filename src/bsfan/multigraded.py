@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .cone_a import _partial_euler
 from .diagrams import CohomologyEvaluator
@@ -184,9 +183,3 @@ class ProductSpace(namedtuple("ProductSpace", "factor_dims summands"),
             return cls(dims, summands)
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad product evaluator JSON: {exc}") from exc
-
-
-def kunneth_gamma(space, q, alpha):
-    """Cohomology in degree q of a sum of line bundles on a product of
-    projective spaces at the twist alpha: a read of space.column(alpha)."""
-    return Fraction(space.gamma(q, alpha))

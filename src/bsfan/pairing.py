@@ -29,13 +29,12 @@ def pair(table, evaluator):
 
     The work is one evaluator column per distinct grade plus one term per
     (entry, nonzero q).  Window evaluators are pre-checked so a single range
-    error lists every missing (q, j) query instead of failing one at a time.
+    error names every missing twist instead of failing one at a time.
     """
     negated = {g: table.negate(g) for _, g in table.support()}
     missing = evaluator.missing_degrees(sorted(negated.values()))
     if missing:
-        raise EvaluatorRangeError([(q, j) for j in missing
-                                   for q in range(evaluator.dimension + 1)])
+        raise EvaluatorRangeError(missing, evaluator.dimension)
     columns = {g: evaluator.column(neg) for g, neg in negated.items()}
     acc = {}
     for (p, grade), value in table.items():

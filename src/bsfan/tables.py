@@ -286,7 +286,7 @@ def pretty_render(table, mark_origin=False):
     """
     if not table:
         return "(empty table)"
-    cols = sorted({i for i, _ in table.support()})
+    cols = table.columns()
     col_range = list(range(cols[0], cols[-1] + 1))
     rows = sorted({j - i for i, j in table.support()})
     row_range = list(range(rows[0], rows[-1] + 1))

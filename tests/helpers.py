@@ -19,6 +19,8 @@ reference_pair asks reference_gamma, the closed form of each evaluator
 kind, at every q = 0..dimension of every entry; the library's pair, which
 reads one evaluator column per distinct grade, must give the same table.
 
+total rebuilds the table a Decomposition stands for, and
+apiece_degree_sequence reads a one-variable block as a degree sequence;
 compare_degree_sequences is the termwise partial order on degree
 sequences that the greedy chains must follow; FormalEvaluator is a signed
 combination of evaluators for the bilinearity and range tests, its column
@@ -40,8 +42,8 @@ from bsfan import (EMPTY, APiece, AVerdict, BettiTable, CohomologyEvaluator,
                    Decomposition, DegreeSequence, EvaluatorRangeError,
                    NotInCone, ProductSpace, SupernaturalEvaluator,
                    ValidationError, Violation, WindowEvaluator, chi,
-                   chi_window, euler, is_compatible, kunneth_gamma,
-                   linear_combine, pure_diagram, table_from_obj, table_to_obj,
+                   chi_window, euler, is_compatible, linear_combine,
+                   pure_diagram, table_from_obj, table_to_obj,
                    twist_evaluator)
 from bsfan.cli import _load_obj
 from bsfan.multigraded import _Capped
@@ -131,6 +133,21 @@ def random_chain(r, k, length, starts=(-2, 2), deg_lo=-5, deg_hi=6):
 def chain_combination(chain, coeffs):
     return linear_combine(
         [(c, pure_diagram(d)) for c, d in zip(coeffs, chain)])
+
+
+def total(dec):
+    """The table a Decomposition stands for: sum of coeff * pure_diagram(d)
+    over its pieces, plus its remainder."""
+    return linear_combine([(c, pure_diagram(d)) for c, d in dec.pieces]
+                          + [(1, dec.remainder)])
+
+
+def apiece_degree_sequence(p):
+    """The one-variable block p as a degree sequence: its generator degree,
+    then its socle degree for a torsion block."""
+    if p.kind == "free":
+        return DegreeSequence(p.position, (p.gen_degree,))
+    return DegreeSequence(p.position, (p.gen_degree, p.socle_degree))
 
 
 def long_chain_table(r, k, length=None):
@@ -355,9 +372,9 @@ def reference_kunneth_gamma(space, q, alpha):
 def reference_gamma(ev, q, j):
     """gamma(q, j) of an evaluator from its closed form: for a supernatural
     class, rank_scale / s! * |prod (j - f_k)| at the one q with
-    f_q > j > f_{q+1} and zero at a root; kunneth_gamma for a product
-    space (checked against the split enumeration above); the stored value
-    of a window; the definitions of the signed sum and the cap."""
+    f_q > j > f_{q+1} and zero at a root; the split enumeration above for
+    a product space; the stored value of a window; the definitions of the
+    signed sum and the cap."""
     if isinstance(ev, SupernaturalEvaluator):
         roots = ev.sheaf.roots
         if j in roots or q != sum(1 for f in roots if f > j):
@@ -372,7 +389,7 @@ def reference_gamma(ev, q, j):
         return sum((c * reference_gamma(term, q, j) for c, term in ev.terms),
                    Fraction(0))
     if isinstance(ev, ProductSpace):
-        return kunneth_gamma(ev, q, j)
+        return reference_kunneth_gamma(ev, q, j)
     if isinstance(ev, _Capped):
         if q > ev.dimension:
             return Fraction(0)
@@ -386,7 +403,7 @@ def reference_pair(table, ev):
     missing = ev.missing_degrees(
         sorted({table.negate(g) for _, g in table.support()}))
     if missing:
-        raise EvaluatorRangeError([(q, j) for j in missing for q in qs])
+        raise EvaluatorRangeError(missing, ev.dimension)
     acc = {}
     for (p, grade), value in table.items():
         for q in qs:

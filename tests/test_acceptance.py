@@ -19,7 +19,7 @@ from helpers import (F, MONAD_TABLE, T, TENSOR_TABLE, TRUNCATION_TABLE,
                      TWO_STRAND_TABLE, chain_combination, koszul_table,
                      multi_chi_box, parse_table, random_chain,
                      random_degree_sequence, random_roots, random_table, rng,
-                     serialize_table, solve_chain_coefficients)
+                     serialize_table, solve_chain_coefficients, total)
 
 MONOMIAL_RES = T({(0, 0): 1, (1, 2): 4, (2, 3): 4, (3, 4): 1})
 
@@ -179,7 +179,7 @@ def test_criterion_07_infinite_prefix():
             T({(2, 3): 8, (3, 4): 16, (4, 5): 8})]
         shorter = infinite_prefix(TRUNCATION_TABLE.restrict_columns(hi=3), 3, 1)
         assert shorter.pieces == dec.pieces[:len(shorter.pieces)]
-        assert dec.total() == TRUNCATION_TABLE
+        assert total(dec) == TRUNCATION_TABLE
 
 
 def test_criterion_08_chi_positivity_suite():

@@ -129,6 +129,10 @@ ARGV = {
     "supernatural_negative_roots": ["supernatural", "--roots=-1,-2",
                                     "--n", "3", "--jmin", "-4",
                                     "--jmax", "1"],
+    # three roots against n = 4: the q = 4 row is all zeros
+    "supernatural_pretty": ["supernatural", "--roots=3,0,-2",
+                            "--rank-scale", "5/2", "--n", "4", "--jmin",
+                            "-6", "--jmax", "6", "--format", "pretty"],
     "multi_pair_qmax": ["multi-pair", "--table", KOSZUL, "--space", SPACE,
                         "--qmax", "1"],
     "multi_chi": ["multi-chi", "--table", KOSZUL, "--i", "1",
@@ -234,6 +238,19 @@ EXPECTED = {
     "supernatural_negative_roots": (0, (
         '{"entries":[{"q":0,"j":0,"value":"1"},{"q":0,"j":1,"value":"3"},'
         '{"q":2,"j":-4,"value":"3"},{"q":2,"j":-3,"value":"1"}]}\n')),
+    "supernatural_pretty": (0, (
+        "   j:     -6     -5     -4     -3     -2     -1      0      1      2"
+        "      3      4      5      6\n"
+        "  q=4      -      -      -      -      -      -      -      -      -"
+        "      -      -      -      -\n"
+        "  q=3     90     50   70/3   15/2      -      -      -      -      -"
+        "      -      -      -      -\n"
+        "  q=2      -      -      -      -      -    5/3      -      -      -"
+        "      -      -      -      -\n"
+        "  q=1      -      -      -      -      -      -      -    5/2   10/3"
+        "      -      -      -      -\n"
+        "  q=0      -      -      -      -      -      -      -      -      -"
+        "      -     10  175/6     60\n")),
     "multi_pair": (0, (
         '{"m":2,"entries":[{"i":0,"alpha":[0,0],"value":"1"},{"i":0,"alph'
         'a":[0,1],"value":"8"},{"i":1,"alpha":[0,2],"value":"9"},{"i":1,"'

@@ -2,12 +2,13 @@ import pytest
 
 from bsfan import (EMPTY, INF, BettiTable, CodimensionSequence,
                    DegreeSequence, MonadViolation, NotInCone, decompose_s,
-                   dual, euler, infinite_prefix, linear_combine, membership_s,
-                   monad_split, pure_diagram)
+                   dual, euler, infinite_prefix, linear_combine, monad_split,
+                   pure_diagram)
 from helpers import (F, MONAD_TABLE, MONOMIAL_RES_TABLE, T, TENSOR_TABLE,
                      TRUNCATION_TABLE, TWO_STRAND_TABLE, Comparison,
                      chain_combination, compare_degree_sequences,
-                     koszul_table, random_chain, rng, solve_chain_coefficients)
+                     koszul_table, random_chain, rng, solve_chain_coefficients,
+                     total)
 
 STAIRCASE = CodimensionSequence(2, EMPTY, 0, (2, 2), INF)
 
@@ -34,7 +35,7 @@ class TestGreedyGoldens:
             T({(0, 0): 1, (1, 2): 2, (2, 4): 1}),
         ]
         assert not dec.remainder
-        assert dec.total() == TENSOR_TABLE
+        assert total(dec) == TENSOR_TABLE
 
     def test_resolution_constraint_decomposition(self):
         c = CodimensionSequence(2, EMPTY, 0, (2,), INF)
@@ -87,15 +88,18 @@ class TestGreedyGoldens:
 
 class TestMembership:
     def test_two_strand_contrast(self):
-        assert not membership_s(TWO_STRAND_TABLE,
-                                CodimensionSequence.constant(3, 2), 2).ok
-        assert membership_s(TWO_STRAND_TABLE,
-                            CodimensionSequence.constant(2, 2), 2).ok
+        with pytest.raises(NotInCone):
+            decompose_s(TWO_STRAND_TABLE,
+                        CodimensionSequence.constant(3, 2), 2)
+        dec = decompose_s(TWO_STRAND_TABLE,
+                          CodimensionSequence.constant(2, 2), 2)
+        assert total(dec) == TWO_STRAND_TABLE
 
     def test_failure_carries_witness(self):
-        verdict = membership_s(TWO_STRAND_TABLE,
-                               CodimensionSequence.constant(3, 2), 2)
-        witness = verdict.witness
+        with pytest.raises(NotInCone) as err:
+            decompose_s(TWO_STRAND_TABLE,
+                        CodimensionSequence.constant(3, 2), 2)
+        witness = err.value
         assert witness.blocking_strand == DegreeSequence(2, (4, 8))
         assert witness.partial_pieces
 
@@ -106,10 +110,9 @@ class TestMembership:
             k = r.randint(0, n + 1)
             chain = random_chain(r, k, 1)
             d = chain[0]
-            verdict = membership_s(pure_diagram(d),
-                                   CodimensionSequence.constant(k, n), n)
-            assert verdict.ok
-            assert verdict.decomposition.pieces == [(F(1), d)]
+            dec = decompose_s(pure_diagram(d),
+                              CodimensionSequence.constant(k, n), n)
+            assert dec.pieces == [(F(1), d)]
 
     def test_rejects_negative_input(self):
         from bsfan import ValidationError
@@ -128,7 +131,7 @@ class TestGreedyProperties:
             coeffs = [F(r.randint(1, 9), r.randint(1, 9)) for _ in chain]
             table = chain_combination(chain, coeffs)
             dec = decompose_s(table, CodimensionSequence.constant(k, n), n)
-            assert dec.total() == table and not dec.remainder
+            assert total(dec) == table and not dec.remainder
             assert len(dec.pieces) <= len(table)
             seqs = [d for _, d in dec.pieces]
             for a, b in zip(seqs, seqs[1:]):
@@ -216,7 +219,7 @@ class TestInfinitePrefix:
             T({(2, 3): 8, (3, 4): 16, (4, 5): 8}),
         ]
         assert dec.remainder == T({(3, 4): 19, (4, 5): 84})
-        assert dec.total() == TRUNCATION_TABLE
+        assert total(dec) == TRUNCATION_TABLE
 
     def test_chain_decreases(self):
         dec = infinite_prefix(TRUNCATION_TABLE, 4, 1)

@@ -6,8 +6,7 @@ import pytest
 
 from bsfan import (DegreeSequence, EvaluatorRangeError, SupernaturalEvaluator,
                    SupernaturalSheaf, ValidationError, WindowEvaluator,
-                   evaluator_from_obj, pure_diagram, supernatural_gamma,
-                   twist_evaluator)
+                   evaluator_from_obj, pure_diagram, twist_evaluator)
 from helpers import (F, T, random_degree_sequence, random_roots,
                      reference_pure_diagram, rng)
 
@@ -81,22 +80,22 @@ class TestSupernatural:
             SupernaturalSheaf((1,), F(0), 2)
 
     def test_two_root_bundle_values(self):
-        sheaf = SupernaturalSheaf((1, -3), F(2), 2)
-        assert supernatural_gamma(sheaf, 1, 0) == 3
-        assert supernatural_gamma(sheaf, 1, -1) == 4
-        assert supernatural_gamma(sheaf, 0, 2) == 5
-        assert supernatural_gamma(sheaf, 0, 3) == 12
+        ev = SupernaturalEvaluator(SupernaturalSheaf((1, -3), F(2), 2))
+        assert ev.gamma(1, 0) == 3
+        assert ev.gamma(1, -1) == 4
+        assert ev.gamma(0, 2) == 5
+        assert ev.gamma(0, 3) == 12
 
     def test_wide_bundle_values(self):
-        sheaf = SupernaturalSheaf((0, -8), F(8), 2)
-        assert supernatural_gamma(sheaf, 1, -3) == 60
-        assert supernatural_gamma(sheaf, 1, -4) == 64
+        ev = SupernaturalEvaluator(SupernaturalSheaf((0, -8), F(8), 2))
+        assert ev.gamma(1, -3) == 60
+        assert ev.gamma(1, -4) == 64
 
     def test_roots_annihilate(self):
-        sheaf = SupernaturalSheaf((1, -3), F(7, 3), 2)
+        ev = SupernaturalEvaluator(SupernaturalSheaf((1, -3), F(7, 3), 2))
         for q in range(3):
-            assert supernatural_gamma(sheaf, q, 1) == 0
-            assert supernatural_gamma(sheaf, q, -3) == 0
+            assert ev.gamma(q, 1) == 0
+            assert ev.gamma(q, -3) == 0
 
     def test_at_most_one_nonzero_index_per_twist(self):
         r = rng(303)
@@ -104,9 +103,9 @@ class TestSupernatural:
             n = r.randint(1, 4)
             s = r.randint(0, n)
             sheaf = SupernaturalSheaf(random_roots(r, s), F(r.randint(1, 5)), n)
+            ev = SupernaturalEvaluator(sheaf)
             for j in range(-10, 11):
-                hits = [q for q in range(n + 1)
-                        if supernatural_gamma(sheaf, q, j)]
+                hits = [q for q in range(n + 1) if ev.gamma(q, j)]
                 assert len(hits) <= 1
 
 
@@ -123,11 +122,11 @@ class TestTwist:
             n = r.randint(1, 4)
             a = r.randint(-4, 4)
             ev = twist_evaluator(n, a)
-            sheaf = SupernaturalSheaf(
-                tuple(-a - 1 - k for k in range(n)), F(1), n)
+            same = SupernaturalEvaluator(SupernaturalSheaf(
+                tuple(-a - 1 - k for k in range(n)), F(1), n))
             for q in range(n + 1):
                 for j in range(-8, 9):
-                    assert ev.gamma(q, j) == supernatural_gamma(sheaf, q, j)
+                    assert ev.gamma(q, j) == same.gamma(q, j)
 
     def test_section_counts_are_binomials(self):
         ev = twist_evaluator(3, 2)

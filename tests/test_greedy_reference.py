@@ -11,7 +11,7 @@ pieces must rebuild the table exactly.
 from bsfan import (EMPTY, INF, BettiTable, CodimensionSequence, NotInCone,
                    decompose_a, decompose_s, linear_combine, pure_diagram)
 from helpers import (F, T, bump, long_chain_table, reference_decompose_a,
-                     reference_decompose_s, rng)
+                     reference_decompose_s, rng, total)
 
 ALL_ONE = CodimensionSequence.constant(1, 0)
 
@@ -57,7 +57,7 @@ class TestDecomposeS:
                                          table, c, n)
             assert exc is None
             assert dec.pieces == list(zip(coeffs, chain))
-            assert dec.total() == table and not dec.remainder
+            assert total(dec) == table and not dec.remainder
             sizes.append(len(table))
         assert min(sizes) >= 100
 
@@ -102,7 +102,7 @@ class TestDecomposeS:
             dec, exc = matches_reference(decompose_s, reference_decompose_s,
                                          table, c, n)
             if exc is None:
-                assert dec.total() == table
+                assert total(dec) == table
                 finished += 1
             else:
                 assert left_over(table, exc.partial_pieces).is_nonnegative()

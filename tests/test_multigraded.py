@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from bsfan import (BettiTable, GradedOrder, MultiBettiTable, ParseError,
-                   ProductSpace, ValidationError, chi, kunneth_gamma,
-                   multi_chi, multi_pair, pair, table_from_obj, table_to_obj,
-                   twist_evaluator)
+                   ProductSpace, ValidationError, chi, multi_chi, multi_pair,
+                   pair, table_from_obj, table_to_obj, twist_evaluator)
 from helpers import (F, multi_chi_box, random_table, reference_kunneth_gamma,
                      rng)
 
@@ -117,21 +116,21 @@ class TestMultiChi:
 class TestKunneth:
     def test_section_count(self):
         space = ProductSpace((1, 1), (((1, 1), 1),))
-        assert kunneth_gamma(space, 0, (0, 0)) == 4
+        assert space.gamma(0, (0, 0)) == 4
 
     def test_top_cohomology(self):
         space = ProductSpace((1, 1), (((0, 0), 1),))
-        assert kunneth_gamma(space, 2, (-2, -2)) == 1
+        assert space.gamma(2, (-2, -2)) == 1
 
     def test_acyclic_twist(self):
         space = ProductSpace((1, 1), (((0, 0), 1),))
         for q in range(3):
             for b in range(-4, 5):
-                assert kunneth_gamma(space, q, (-1, b)) == 0
+                assert space.gamma(q, (-1, b)) == 0
 
     def test_multiplicity_and_sums(self):
         space = ProductSpace((1, 1), (((1, 1), 2), ((0, 0), 1)))
-        assert kunneth_gamma(space, 0, (0, 0)) == 2 * 4 + 1
+        assert space.gamma(0, (0, 0)) == 2 * 4 + 1
 
     def test_matches_split_enumeration(self):
         # twists and grades in -8..8 put every factor in its vanishing band
@@ -146,9 +145,10 @@ class TestKunneth:
             for _ in range(8):
                 alpha = tuple(r.randint(-8, 8) for _ in dims)
                 for q in range(space.dimension + 2):
-                    got = kunneth_gamma(space, q, alpha)
+                    got = space.gamma(q, alpha)
                     want = reference_kunneth_gamma(space, q, alpha)
-                    assert (got, type(got)) == (want, Fraction), (space, q, alpha)
+                    assert got == want, (space, q, alpha)
+                    assert type(got) in (int, Fraction), (space, q, alpha)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -118,8 +118,26 @@ class TestWindowErrors:
         table = T({(0, 0): 1, (1, 3): 2})
         with pytest.raises(EvaluatorRangeError) as err:
             pair(table, ev)
-        assert (0, -3) in err.value.missing
-        assert (1, -3) in err.value.missing
+        assert err.value.twists == [-3]
+        assert err.value.dimension == 1
+        assert "twists [-3], q = 0..1" in str(err.value)
+
+    def test_range_error_is_bounded_by_the_twists(self):
+        with pytest.raises(EvaluatorRangeError) as err:
+            pair(T({(0, 5): 1}), WindowEvaluator(10 ** 9, 0, 1, {}))
+        assert err.value.twists == [-5]
+        assert err.value.dimension == 10 ** 9
+
+    def test_cli_range_error_is_one_line(self, capsys):
+        sheaf = {"kind": "window", "dim": 10 ** 9, "jmin": 0, "jmax": 1,
+                 "entries": []}
+        table = {"entries": [{"i": 0, "j": 5, "value": "1"}]}
+        assert main(["pair", "--table", json.dumps(table),
+                     "--sheaf", json.dumps(sheaf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_pair_inside_window_succeeds(self):
         ev = WindowEvaluator(1, -1, 1, {(0, 0): F(2), (1, -1): F(3)})
@@ -168,7 +186,7 @@ class TestDimensionCap:
         ev = FormalEvaluator([(F(1), window), (F(1), supernatural((0,), 1, 4))])
         with pytest.raises(EvaluatorRangeError) as err:
             pair(T({(0, 3): 1}), ev)
-        assert err.value.missing == [(0, -3), (1, -3)]
+        assert (err.value.twists, err.value.dimension) == ([-3], 1)
 
 
 class Counting(CohomologyEvaluator):

@@ -7,6 +7,7 @@ modules its call reaches and never `dataclasses` or `inspect`, and
 `import bsfan` loads no layer module.  Nothing here asserts a time.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -133,16 +134,15 @@ ALL = [
     "CohomologyEvaluator", "Decomposition", "DegreeSequence", "EMPTY",
     "EvaluatorRangeError", "GradedOrder", "INF", "MonadSplit",
     "MonadViolation", "MultiBettiTable", "NotInCone", "ParseError", "Piece",
-    "ProductSpace", "SVerdict", "SupernaturalEvaluator", "SupernaturalSheaf",
+    "ProductSpace", "SupernaturalEvaluator", "SupernaturalSheaf",
     "ValidationError", "Violation", "WindowEvaluator", "chi", "chi_window",
     "cone_a", "cone_s", "decompose_a", "decompose_s", "diagrams", "dual",
     "errors", "es_functional", "euler", "evaluator_from_obj",
-    "infinite_prefix", "is_compatible", "kunneth_gamma", "linear_combine",
-    "membership_a", "membership_s", "monad_split", "multi_chi", "multi_pair",
-    "multigraded", "pair", "pair_check", "pairing", "pretty_render",
-    "pure_diagram", "pure_pair_support", "sequences", "shift",
-    "supernatural_gamma", "table_from_obj", "table_to_obj", "tables",
-    "twist_evaluator",
+    "infinite_prefix", "is_compatible", "linear_combine", "membership_a",
+    "monad_split", "multi_chi", "multi_pair", "multigraded", "pair",
+    "pair_check", "pairing", "pretty_render", "pure_diagram",
+    "pure_pair_support", "sequences", "shift", "table_from_obj",
+    "table_to_obj", "tables", "twist_evaluator",
 ]
 LAYERS = ["cone_a", "cone_s", "diagrams", "errors", "multigraded",
           "pairing", "sequences", "tables"]
@@ -188,3 +188,30 @@ def test_no_module_holds_a_float():
         floats = [attr for attr, value in vars(module).items()
                   if isinstance(value, float)]
         assert floats == [], name
+
+
+def unread_imports(source):
+    """Names an import in source binds that no expression reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_unread_imports_are_found():
+    assert unread_imports("import os, sys as s\nfrom a.b import c\n"
+                          "from __future__ import annotations\n"
+                          "print(os.sep)") == ["c", "s"]
+
+
+def test_no_module_binds_an_unread_import():
+    for path in sorted(Path(SRC, "bsfan").glob("*.py")):
+        assert unread_imports(path.read_text(encoding="utf-8")) == [], \
+            path.name

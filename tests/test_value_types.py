@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from bsfan.cone_a import APiece, AVerdict, Violation
-from bsfan.cone_s import Decomposition, MonadSplit, SVerdict
+from bsfan.cone_s import Decomposition, MonadSplit
 from bsfan.diagrams import SupernaturalSheaf
-from bsfan.errors import NotInCone, ValidationError
+from bsfan.errors import ValidationError
 from bsfan.multigraded import GradedOrder, ProductSpace
 from bsfan.sequences import CodimensionSequence, DegreeSequence
 from bsfan.tables import BettiTable
@@ -63,9 +63,6 @@ RECORDS = {
     "Decomposition": (lambda: Decomposition([(Fraction(1), D)], T),
                       lambda: Decomposition(pieces=[(1, D)], remainder=T),
                       lambda: Decomposition([(Fraction(1), D)], U)),
-    "SVerdict": (lambda: SVerdict(True, decomposition=Decomposition([])),
-                 lambda: SVerdict(True, Decomposition([], BettiTable())),
-                 lambda: SVerdict(False, witness=NotInCone("stuck"))),
     "MonadSplit": (monad, monad, lambda: monad(Fraction(0))),
 }
 FROZEN = ["DegreeSequence", "CodimensionSequence", "APiece",
@@ -115,8 +112,6 @@ def test_defaults():
     assert APiece("free", 0, 1).socle_degree is None
     assert Violation("euler_nonzero").i is None
     assert AVerdict(True).violations == []
-    assert SVerdict(False).decomposition is None
-    assert SVerdict(False).witness is None
 
 
 def test_default_remainders_are_not_shared():
