@@ -14,9 +14,8 @@ _EXPORTS = {
               "membership_a",
     "cone_s": "Decomposition MonadSplit decompose_s infinite_prefix "
               "monad_split",
-    "diagrams": "CohomologyEvaluator SupernaturalEvaluator "
-                "SupernaturalSheaf WindowEvaluator evaluator_from_obj "
-                "pure_diagram twist_evaluator",
+    "diagrams": "CohomologyEvaluator SupernaturalSheaf TwistSheaf "
+                "WindowEvaluator evaluator_from_obj pure_diagram",
     "errors": "BsfanError EvaluatorRangeError MonadViolation NotInCone "
               "ParseError ValidationError",
     "multigraded": "GradedOrder MultiBettiTable ProductSpace multi_chi "

@@ -73,14 +73,10 @@ def _rank_scale(args):
 
 
 def _sheaf(args):
-    diagrams = _layer("diagrams")
-    evaluator = diagrams.evaluator_from_obj(_load_obj(args.sheaf))
-    if args.n is not None and isinstance(evaluator,
-                                         diagrams.SupernaturalEvaluator):
-        if evaluator.sheaf.n != args.n:
-            raise ParseError(
-                f"evaluator ambient {evaluator.sheaf.n} does not match "
-                f"--n {args.n}")
+    evaluator = _layer("diagrams").evaluator_from_obj(_load_obj(args.sheaf))
+    if args.n is not None and getattr(evaluator, "n", args.n) != args.n:
+        raise ParseError(
+            f"evaluator ambient {evaluator.n} does not match --n {args.n}")
     return evaluator
 
 
@@ -196,19 +192,16 @@ def _emit_decomposition(dec, args):
 
 def _emit_window(sheaf, args):
     """The class's cohomology at q = 0..n and j = jmin..jmax, read one
-    column per twist."""
-    column = _layer("diagrams").SupernaturalEvaluator(sheaf).column
+    column per twist: JSON lists the nonzero cells, pretty fills a grid."""
     js = range(args.jmin, args.jmax + 1)
-    cols = [dict(column(j)) for j in js]
-    rows = [[col.get(q, 0) for col in cols] for q in range(args.n + 1)]
+    cells = sorted((q, j, v) for j in js for q, v in sheaf.column(j))
     if args.format != "pretty":
-        return _emit_json({"entries": [
-            {"q": q, "j": j, "value": str(v)}
-            for q, row in enumerate(rows) for j, v in zip(js, row) if v]},
-            args)
+        return _emit_json({"entries": [{"q": q, "j": j, "value": str(v)}
+                                       for q, j, v in cells]}, args)
+    grid = {(q, j): str(v) for q, j, v in cells}
     lines = [" ".join(["j:".rjust(5)] + [str(j).rjust(6) for j in js])]
     lines += [" ".join([f"q={q}".rjust(5)]
-                       + [str(v or "-").rjust(6) for v in rows[q]])
+                       + [grid.get((q, j), "-").rjust(6) for j in js])
               for q in range(args.n, -1, -1)]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

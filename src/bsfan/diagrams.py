@@ -3,9 +3,10 @@
 Pure diagrams are the Betti tables with one degree per column; their entries
 are pinned, up to scale, by the vanishing of alternating power sums, which
 forces entry i proportional to prod_{k != i} 1/|d_k - d_i|.  Supernatural
-evaluators give the cohomology tables on the dual side: at most one
+sheaves give the cohomology tables on the dual side: at most one
 cohomology index is nonzero per twist, located by the root sequence, with
-magnitude given by the Hilbert polynomial |prod (j - f_k)| * r / s!.
+magnitude given by the Hilbert polynomial |prod (j - f_k)| * r / s!; the
+twisted structure sheaves follow Bott's formula, _bott.
 """
 
 from __future__ import annotations
@@ -40,7 +41,34 @@ def pure_diagram(d):
     })
 
 
-class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n")):
+class CohomologyEvaluator:
+    """Exact cohomology table with a declared dimension, read one twist at a
+    time: column(j) lists the nonzero (q, gamma(q, j)) pairs, all with
+    q <= dimension, so pair walks only those.  gamma(q, j) reads the column."""
+
+    __slots__ = ()  # no instance dict: the tuple evaluators stay frozen
+    dimension = 0
+
+    def column(self, j):
+        raise NotImplementedError
+
+    def gamma(self, q, j):
+        return dict(self.column(j)).get(q, Fraction(0))
+
+    def missing_degrees(self, js):
+        """Subset of the twists js the evaluator cannot answer."""
+        return []
+
+
+def _bott(n, a):
+    """Bott's formula: O(a) on P^n has one nonzero cohomology group,
+    C(n + a, n) in degree 0 when a >= 0, otherwise C(-a - 1, n) in degree n
+    (zero for -n <= a <= -1).  Returns (degree, value)."""
+    return (0, math.comb(n + a, n)) if a >= 0 else (n, math.comb(-a - 1, n))
+
+
+class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n"),
+                        CohomologyEvaluator):
     """Sheaf class with strictly decreasing integer roots f_1 > ... > f_s.
 
     The number of roots is the dimension s; rank_scale rescales the whole
@@ -68,41 +96,36 @@ class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n")):
     def dimension(self):
         return len(self.roots)
 
-
-class CohomologyEvaluator:
-    """Exact cohomology table with a declared dimension, read one twist at a
-    time: column(j) lists the nonzero (q, gamma(q, j)) pairs, all with
-    q <= dimension, so pair walks only those.  gamma(q, j) reads the column."""
-
-    __slots__ = ()  # no instance dict: the tuple ProductSpace stays frozen
-    dimension = 0
-
     def column(self, j):
-        raise NotImplementedError
-
-    def gamma(self, q, j):
-        return dict(self.column(j)).get(q, Fraction(0))
-
-    def missing_degrees(self, js):
-        """Subset of the twists js the evaluator cannot answer."""
-        return []
-
-
-class SupernaturalEvaluator(CohomologyEvaluator):
-    def __init__(self, sheaf):
-        self.sheaf = sheaf
-        self.dimension = sheaf.dimension
-
-    def column(self, j):
-        roots = self.sheaf.roots
+        roots = self.roots
         if j in roots:
             return ()
         prod = 1
         for f in roots:
             prod *= j - f
         q0 = sum(1 for f in roots if f > j)
-        return ((q0, self.sheaf.rank_scale * abs(prod)
+        return ((q0, self.rank_scale * abs(prod)
                  / math.factorial(len(roots))),)
+
+
+class TwistSheaf(namedtuple("TwistSheaf", "n a"), CohomologyEvaluator):
+    """The twisted structure sheaf O(a) on projective n-space: column j
+    is _bott(n, j + a) as a Fraction, in O(1) whatever n."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, a):
+        if n < 1:
+            raise ValidationError(f"ambient dimension must be >= 1, got {n}")
+        return super().__new__(cls, int(n), int(a))
+
+    @property
+    def dimension(self):
+        return self.n
+
+    def column(self, j):
+        q, value = _bott(self.n, j + self.a)
+        return ((q, Fraction(value)),) if value else ()
 
 
 class WindowEvaluator(CohomologyEvaluator):
@@ -143,18 +166,6 @@ class WindowEvaluator(CohomologyEvaluator):
         return sorted(j for j in set(js) if not self.jmin <= j <= self.jmax)
 
 
-def twist_evaluator(n, a):
-    """Evaluator of the twisted structure sheaf O(a) on projective n-space.
-
-    Encoded as the supernatural class with roots -a-1, ..., -a-n and unit
-    scale: sections C(n+j+a, n) at the bottom, C(-j-a-1, n) at the top.
-    """
-    if n < 1:
-        raise ValidationError(f"ambient dimension must be >= 1, got {n}")
-    roots = tuple(-a - 1 - k for k in range(n))
-    return SupernaturalEvaluator(SupernaturalSheaf(roots, Fraction(1), n))
-
-
 def _json_int(value, where):
     if type(value) is not int:  # rejects JSON true
         raise ParseError(f"{where} must be an integer, got {value!r}")
@@ -172,17 +183,16 @@ def evaluator_from_obj(obj):
     kind = obj["kind"]
     try:
         if kind == "supernatural":
-            sheaf = SupernaturalSheaf(
+            return SupernaturalSheaf(
                 tuple(_json_int(f, "root") for f in obj["roots"]),
                 parse_rational(obj["rank_scale"], "rank_scale")
                 if isinstance(obj["rank_scale"], str)
                 else Fraction(_json_int(obj["rank_scale"], "rank_scale")),
                 _json_int(obj["n"], "n"),
             )
-            return SupernaturalEvaluator(sheaf)
         if kind == "twist":
-            return twist_evaluator(_json_int(obj["n"], "n"),
-                                   _json_int(obj["a"], "a"))
+            return TwistSheaf(_json_int(obj["n"], "n"),
+                              _json_int(obj["a"], "a"))
         if kind == "window":
             values = {}
             for raw in obj["entries"]:

@@ -12,11 +12,10 @@ column and non-strict one column up.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 from .cone_a import _partial_euler
-from .diagrams import CohomologyEvaluator
+from .diagrams import CohomologyEvaluator, _bott
 from .errors import ParseError, ValidationError
 from .pairing import pair
 from .tables import BettiTable
@@ -146,11 +145,10 @@ class ProductSpace(namedtuple("ProductSpace", "factor_dims summands"),
         return sum(self.factor_dims)
 
     def column(self, alpha):
-        """Bott's formula per factor: O(a) on P^n has one nonzero
-        cohomology group, C(n + a, n) in degree 0 when a >= 0, otherwise
-        C(-a - 1, n) in degree n (zero for -n <= a <= -1).  By Kunneth a
-        summand adds the product of its factors' values in the sum of their
-        degrees: one pass, O(summands x m)."""
+        """Bott's formula per factor (_bott: O(a) on P^n has one nonzero
+        cohomology group).  By Kunneth a summand adds the product of its
+        factors' values in the sum of their degrees: one pass,
+        O(summands x m)."""
         alpha = tuple(alpha)
         if len(alpha) != self.rank:
             raise ValidationError(
@@ -159,12 +157,9 @@ class ProductSpace(namedtuple("ProductSpace", "factor_dims summands"),
         for twist, mult in self.summands:
             degree, value = 0, mult
             for n, at, ct in zip(self.factor_dims, alpha, twist):
-                a = at + ct
-                if a >= 0:
-                    value *= math.comb(n + a, n)
-                else:
-                    degree += n
-                    value *= math.comb(-a - 1, n)
+                q, factor = _bott(n, at + ct)
+                degree += q
+                value *= factor
             if value:
                 col[degree] = col.get(degree, 0) + value
         return col.items()

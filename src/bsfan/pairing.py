@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cone_a import chi, membership_a
-from .diagrams import SupernaturalEvaluator, SupernaturalSheaf
+from .diagrams import SupernaturalSheaf
 from .errors import EvaluatorRangeError
 from .sequences import CodimensionSequence
 from .tables import ZERO
@@ -75,7 +75,7 @@ def es_functional(table, roots, rank_scale, n, tau, kappa):
     if tau < s:
         nu = min(nu, -roots[tau] - 1)
     sheaf = SupernaturalSheaf(tuple(roots), Fraction(rank_scale), n)
-    return chi(pair(table, SupernaturalEvaluator(sheaf)), 0, nu)
+    return chi(pair(table, sheaf), 0, nu)
 
 
 def pair_check(table, evaluators, n):
@@ -83,11 +83,12 @@ def pair_check(table, evaluators, n):
     exact cone on the one-variable side (constant constraint 1).
 
     Verdicts come back in input order; a failure carries the violated
-    functional and its negative value.
+    functional and its negative value.  A sheaf with an ambient n must
+    live on P^n.
     """
     for ev in evaluators:
-        if isinstance(ev, SupernaturalEvaluator) and ev.sheaf.n != n:
+        if getattr(ev, "n", n) != n:
             raise ValueError(
-                f"evaluator ambient {ev.sheaf.n} does not match n = {n}")
+                f"evaluator ambient {ev.n} does not match n = {n}")
     all_one = CodimensionSequence.constant(1, 0)
     return [membership_a(pair(table, ev), all_one) for ev in evaluators]

@@ -40,11 +40,10 @@ from math import comb, factorial, gcd, inf, lcm
 
 from bsfan import (EMPTY, APiece, AVerdict, BettiTable, CohomologyEvaluator,
                    Decomposition, DegreeSequence, EvaluatorRangeError,
-                   NotInCone, ProductSpace, SupernaturalEvaluator,
+                   NotInCone, ProductSpace, SupernaturalSheaf, TwistSheaf,
                    ValidationError, Violation, WindowEvaluator, chi,
                    chi_window, euler, is_compatible, linear_combine,
-                   pure_diagram, table_from_obj, table_to_obj,
-                   twist_evaluator)
+                   pure_diagram, table_from_obj, table_to_obj)
 from bsfan.cli import _load_obj
 from bsfan.multigraded import _Capped
 
@@ -352,10 +351,19 @@ def reference_membership_a(table, c):
     return AVerdict(not violations, violations)
 
 
+def reference_twist(n, a):
+    """O(a) on P^n as the supernatural class of roots -a-1, ..., -a-n and
+    unit scale: its cohomology by the Hilbert polynomial, not by Bott's
+    binomials, so the twist and product evaluators have an independent
+    oracle."""
+    return SupernaturalSheaf(tuple(-a - 1 - k for k in range(n)),
+                             Fraction(1), n)
+
+
 def reference_kunneth_gamma(space, q, alpha):
     """Kunneth sum over every split of q into factor indices, each factor
-    read off the supernatural evaluator of the twisted structure sheaf."""
-    factors = [twist_evaluator(n, 0) for n in space.factor_dims]
+    read off the roots-based class of the twisted structure sheaf."""
+    factors = [reference_twist(n, 0) for n in space.factor_dims]
     total = Fraction(0)
     for twist, mult in space.summands:
         for split in itertools.product(
@@ -372,17 +380,19 @@ def reference_kunneth_gamma(space, q, alpha):
 def reference_gamma(ev, q, j):
     """gamma(q, j) of an evaluator from its closed form: for a supernatural
     class, rank_scale / s! * |prod (j - f_k)| at the one q with
-    f_q > j > f_{q+1} and zero at a root; the split enumeration above for
-    a product space; the stored value of a window; the definitions of the
-    signed sum and the cap."""
-    if isinstance(ev, SupernaturalEvaluator):
-        roots = ev.sheaf.roots
+    f_q > j > f_{q+1} and zero at a root; the roots-based class for a
+    twist; the split enumeration above for a product space; the stored
+    value of a window; the definitions of the signed sum and the cap."""
+    if isinstance(ev, SupernaturalSheaf):
+        roots = ev.roots
         if j in roots or q != sum(1 for f in roots if f > j):
             return Fraction(0)
-        value = ev.sheaf.rank_scale / factorial(len(roots))
+        value = ev.rank_scale / factorial(len(roots))
         for f in roots:
             value *= abs(j - f)
         return value
+    if isinstance(ev, TwistSheaf):
+        return reference_gamma(reference_twist(ev.n, ev.a), q, j)
     if isinstance(ev, WindowEvaluator):
         return dict(ev.columns.get(j, ())).get(q, Fraction(0))
     if isinstance(ev, FormalEvaluator):

@@ -11,9 +11,9 @@ from contextlib import contextmanager
 
 from bsfan import (BettiTable, CodimensionSequence, DegreeSequence,
                    GradedOrder, MultiBettiTable, ProductSpace,
-                   SupernaturalEvaluator, SupernaturalSheaf, chi, chi_window,
+                   SupernaturalSheaf, TwistSheaf, chi, chi_window,
                    decompose_s, dual, linear_combine, multi_chi, multi_pair,
-                   pair, pure_diagram, shift, twist_evaluator)
+                   pair, pure_diagram, shift)
 from bsfan.cli import main as cli_main
 from helpers import (F, MONAD_TABLE, T, TENSOR_TABLE, TRUNCATION_TABLE,
                      TWO_STRAND_TABLE, chain_combination, koszul_table,
@@ -59,10 +59,10 @@ def test_criterion_01_pure_diagrams():
 
 def test_criterion_02_pairing_goldens():
     with criterion(2, "pairing goldens, < 10 ms"):
-        wide = SupernaturalEvaluator(SupernaturalSheaf((0, -8), F(8), 2))
+        wide = SupernaturalSheaf((0, -8), F(8), 2)
         assert pair(TWO_STRAND_TABLE, wide) == T(
             {(0, 3): 240, (0, 4): 256, (1, 4): 256, (1, 5): 240})
-        structure = twist_evaluator(2, 0)
+        structure = TwistSheaf(2, 0)
         assert pair(koszul_table(2), structure) == T({(0, 0): 1, (1, 3): 1})
         assert best_time(lambda: pair(TWO_STRAND_TABLE, wide)) < 0.010
         assert best_time(lambda: pair(koszul_table(2), structure)) < 0.010
@@ -70,7 +70,7 @@ def test_criterion_02_pairing_goldens():
 
 def test_criterion_03_weight_matrix():
     with criterion(3, "separating-functional weight matrix, exact"):
-        evaluator = SupernaturalEvaluator(SupernaturalSheaf((1, -3), F(2), 2))
+        evaluator = SupernaturalSheaf((1, -3), F(2), 2)
 
         def weight(v, u):
             return chi(pair(T({(v, u): 1}), evaluator), 0, 0)
@@ -204,7 +204,7 @@ def test_criterion_08_chi_positivity_suite():
             d = random_degree_sequence(r, codim=k)
             sheaf = SupernaturalSheaf(random_roots(r, k - 1),
                                       F(r.randint(1, 4)), n)
-            paired = pair(pure_diagram(d), SupernaturalEvaluator(sheaf))
+            paired = pair(pure_diagram(d), sheaf)
             cols, degs = chi_window(paired)
             for i in cols:
                 for j in degs:
@@ -271,8 +271,8 @@ def test_criterion_11_round_trips_and_algebra():
             assert shift(shift(table, a), b) == shift(table, a + b)
         for _ in range(500):
             n = r.randint(1, 3)
-            evaluator = SupernaturalEvaluator(SupernaturalSheaf(
-                random_roots(r, r.randint(0, n)), F(r.randint(1, 5)), n))
+            evaluator = SupernaturalSheaf(
+                random_roots(r, r.randint(0, n)), F(r.randint(1, 5)), n)
             t1, t2 = random_table(r, max_entries=5), random_table(r, max_entries=5)
             a = F(r.randint(0, 5), r.randint(1, 4))
             b = F(r.randint(0, 5), r.randint(1, 4))

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -246,6 +247,8 @@ class TestExitCodes:
                     '"entries":[{"q":true,"j":0,"value":"2"}]}'],
         ["pair", "--table", '{"entries":[{"i":0,"j":0,"value":"1"}]}',
          "--sheaf", '{"kind":"twist","n":true,"a":0}'],
+        ["pair", "--table", '{"entries":[{"i":0,"j":0,"value":"1"}]}',
+         "--sheaf", '{"kind":"twist","n":3,"a":0}', "--n", "2"],
         ["pair-check", "--table", '{"entries":[{"i":0,"j":0,"value":"1"}]}',
          "--sheaves", '[{"kind":"supernatural","roots":[true],'
                       '"rank_scale":"1","n":1}]', "--n", "1"],
@@ -277,6 +280,7 @@ class TestExitCodes:
         ["chi", "--table", "[" * 50000 + "]" * 50000, "--i", "0", "--j", "0"],
     ], ids=["codim-window-not-a-list", "boolean-index", "window-q-past-dim",
             "window-dim-true", "window-q-true", "twist-n-true",
+            "twist-ambient-vs-n",
             "supernatural-root-true", "codim-n-true",
             "codim-window-start-true", "multi-index-true",
             "product-dim-true", "multi-entries-not-a-list",
@@ -376,6 +380,24 @@ class TestDeterminism:
         second = run(capsys, argv)
         assert first == second
         assert first[0] == 0
+
+    def test_huge_twist_pairs_under_an_address_space_limit(self):
+        # a twist column is Bott's closed form, so no n-root tuple is built
+        src = Path(__file__).resolve().parents[1] / "src"
+        limit = 800 * 1024 * 1024
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "bsfan.cli", "pair", "--table",
+             '{"entries":[{"i":0,"j":0,"value":"1"},'
+             '{"i":1,"j":2,"value":"3"}]}',
+             "--sheaf", '{"kind":"twist","n":200000000,"a":0}'],
+            capture_output=True, text=True, preexec_fn=cap, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == '{"entries":[{"i":0,"j":0,"value":"1"}]}\n'
 
     def test_console_entry_point(self):
         src = Path(__file__).resolve().parents[1] / "src"

@@ -390,6 +390,19 @@ def test_seeded_pairing_bytes(capsys, name):
     assert captured.err == ""
 
 
+# A two-root class on P^1000000: JSON lists the nonzero cells alone, so no
+# (n + 1) x width grid is built.  Pinned like the large chains.
+def test_supernatural_wide_ambient_bytes(capsys):
+    code = main(["supernatural", "--roots=1,-3", "--n", "1000000",
+                 "--jmin", "0", "--jmax", "10"])
+    captured = capsys.readouterr()
+    out = captured.out.encode()
+    assert (code, len(out), hashlib.sha256(out).hexdigest()) == (
+        0, 295,
+        "7c877bfb373e29e7a666f5af812c8fdbb3274a3cb4a1976a34873c075bb8067e")
+    assert captured.err == ""
+
+
 # The command-line surface itself: help text and usage errors, captured
 # with the terminal width pinned to 80 columns (argparse wraps to it).
 

@@ -91,11 +91,10 @@ class TestEuler:
         # a pure diagram paired with a supernatural class lies in the
         # one-variable cone; this pairing sits in columns -1..1 with
         # sevenths, where a floating-point Euler sum misses zero
-        from bsfan import (DegreeSequence, SupernaturalEvaluator,
-                           SupernaturalSheaf, pair, pure_diagram)
+        from bsfan import (DegreeSequence, SupernaturalSheaf, pair,
+                           pure_diagram)
         sheaf = SupernaturalSheaf((-8,), F(3, 7), 3)
-        paired = pair(pure_diagram(DegreeSequence(-1, (-2, 0, 3))),
-                      SupernaturalEvaluator(sheaf))
+        paired = pair(pure_diagram(DegreeSequence(-1, (-2, 0, 3))), sheaf)
         assert paired == T({(-1, -2): F(90, 7), (0, 0): F(120, 7),
                             (1, 3): F(30, 7)})
         assert euler(paired) == 0

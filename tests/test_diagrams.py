@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from bsfan import (DegreeSequence, EvaluatorRangeError, SupernaturalEvaluator,
-                   SupernaturalSheaf, ValidationError, WindowEvaluator,
-                   evaluator_from_obj, pure_diagram, twist_evaluator)
+from bsfan import (DegreeSequence, EvaluatorRangeError, SupernaturalSheaf,
+                   TwistSheaf, ValidationError, WindowEvaluator,
+                   evaluator_from_obj, pure_diagram)
 from helpers import (F, T, random_degree_sequence, random_roots,
-                     reference_pure_diagram, rng)
+                     reference_pure_diagram, reference_twist, rng)
 
 
 class TestPureDiagram:
@@ -80,19 +80,19 @@ class TestSupernatural:
             SupernaturalSheaf((1,), F(0), 2)
 
     def test_two_root_bundle_values(self):
-        ev = SupernaturalEvaluator(SupernaturalSheaf((1, -3), F(2), 2))
+        ev = SupernaturalSheaf((1, -3), F(2), 2)
         assert ev.gamma(1, 0) == 3
         assert ev.gamma(1, -1) == 4
         assert ev.gamma(0, 2) == 5
         assert ev.gamma(0, 3) == 12
 
     def test_wide_bundle_values(self):
-        ev = SupernaturalEvaluator(SupernaturalSheaf((0, -8), F(8), 2))
+        ev = SupernaturalSheaf((0, -8), F(8), 2)
         assert ev.gamma(1, -3) == 60
         assert ev.gamma(1, -4) == 64
 
     def test_roots_annihilate(self):
-        ev = SupernaturalEvaluator(SupernaturalSheaf((1, -3), F(7, 3), 2))
+        ev = SupernaturalSheaf((1, -3), F(7, 3), 2)
         for q in range(3):
             assert ev.gamma(q, 1) == 0
             assert ev.gamma(q, -3) == 0
@@ -102,8 +102,7 @@ class TestSupernatural:
         for _ in range(200):
             n = r.randint(1, 4)
             s = r.randint(0, n)
-            sheaf = SupernaturalSheaf(random_roots(r, s), F(r.randint(1, 5)), n)
-            ev = SupernaturalEvaluator(sheaf)
+            ev = SupernaturalSheaf(random_roots(r, s), F(r.randint(1, 5)), n)
             for j in range(-10, 11):
                 hits = [q for q in range(n + 1) if ev.gamma(q, j)]
                 assert len(hits) <= 1
@@ -111,7 +110,7 @@ class TestSupernatural:
 
 class TestTwist:
     def test_plane_values(self):
-        ev = twist_evaluator(2, 0)
+        ev = TwistSheaf(2, 0)
         assert ev.gamma(0, 1) == 3
         assert ev.gamma(2, -3) == 1
         assert all(ev.gamma(q, -1) == 0 for q in range(3))
@@ -121,21 +120,20 @@ class TestTwist:
         for _ in range(50):
             n = r.randint(1, 4)
             a = r.randint(-4, 4)
-            ev = twist_evaluator(n, a)
-            same = SupernaturalEvaluator(SupernaturalSheaf(
-                tuple(-a - 1 - k for k in range(n)), F(1), n))
+            ev = TwistSheaf(n, a)
+            same = reference_twist(n, a)
             for q in range(n + 1):
                 for j in range(-8, 9):
                     assert ev.gamma(q, j) == same.gamma(q, j)
 
     def test_section_counts_are_binomials(self):
-        ev = twist_evaluator(3, 2)
+        ev = TwistSheaf(3, 2)
         for j in range(-2, 5):
             assert ev.gamma(0, j) == math.comb(3 + j + 2, 3)
 
     def test_rejects_zero_dimensional_ambient(self):
         with pytest.raises(ValidationError):
-            twist_evaluator(0, 1)
+            TwistSheaf(0, 1)
 
 
 class TestWindowEvaluator:
@@ -163,7 +161,7 @@ class TestEvaluatorJson:
     def test_supernatural(self):
         ev = evaluator_from_obj({"kind": "supernatural", "roots": [1, -3],
                                  "rank_scale": "2", "n": 2})
-        assert isinstance(ev, SupernaturalEvaluator)
+        assert isinstance(ev, SupernaturalSheaf)
         assert ev.gamma(0, 3) == 12
 
     def test_twist(self):

@@ -1,0 +1,133 @@
+"""Seeded fuzz of the evaluator JSON that the command line reads.
+
+Each case takes a valid evaluator, changes one field (an object where
+another type belongs, JSON true, a float, a string, a missing key, an
+unknown kind, an empty or nested list, one element too many, or 10**30 in
+an integer field) and runs the subcommands that read it, in process:
+pair --sheaf, pair-check --sheaves and multi-pair --space.  Every
+(field, change) pair is tried; the seed picks the replacement values.
+Whatever the input, the exit code is 0, 1 or 2; 0 and 1 write one JSON
+line to stdout and nothing to stderr, and 2 writes exactly one stderr
+line and no traceback.
+"""
+
+import copy
+import json
+import random
+
+import pytest
+
+from bsfan.cli import main
+
+TABLE = json.dumps({"entries": [
+    {"i": 0, "j": 0, "value": "1"}, {"i": 1, "j": 2, "value": "3"},
+    {"i": 2, "j": 3, "value": "2"}]})
+MULTI_TABLE = json.dumps({"m": 2, "entries": [
+    {"i": 0, "alpha": [0, 0], "value": "1"},
+    {"i": 1, "alpha": [1, 0], "value": "2"},
+    {"i": 1, "alpha": [0, 1], "value": "2"},
+    {"i": 2, "alpha": [1, 1], "value": "1"}]})
+
+VALID = {
+    "supernatural": {"kind": "supernatural", "roots": [1, -3],
+                     "rank_scale": "2", "n": 2},
+    "twist": {"kind": "twist", "n": 2, "a": 0},
+    "window": {"kind": "window", "dim": 1, "jmin": -3, "jmax": 0,
+               "entries": [{"q": 0, "j": 0, "value": "1"},
+                           {"q": 1, "j": -2, "value": "3/2"}]},
+    "product": {"kind": "product", "dims": [1, 2],
+                "summands": [{"twist": [1, -1], "mult": 2},
+                             {"twist": [0, 0]}]},
+}
+
+
+def _ints(value):
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+MISSING = object()   # the change that deletes the field
+# change: (old value, rng) -> new value, or None where it does not apply
+CHANGES = {
+    "wrong-type": lambda old, r: (list(old) if isinstance(old, dict)
+                                  else {"value": old}),
+    "true": lambda old, r: True,
+    "float": lambda old, r: r.choice([0.5, -2.0, 1e300]),
+    "string": lambda old, r: r.choice(["", "x", "2", "1/0", "-1"]),
+    "missing": lambda old, r: MISSING,
+    "empty-list": lambda old, r: [],
+    "nested-list": lambda old, r: [[old]],
+    "extra-element": lambda old, r: (old + [r.randint(-4, 4)]
+                                     if _ints(old) else None),
+    "huge": lambda old, r: 10 ** 30 if type(old) is int else None,
+    "huge-negative": lambda old, r: -10 ** 30 if type(old) is int else None,
+}
+
+
+def paths(value, prefix=()):
+    """Every field of a decoded JSON value, as a path of keys and indices."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from paths(item, prefix + (index,))
+
+
+def mutants(seed):
+    """(name, evaluator kind, mutated evaluator) for every field and change."""
+    r = random.Random(seed)
+    for kind, valid in VALID.items():
+        yield (f"{kind}:kind:unknown-kind", kind,
+               dict(valid, kind="no-such-kind"))
+        for path in paths(valid):
+            for name, change in CHANGES.items():
+                holder = {"evaluator": copy.deepcopy(valid)}
+                parent, key = holder, "evaluator"
+                for step in path:
+                    parent, key = parent[key], step
+                new = change(parent[key], r)
+                if new is None or (new is MISSING and not path):
+                    continue
+                if new is MISSING:
+                    del parent[key]
+                else:
+                    parent[key] = new
+                where = ".".join(map(str, path)) or "evaluator"
+                yield f"{kind}:{where}:{name}", kind, holder["evaluator"]
+
+
+def argvs(kind, evaluator):
+    text = json.dumps(evaluator)
+    if kind == "product":
+        return [["multi-pair", "--table", MULTI_TABLE, "--space", text]]
+    return [["pair", "--table", TABLE, "--sheaf", text],
+            ["pair-check", "--table", TABLE, "--sheaves", f"[{text}]",
+             "--n", "2"]]
+
+
+def test_valid_evaluators_pair(capsys):
+    for kind, valid in VALID.items():
+        for argv in argvs(kind, valid):
+            assert main(argv) in (0, 1), argv
+            assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_one_field_change_keeps_the_contract(capsys, seed):
+    codes = {}
+    for name, kind, evaluator in mutants(seed):
+        for argv in argvs(kind, evaluator):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            codes[code] = codes.get(code, 0) + 1
+            assert code in (0, 1, 2), (name, argv[0], code)
+            if code == 2:
+                assert out == "" and err.startswith("error: "), name
+                assert err.count("\n") == 1, (name, err)
+                assert "Traceback" not in err, name
+            else:
+                assert err == "" and out.count("\n") == 1, (name, err)
+                json.loads(out)
+    # the changes reach both sides of the contract
+    assert codes.get(2, 0) > 100 and codes.get(0, 0) > 10, codes

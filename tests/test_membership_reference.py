@@ -9,8 +9,8 @@ pure-diagram chains with supernatural classes and sums of torsion blocks of
 60-120 entries, in and out of the cone.
 """
 
-from bsfan import (EMPTY, INF, CodimensionSequence, SupernaturalEvaluator,
-                   SupernaturalSheaf, linear_combine, membership_a, pair)
+from bsfan import (EMPTY, INF, CodimensionSequence, SupernaturalSheaf,
+                   linear_combine, membership_a, pair)
 from helpers import (F, T, chain_combination, random_chain, random_roots,
                      random_table, reference_membership_a, rng)
 
@@ -42,7 +42,7 @@ def paired_chain(r):
         chain, [F(r.randint(1, 9), r.randint(1, 9)) for _ in chain])
     sheaf = SupernaturalSheaf(random_roots(r, k - 1),
                               F(r.randint(1, 5), r.randint(1, 5)), k)
-    return pair(table, SupernaturalEvaluator(sheaf))
+    return pair(table, sheaf)
 
 
 def torsion_blocks(r):

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from bsfan import (BettiTable, GradedOrder, MultiBettiTable, ParseError,
-                   ProductSpace, ValidationError, chi, multi_chi, multi_pair,
-                   pair, table_from_obj, table_to_obj, twist_evaluator)
+                   ProductSpace, TwistSheaf, ValidationError, chi, multi_chi,
+                   multi_pair, pair, table_from_obj, table_to_obj)
 from helpers import (F, multi_chi_box, random_table, reference_kunneth_gamma,
                      rng)
 
@@ -213,7 +213,7 @@ class TestMultiPair:
             multi = M(1, {(i, (j,)): v for (i, j), v in single.items()})
             n, a = r.randint(1, 4), r.randint(-4, 4)
             paired = multi_pair(multi, ProductSpace((n,), (((a,), 1),)), n)
-            expected = pair(single, twist_evaluator(n, a))
+            expected = pair(single, TwistSheaf(n, a))
             assert len(paired) == len(expected)
             for (i, j), value in expected.items():
                 assert paired[(i, (j,))] == value

@@ -6,9 +6,9 @@ import pytest
 
 from bsfan import (BettiTable, CohomologyEvaluator, DegreeSequence,
                    EvaluatorRangeError, MultiBettiTable, ProductSpace,
-                   SupernaturalEvaluator, SupernaturalSheaf, WindowEvaluator,
-                   chi, es_functional, linear_combine, pair, pair_check,
-                   pure_diagram, pure_pair_support, shift, twist_evaluator)
+                   SupernaturalSheaf, TwistSheaf, WindowEvaluator, chi,
+                   es_functional, linear_combine, pair, pair_check,
+                   pure_diagram, pure_pair_support, shift)
 from bsfan.cli import main
 from bsfan.multigraded import _Capped
 from helpers import (F, T, TWO_STRAND_TABLE, FormalEvaluator, koszul_table,
@@ -17,13 +17,20 @@ from helpers import (F, T, TWO_STRAND_TABLE, FormalEvaluator, koszul_table,
 
 
 def supernatural(roots, scale, n):
-    return SupernaturalEvaluator(SupernaturalSheaf(roots, F(scale), n))
+    return SupernaturalSheaf(roots, F(scale), n)
 
 
 class TestPairGoldens:
     def test_koszul_with_structure_sheaf(self):
-        result = pair(koszul_table(2), twist_evaluator(2, 0))
+        result = pair(koszul_table(2), TwistSheaf(2, 0))
         assert result == T({(0, 0): 1, (1, 3): 1})
+
+    def test_twist_on_a_huge_ambient_space(self):
+        # Bott's closed form: no n-root tuple, so n = 2 * 10^8 pairs at once
+        ev = TwistSheaf(200_000_000, 0)
+        assert pair(T({(0, 0): 1, (1, 2): 3}), ev) == T({(0, 0): 1})
+        column = ev.column(0)
+        assert column == ((0, 1),) and type(column[0][1]) is Fraction
 
     def test_two_strand_table_with_wide_bundle(self):
         result = pair(TWO_STRAND_TABLE, supernatural((0, -8), 8, 2))
@@ -156,7 +163,7 @@ class TestDimensionCap:
         grades = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
         for kind, ev, js in [
                 ("supernatural", short, range(-8, 9)),
-                ("twist", twist_evaluator(3, -2), range(-8, 9)),
+                ("twist", TwistSheaf(3, -2), range(-8, 9)),
                 ("window", window, range(-3, 4)),
                 ("formal", FormalEvaluator([(F(2), window), (F(-1), short)]),
                  range(-3, 4)),
@@ -242,7 +249,7 @@ def random_case(r, kind):
         return supernatural(random_roots(r, r.randint(0, n)),
                             F(r.randint(1, 5), r.randint(1, 3)), n), table
     if kind == "twist":
-        return twist_evaluator(n, r.randint(-4, 4)), table
+        return TwistSheaf(n, r.randint(-4, 4)), table
     if kind == "window":
         return random_window(r, n), table
     sheaf = supernatural(random_roots(r, r.randint(0, n)), r.randint(1, 3), n)
@@ -376,16 +383,16 @@ class TestPairCheck:
 
     def test_pure_resolution_passes(self):
         d = DegreeSequence(0, (0, 2, 3, 5))
-        verdicts = pair_check(pure_diagram(d), [twist_evaluator(2, 0)], 2)
+        verdicts = pair_check(pure_diagram(d), [TwistSheaf(2, 0)], 2)
         assert [v.ok for v in verdicts] == [True]
 
     def test_empty_table_passes_everything(self):
-        verdicts = pair_check(BettiTable(), [twist_evaluator(2, 0),
+        verdicts = pair_check(BettiTable(), [TwistSheaf(2, 0),
                                              supernatural((1, -3), 2, 2)], 2)
         assert [v.ok for v in verdicts] == [True, True]
 
     def test_order_matches_input(self):
-        evs = [supernatural((0, -8), 8, 2), twist_evaluator(2, 0)]
+        evs = [supernatural((0, -8), 8, 2), TwistSheaf(2, 0)]
         verdicts = pair_check(pure_diagram(
             DegreeSequence(0, (0, 1, 2))), evs, 2)
         assert len(verdicts) == 2
@@ -393,6 +400,10 @@ class TestPairCheck:
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pair_check(BettiTable(), [supernatural((1,), 1, 3)], 2)
+        with pytest.raises(ValueError, match="ambient 3 does not match"):
+            pair_check(BettiTable(), [TwistSheaf(3, 0)], 2)
+        window = WindowEvaluator(1, 0, 0, {})
+        assert [v.ok for v in pair_check(BettiTable(), [window], 2)] == [True]
 
 
 def test_paired_chi_nonnegativity_sample():

@@ -134,7 +134,7 @@ ALL = [
     "CohomologyEvaluator", "Decomposition", "DegreeSequence", "EMPTY",
     "EvaluatorRangeError", "GradedOrder", "INF", "MonadSplit",
     "MonadViolation", "MultiBettiTable", "NotInCone", "ParseError", "Piece",
-    "ProductSpace", "SupernaturalEvaluator", "SupernaturalSheaf",
+    "ProductSpace", "SupernaturalSheaf", "TwistSheaf",
     "ValidationError", "Violation", "WindowEvaluator", "chi", "chi_window",
     "cone_a", "cone_s", "decompose_a", "decompose_s", "diagrams", "dual",
     "errors", "es_functional", "euler", "evaluator_from_obj",
@@ -142,7 +142,7 @@ ALL = [
     "monad_split", "multi_chi", "multi_pair", "multigraded", "pair",
     "pair_check", "pairing", "pretty_render", "pure_diagram",
     "pure_pair_support", "sequences", "shift", "table_from_obj",
-    "table_to_obj", "tables", "twist_evaluator",
+    "table_to_obj", "tables",
 ]
 LAYERS = ["cone_a", "cone_s", "diagrams", "errors", "multigraded",
           "pairing", "sequences", "tables"]
