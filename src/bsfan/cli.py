@@ -81,9 +81,7 @@ def _sheaf(args):
 
 
 def _sheaves(args):
-    sheaves = _load_obj(args.sheaves)
-    if not isinstance(sheaves, list):
-        raise ParseError("--sheaves must be a JSON list of evaluators")
+    sheaves = _layer("tables")._read(_load_obj(args.sheaves), [None], "--sheaves")
     return [_layer("diagrams").evaluator_from_obj(obj) for obj in sheaves]
 
 

@@ -16,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import EvaluatorRangeError, ParseError, ValidationError
-from .tables import BettiTable, parse_rational
+from .tables import BettiTable, _read, _read_entries, parse_rational
 
 
 def pure_diagram(d):
@@ -166,43 +166,22 @@ class WindowEvaluator(CohomologyEvaluator):
         return sorted(j for j in set(js) if not self.jmin <= j <= self.jmax)
 
 
-def _json_int(value, where):
-    if type(value) is not int:  # rejects JSON true
-        raise ParseError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
 def evaluator_from_obj(obj):
-    """Build an evaluator from its decoded JSON description.
-
-    Integer fields must be JSON integers; rank_scale is a JSON integer or a
-    "p/q" string.
-    """
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f'evaluator JSON needs a "kind" field: {obj!r}')
-    kind = obj["kind"]
-    try:
-        if kind == "supernatural":
-            return SupernaturalSheaf(
-                tuple(_json_int(f, "root") for f in obj["roots"]),
-                parse_rational(obj["rank_scale"], "rank_scale")
-                if isinstance(obj["rank_scale"], str)
-                else Fraction(_json_int(obj["rank_scale"], "rank_scale")),
-                _json_int(obj["n"], "n"),
-            )
-        if kind == "twist":
-            return TwistSheaf(_json_int(obj["n"], "n"),
-                              _json_int(obj["a"], "a"))
-        if kind == "window":
-            values = {}
-            for raw in obj["entries"]:
-                key = (_json_int(raw["q"], "q"), _json_int(raw["j"], "j"))
-                if key in values:
-                    raise ParseError(f"duplicate window entry for {key}")
-                values[key] = parse_rational(raw["value"], where=f"entry {key}")
-            return WindowEvaluator(_json_int(obj["dim"], "dim"),
-                                   _json_int(obj["jmin"], "jmin"),
-                                   _json_int(obj["jmax"], "jmax"), values)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad evaluator JSON for kind {kind!r}: {exc}") from exc
+    """Evaluator from its decoded JSON description; rank_scale is a JSON
+    integer or a "p/q" string."""
+    kind = _read(obj, {"kind": None}, "evaluator")["kind"]
+    if kind == "supernatural":
+        roots, scale, n = _read(obj, {"roots": [int], "rank_scale": None,
+                                      "n": int}, "evaluator").values()
+        return SupernaturalSheaf(
+            roots, parse_rational(scale, "rank_scale") if type(scale) is str
+            else _read(scale, int, "evaluator.rank_scale"), n)
+    if kind == "twist":
+        return TwistSheaf(*_read(obj, {"n": int, "a": int}, "evaluator").values())
+    if kind == "window":
+        *head, entries = _read(obj, {
+            "dim": int, "jmin": int, "jmax": int,
+            "entries": [{"q": int, "j": int, "value": None}]},
+            "evaluator").values()
+        return WindowEvaluator(*head, _read_entries(entries, "window"))
     raise ParseError(f"unknown evaluator kind {kind!r}")

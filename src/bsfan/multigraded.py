@@ -18,11 +18,7 @@ from .cone_a import _partial_euler
 from .diagrams import CohomologyEvaluator, _bott
 from .errors import ParseError, ValidationError
 from .pairing import pair
-from .tables import BettiTable
-
-
-def _all_ints(values):
-    return all(type(v) is int for v in values)  # rejects JSON true
+from .tables import BettiTable, _read
 
 
 class GradedOrder(namedtuple("GradedOrder", "weights")):
@@ -56,6 +52,7 @@ class MultiBettiTable(BettiTable):
     __slots__ = ("m",)
     HEADER = ("m",)
     GRADE = "alpha"
+    GRADE_SHAPE = [int]
 
     def __init__(self, m, entries=None, *, require_nonnegative=False):
         self.m = int(m)
@@ -71,12 +68,6 @@ class MultiBettiTable(BettiTable):
     @staticmethod
     def negate(alpha):
         return tuple(-a for a in alpha)
-
-    @staticmethod
-    def grade_from_json(value):
-        if isinstance(value, list) and _all_ints(value):
-            return tuple(value)
-        return None
 
 
 def multi_chi(table, i, alpha, order):
@@ -166,15 +157,10 @@ class ProductSpace(namedtuple("ProductSpace", "factor_dims summands"),
 
     @classmethod
     def from_obj(cls, obj):
-        if not isinstance(obj, dict) or obj.get("kind") != "product":
+        kind, dims, summands = _read(obj, {
+            "kind": None, "dims": [int],
+            "summands": [{"twist": [int], "mult": (int, 1)}]},
+            "product space").values()
+        if kind != "product":
             raise ParseError(f'expected {{"kind": "product", ...}}: {obj!r}')
-        try:
-            dims = tuple(obj["dims"])
-            summands = tuple((tuple(s["twist"]), s.get("mult", 1))
-                             for s in obj["summands"])
-            flat = dims + tuple(x for t, mult in summands for x in t + (mult,))
-            if not _all_ints(flat):
-                raise TypeError("dims, twists and mults must be integers")
-            return cls(dims, summands)
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad product evaluator JSON: {exc}") from exc
+        return cls(dims, [(s["twist"], s["mult"]) for s in summands])

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
+from .tables import _read
 
 EMPTY = "empty"
 INF = "inf"
@@ -67,17 +68,6 @@ class DegreeSequence(namedtuple("DegreeSequence", "start degrees")):
     def __str__(self):
         return f"({','.join(map(str, self.degrees))})@{self.start}"
 
-    @classmethod
-    def from_obj(cls, obj):
-        """Read {"start", "degrees"}; start and every degree are JSON ints."""
-        try:
-            start, degrees = obj["start"], tuple(obj["degrees"])
-            if not all(type(x) is int for x in (start, *degrees)):
-                raise TypeError("start and degrees must be integers")
-            return cls(start, degrees)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad degree sequence JSON: {obj!r}") from exc
-
 
 # One term of a decomposition: a coefficient times the pure diagram of a
 # degree sequence, or times a block (an APiece) of the one-variable split.
@@ -109,7 +99,7 @@ class CodimensionSequence(namedtuple(
 
     def __new__(cls, n, left, window_start, window, right):
         if type(n) is not int or type(window_start) is not int:
-            # rejects JSON true; from_obj turns this into a ParseError
+            # rejects true from library callers (from_obj's reader, in JSON)
             raise TypeError(f"n and window_start must be integers, got "
                             f"{n!r} and {window_start!r}")
         left = _check_value(left, n, "left fill")
@@ -148,22 +138,10 @@ class CodimensionSequence(namedtuple(
 
     @classmethod
     def from_obj(cls, obj):
-        if not isinstance(obj, dict):
-            raise ParseError(f"bad codimension sequence description: {obj!r}")
-        try:
-            return cls(
-                obj["n"],
-                obj["left"],
-                obj.get("window_start", 0),
-                tuple(obj.get("window", ())),
-                obj["right"],
-            )
-        except KeyError as exc:
-            raise ParseError(f"codimension sequence JSON missing {exc}") from exc
-        except ValidationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad codimension sequence JSON: {obj!r}") from exc
+        return cls(*_read(obj, {
+            "n": int, "left": None, "window_start": (int, 0),
+            "window": ([None], ()), "right": None},
+            "codimension sequence").values())
 
 
 def is_compatible(d, c):

@@ -32,7 +32,8 @@ class BettiTable:
 
     Keys are (column i, grade) with integer degrees j as grades; the Z^m
     case MultiBettiTable overrides only the grade hooks, the HEADER (its
-    rank m, also a JSON key) and the JSON grade field GRADE.
+    rank m, also a JSON key), the JSON grade field GRADE and its shape
+    GRADE_SHAPE.
 
     Intermediate arithmetic (monad splitting subtracts tables) may produce
     signed "raw" tables, so negative entries are allowed by default; pass
@@ -42,6 +43,7 @@ class BettiTable:
     __slots__ = ("_entries",)
     HEADER = ()
     GRADE = "j"
+    GRADE_SHAPE = int
 
     def __init__(self, entries=None, *, require_nonnegative=False):
         cleaned = {}
@@ -61,11 +63,6 @@ class BettiTable:
     @staticmethod
     def negate(j):
         return -j
-
-    @staticmethod
-    def grade_from_json(value):
-        """The grade of a JSON entry, or None if it is malformed."""
-        return value if type(value) is int else None  # rejects JSON true
 
     def _head(self):
         return tuple(getattr(self, key) for key in self.HEADER)
@@ -237,30 +234,67 @@ def shift(table, k):
     return BettiTable({(i + k, j): v for (i, j), v in table.items()})
 
 
+def _read(value, shape, where):
+    """Decoded JSON checked against shape: int (a JSON integer, not true),
+    None (any value), [s] (a list of s, read as a tuple) or {key: s} (an
+    object, read as a dict in shape order; a key of shape (s, default) may
+    be absent).  A mismatch is one ParseError that names the field."""
+    if shape is int:
+        if type(value) is int:
+            return value
+        kind = "a JSON integer"
+    elif shape is None:
+        return value
+    elif type(shape) is list:
+        if type(value) is list:
+            item = shape[0]
+            if item is int:  # no call per integer: one grade per table entry
+                for v in value:
+                    if type(v) is not int:
+                        break
+                else:
+                    return tuple(value)
+            return tuple([_read(v, item, f"{where}[{k}]")
+                          for k, v in enumerate(value)])
+        kind = "a JSON list"
+    elif type(value) is dict:
+        read = {}
+        for key, field in shape.items():
+            if key in value:
+                v = value[key]
+                if type(field) is tuple:
+                    field = field[0]
+                read[key] = (v if field is None or field is int and type(v) is int
+                             else _read(v, field, f"{where}.{key}"))
+            elif type(field) is tuple:
+                read[key] = field[1]
+            else:
+                raise ParseError(f"{where} has no {key!r} field")
+        return read
+    else:
+        kind = "a JSON object"
+    raise ParseError(f"{where} must be {kind}, got {value!r}")
+
+
+def _read_entries(entries, where):
+    """{(a, b): Fraction} from read entries {a, b, value}, keys unique."""
+    data = {}
+    for entry in entries:
+        a, b, text = entry.values()
+        key = (a, b)
+        if key in data:
+            raise ParseError(f"{where}: duplicate entry for {key}")
+        data[key] = parse_rational(text, f"entry {key}")
+    return data
+
+
 def table_from_obj(obj, cls=BettiTable):
     """Validated table of class cls from decoded JSON: integer HEADER
     fields and an "entries" list of {i, <cls.GRADE>, value} objects."""
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise ParseError('table JSON must be an object with an "entries" list')
-    for key in cls.HEADER:
-        if type(obj.get(key)) is not int:  # rejects a missing key and true
-            raise ParseError(f"{key} must be an integer, got {obj.get(key)!r}")
-    entries = obj["entries"]
-    if not isinstance(entries, list):
-        raise ParseError('"entries" must be a list')
-    field = cls.GRADE
-    data = {}
-    for raw in entries:
-        if not isinstance(raw, dict) or not {"i", field, "value"} <= set(raw):
-            raise ParseError(f"entry must have i, {field} and value fields: {raw!r}")
-        i, grade = raw["i"], cls.grade_from_json(raw[field])
-        if type(i) is not int or grade is None:  # rejects JSON true
-            raise ParseError(
-                f"entry ({i!r}, {raw[field]!r}): indices must be integers")
-        if (i, grade) in data:
-            raise ParseError(f"duplicate entry for ({i}, {grade})")
-        data[(i, grade)] = parse_rational(raw["value"], where=f"entry ({i}, {grade})")
-    return cls(*(obj[key] for key in cls.HEADER), data, require_nonnegative=True)
+    shape = dict.fromkeys(cls.HEADER, int)
+    shape["entries"] = [{"i": int, cls.GRADE: cls.GRADE_SHAPE, "value": None}]
+    *head, entries = _read(obj, shape, "table").values()
+    return cls(*head, _read_entries(entries, "table"), require_nonnegative=True)
 
 
 def table_to_obj(table):

@@ -278,6 +278,19 @@ class TestExitCodes:
          "--space", '{"kind":"product","dims":[1],"summands":[{"twist":[0]}]}',
          "--qmax", "-1"],
         ["chi", "--table", "[" * 50000 + "]" * 50000, "--i", "0", "--j", "0"],
+        ["check-a", "--table", '{"entries":[]}', "--codim",
+         '{"n":0,"left":1,"window_start":0,"window":{},"right":1}'],
+        ["check-a", "--table", '{"entries":[]}', "--codim",
+         '{"n":0,"left":1,"window_start":0,"window":"","right":1}'],
+        ["pair", "--table", '{"entries":[{"i":0,"j":0,"value":"1"}]}',
+         "--sheaf", '{"kind":"supernatural","roots":"","rank_scale":"2",'
+                    '"n":2}'],
+        ["pair", "--table", '{"entries":[{"i":0,"j":0,"value":"1"}]}',
+         "--sheaf", '{"kind":"window","dim":1,"jmin":-2,"jmax":2,'
+                    '"entries":{}}'],
+        ["multi-pair", "--table",
+         '{"m":1,"entries":[{"i":0,"alpha":[0],"value":"1"}]}',
+         "--space", '{"kind":"product","dims":[1],"summands":""}'],
     ], ids=["codim-window-not-a-list", "boolean-index", "window-q-past-dim",
             "window-dim-true", "window-q-true", "twist-n-true",
             "twist-ambient-vs-n",
@@ -286,7 +299,9 @@ class TestExitCodes:
             "product-dim-true", "multi-entries-not-a-list",
             "multi-alpha-rank-vs-m", "multi-alpha-rank-vs-weights",
             "multi-table-rank-vs-space", "multi-qmax-negative",
-            "json-nested-too-deep"])
+            "json-nested-too-deep", "codim-window-an-object",
+            "codim-window-a-string", "supernatural-roots-a-string",
+            "window-entries-an-object", "product-summands-a-string"])
     def test_malformed_input_exits_two_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""

@@ -1,14 +1,18 @@
-"""Seeded fuzz of the evaluator JSON that the command line reads.
+"""Seeded fuzz of every JSON input that the command line reads.
 
-Each case takes a valid evaluator, changes one field (an object where
-another type belongs, JSON true, a float, a string, a missing key, an
-unknown kind, an empty or nested list, one element too many, or 10**30 in
-an integer field) and runs the subcommands that read it, in process:
-pair --sheaf, pair-check --sheaves and multi-pair --space.  Every
-(field, change) pair is tried; the seed picks the replacement values.
-Whatever the input, the exit code is 0, 1 or 2; 0 and 1 write one JSON
-line to stdout and nothing to stderr, and 2 writes exactly one stderr
-line and no traceback.
+Each case takes a valid evaluator, table, multigraded table or
+codimension sequence, changes one field (an object where another type
+belongs, JSON true, a float, a string, a missing key, an unknown kind, an
+empty or nested list, one element too many, or 10**30 in an integer field)
+and runs the subcommands that read it, in process: pair --sheaf,
+pair-check --sheaves and multi-pair --space for evaluators, chi and
+decompose for tables, multi-chi and multi-pair for multigraded tables,
+check-a and decompose for codimension sequences.  Every (field, change)
+pair is tried; the seed picks the replacement values.  Whatever the input,
+the exit code is 0, 1 or 2; 0 and 1 write one JSON line to stdout and
+nothing to stderr, and 2 writes exactly one stderr line and no traceback.
+A field whose valid value is a list or an object, given another JSON type,
+always exits 2.
 """
 
 import copy
@@ -27,6 +31,10 @@ MULTI_TABLE = json.dumps({"m": 2, "entries": [
     {"i": 1, "alpha": [1, 0], "value": "2"},
     {"i": 1, "alpha": [0, 1], "value": "2"},
     {"i": 2, "alpha": [1, 1], "value": "1"}]})
+CODIM = json.dumps({"n": 0, "left": "empty", "window_start": 0,
+                    "window": [0, 1], "right": 1})
+SPACE = json.dumps({"kind": "product", "dims": [1, 1],
+                    "summands": [{"twist": [1, -1]}]})
 
 VALID = {
     "supernatural": {"kind": "supernatural", "roots": [1, -3],
@@ -38,6 +46,9 @@ VALID = {
     "product": {"kind": "product", "dims": [1, 2],
                 "summands": [{"twist": [1, -1], "mult": 2},
                              {"twist": [0, 0]}]},
+    "table": json.loads(TABLE),
+    "multi-table": json.loads(MULTI_TABLE),
+    "codim": json.loads(CODIM),
 }
 
 
@@ -75,30 +86,45 @@ def paths(value, prefix=()):
 
 
 def mutants(seed):
-    """(name, evaluator kind, mutated evaluator) for every field and change."""
+    """(name, input kind, mutated input, whether a list or an object was
+    given another JSON type) for every field and change."""
     r = random.Random(seed)
     for kind, valid in VALID.items():
-        yield (f"{kind}:kind:unknown-kind", kind,
-               dict(valid, kind="no-such-kind"))
+        if "kind" in valid:
+            yield (f"{kind}:kind:unknown-kind", kind,
+                   dict(valid, kind="no-such-kind"), False)
         for path in paths(valid):
             for name, change in CHANGES.items():
-                holder = {"evaluator": copy.deepcopy(valid)}
-                parent, key = holder, "evaluator"
+                holder = {"value": copy.deepcopy(valid)}
+                parent, key = holder, "value"
                 for step in path:
                     parent, key = parent[key], step
-                new = change(parent[key], r)
+                old = parent[key]
+                new = change(old, r)
                 if new is None or (new is MISSING and not path):
                     continue
                 if new is MISSING:
                     del parent[key]
                 else:
                     parent[key] = new
-                where = ".".join(map(str, path)) or "evaluator"
-                yield f"{kind}:{where}:{name}", kind, holder["evaluator"]
+                retyped = (isinstance(old, (list, dict)) and new is not MISSING
+                           and type(new) is not type(old))
+                where = ".".join(map(str, path)) or "value"
+                yield f"{kind}:{where}:{name}", kind, holder["value"], retyped
 
 
-def argvs(kind, evaluator):
-    text = json.dumps(evaluator)
+def argvs(kind, value):
+    text = json.dumps(value)
+    if kind == "table":
+        return [["chi", "--table", text, "--i", "0", "--j", "1"],
+                ["decompose", "--table", text, "--codim", CODIM, "--n", "0"]]
+    if kind == "multi-table":
+        return [["multi-chi", "--table", text, "--i", "0", "--alpha", "1,0",
+                 "--weights", "1,2"],
+                ["multi-pair", "--table", text, "--space", SPACE]]
+    if kind == "codim":
+        return [["check-a", "--table", TABLE, "--codim", text],
+                ["decompose", "--table", TABLE, "--codim", text, "--n", "0"]]
     if kind == "product":
         return [["multi-pair", "--table", MULTI_TABLE, "--space", text]]
     return [["pair", "--table", TABLE, "--sheaf", text],
@@ -106,7 +132,7 @@ def argvs(kind, evaluator):
              "--n", "2"]]
 
 
-def test_valid_evaluators_pair(capsys):
+def test_valid_inputs_run(capsys):
     for kind, valid in VALID.items():
         for argv in argvs(kind, valid):
             assert main(argv) in (0, 1), argv
@@ -116,12 +142,13 @@ def test_valid_evaluators_pair(capsys):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_every_one_field_change_keeps_the_contract(capsys, seed):
     codes = {}
-    for name, kind, evaluator in mutants(seed):
-        for argv in argvs(kind, evaluator):
+    for name, kind, value, retyped in mutants(seed):
+        for argv in argvs(kind, value):
             code = main(argv)
             out, err = capsys.readouterr()
             codes[code] = codes.get(code, 0) + 1
             assert code in (0, 1, 2), (name, argv[0], code)
+            assert code == 2 or not retyped, (name, argv[0], code)
             if code == 2:
                 assert out == "" and err.startswith("error: "), name
                 assert err.count("\n") == 1, (name, err)

@@ -6,7 +6,7 @@ import pytest
 
 from bsfan import (BettiTable, ParseError, ValidationError, dual,
                    linear_combine, pretty_render, shift)
-from bsfan.tables import WorkingTable
+from bsfan.tables import WorkingTable, _read, _read_entries
 from helpers import (F, INTRO_TABLE, MONAD_TABLE, T, parse_table,
                      random_table, rng, serialize_table)
 
@@ -58,6 +58,65 @@ class TestParse:
 
     def test_zero_values_pruned(self):
         assert parse_table('{"entries":[{"i":0,"j":0,"value":"0"}]}') == BettiTable()
+
+
+class TestRead:
+    DEGREES = {"start": int, "degrees": [int]}  # a degree sequence's shape
+
+    def test_absent_optional_keys_take_their_defaults(self):
+        shape = {"n": int, "window_start": (int, 0), "window": ([None], ())}
+        assert _read({"n": 2}, shape, "c") == {
+            "n": 2, "window_start": 0, "window": ()}
+        assert _read({"window": ["inf"], "n": 1, "extra": []}, shape, "c") \
+            == {"n": 1, "window_start": 0, "window": ("inf",)}
+        # a present optional key is checked like any other
+        with pytest.raises(ParseError, match=r"c\.window_start "):
+            _read({"n": 2, "window_start": True}, shape, "c")
+
+    def test_lists_read_as_tuples(self):
+        shape = [{"twist": [int], "mult": (int, 1)}]
+        assert _read([{"twist": [1, -1]}, {"twist": [], "mult": 3}], shape,
+                     "s") == ({"twist": (1, -1), "mult": 1},
+                              {"twist": (), "mult": 3})
+        assert _read([[0], "x", None], [None], "s") == ([0], "x", None)
+
+    def test_message_names_the_field(self):
+        shape = {"entries": [{"i": int, "alpha": [int], "value": None}]}
+        for obj, where in [
+                ({"entries": [{"i": 0, "alpha": [0], "value": "1"},
+                              {"i": 0, "alpha": [0, True], "value": "1"}]},
+                 r"^table\.entries\[1\]\.alpha\[1\] must be a JSON integer"),
+                ({"entries": {}}, r"^table\.entries must be a JSON list"),
+                ({"entries": [[]]},
+                 r"^table\.entries\[0\] must be a JSON object"),
+                ({"entries": [{"i": 0, "value": "1"}]},
+                 r"^table\.entries\[0\] has no 'alpha' field"),
+                ("", r"^table must be a JSON object")]:
+            with pytest.raises(ParseError, match=where):
+                _read(obj, shape, "table")
+
+    def test_degree_sequence_fields_are_json_integers(self):
+        assert _read({"start": -1, "degrees": [0, 2, 5]}, self.DEGREES,
+                     "d") == {"start": -1, "degrees": (0, 2, 5)}
+        for obj in ({"start": True, "degrees": [0, 2, 5]},
+                    {"start": 0, "degrees": [0, 2.7, 5]},
+                    {"start": 1.0, "degrees": [0]},
+                    {"start": "1", "degrees": [0]},
+                    {"start": 0, "degrees": [0, "2"]},
+                    {"start": 0, "degrees": [False, 1]},
+                    {"start": 0, "degrees": 3},
+                    [0, [1, 2]]):
+            with pytest.raises(ParseError):
+                _read(obj, self.DEGREES, "d")
+
+    def test_entries_become_unique_fraction_keys(self):
+        entries = ({"q": 0, "j": 1, "value": "2/4"},
+                   {"q": 1, "j": 1, "value": "-3"})
+        assert _read_entries(entries, "w") == {(0, 1): F(1, 2), (1, 1): -3}
+        with pytest.raises(ParseError, match=r"\(0, 1\)"):
+            _read_entries(entries + ({"q": 0, "j": 1, "value": "1"},), "w")
+        with pytest.raises(ParseError, match=r"entry \(0, 1\)"):
+            _read_entries(({"q": 0, "j": 1, "value": 1},), "w")
 
 
 def test_round_trip_random():
