@@ -31,6 +31,16 @@ def _layer(name):
     return getattr(__import__(f"{__package__}.{name}"), name)
 
 
+def _unique_keys(pairs):
+    """A decoded JSON object as a dict; a key given twice is an error."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ParseError(f"repeated key {key!r} in a JSON object")
+    return obj
+
+
 def _load_obj(arg):
     text = arg.strip()
     inline = text.startswith("{") or text.startswith("[")
@@ -41,7 +51,7 @@ def _load_obj(arg):
         except OSError as exc:
             raise ParseError(f"cannot read {arg}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
         where = "inline JSON" if inline else f"JSON in {arg}"
         raise ParseError(f"malformed {where}: {exc}") from exc

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import NotInCone, ValidationError
 from .sequences import EMPTY, Piece
-from .tables import ZERO, BettiTable, WorkingTable
+from .tables import ZERO, WorkingTable
 
 
 def _partial_euler(table, i, anchor, key):
@@ -81,14 +81,6 @@ class APiece(namedtuple("APiece", "kind position gen_degree socle_degree")):
                 f"got {socle_degree}"
             )
         return super().__new__(cls, kind, position, gen_degree, socle_degree)
-
-    def table(self):
-        if self.kind == "free":
-            return BettiTable({(self.position, self.gen_degree): 1})
-        return BettiTable({
-            (self.position, self.gen_degree): 1,
-            (self.position + 1, self.socle_degree): 1,
-        })
 
 
 class Violation(namedtuple("Violation", "kind i j value",
@@ -199,7 +191,7 @@ def decompose_a(table, c):
                             pieces, blocking_entry=(s, t))
         if c.value(s) == 0:
             piece = APiece("free", s, t)
-            coeff = work[(s, t)]
+            keys, values = ((s, t),), (1,)
         else:
             r = work.lowest(s - 1)
             if r is None or r >= t:
@@ -207,7 +199,8 @@ def decompose_a(table, c):
                     f"no generator below degree {t} to pair with ({s}, {t})",
                     pieces, blocking_entry=(s, t))
             piece = APiece("torsion", s - 1, r, t)
-            coeff = min(work[(s - 1, r)], work[(s, t)])
+            keys, values = ((s - 1, r), (s, t)), (1, 1)
+        coeff = work.largest_multiple(keys, values)
         pieces.append(Piece(coeff, piece))
-        work.subtract(coeff, piece.table())
+        work.subtract(coeff, keys, values)
     raise AssertionError("decomposition exceeded its step budget")

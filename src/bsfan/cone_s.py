@@ -9,12 +9,15 @@ multiple of the corresponding pure diagram that keeps every entry
 nonnegative.  The diagram's keys are positive entries and the multiple is
 the smallest ratio over them, so each step clears an entry, drives none
 negative, and touches only those at most n + 2 keys of one WorkingTable:
-an N-entry table costs O(N * n) table updates.  The step computes on
-integers: the diagram's entries are lcm(p) / p_i for the integer products
-p_i, the multiple is found by cross-multiplying numerators and
-denominators, and each updated entry is built as one normalised Fraction.
-When a strand admits no compatible trim, the input is outside the cone and
-the stuck strand is the certificate.
+an N-entry table costs O(N * n) table updates.  A step computes on Python
+integers from start to finish: the trim search reads at most n + 3 ranks
+of the constraint, the diagram is the list of integers lcm(p) // p_i for
+the products p_i, the multiple is found by cross-multiplying, and each
+touched entry stays a (numerator, denominator) pair reduced by one gcd.  A
+step builds one Fraction, the multiple, and one DegreeSequence, the piece;
+no table, no diagram and no candidate trim.  When a strand admits no
+compatible trim, the input is outside the cone and the stuck strand is the
+certificate.
 
 Monad splitting runs the decomposition once on the table (free constraint
 in nonpositive positions, full codimension above) and once on its dual, and
@@ -28,10 +31,9 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import takewhile
 
-from .diagrams import pure_diagram
+from .diagrams import _pure_values, pure_diagram
 from .errors import MonadViolation, NotInCone, ValidationError
-from .sequences import (CodimensionSequence, DegreeSequence, Piece,
-                        is_compatible)
+from .sequences import CodimensionSequence, DegreeSequence, Piece, _trim_start
 from .tables import BettiTable, WorkingTable, dual, linear_combine
 
 
@@ -51,20 +53,6 @@ class Decomposition(namedtuple("Decomposition", "pieces remainder")):
     def __new__(cls, pieces, remainder=None):
         return super().__new__(
             cls, pieces, BettiTable() if remainder is None else remainder)
-
-
-def _trim_compatible(strand, c):
-    """Minimal compatible subrun: trim from the left as far as possible.
-
-    More -inf entries make a smaller degree sequence, and the feasible trim
-    amounts form an interval, so the largest compatible start position is
-    the minimal compatible piece.  None when no trim is compatible.
-    """
-    for k in range(strand.end, strand.start - 1, -1):
-        candidate = strand.trimmed(k)
-        if is_compatible(candidate, c):
-            return candidate
-    return None
 
 
 def decompose_s(table, c, n):
@@ -87,16 +75,20 @@ def decompose_s(table, c, n):
         if not work:
             return Decomposition(pieces)
         # degrees strictly increase by construction: no re-validation
-        strand = DegreeSequence._make(work.top_strand())
-        d = _trim_compatible(strand, c)
-        if d is None:
+        start, degrees = work.top_strand()
+        end = start + len(degrees) - 1
+        k = _trim_start(c, start, end)
+        if k is None:
+            strand = DegreeSequence._make((start, degrees))
             raise NotInCone(
                 f"strand {strand} admits no compatible trim", pieces,
                 blocking_strand=strand)
-        diagram = pure_diagram(d)
-        coeff = work.largest_multiple(diagram)
-        pieces.append(Piece(coeff, d))
-        work.subtract(coeff, diagram)
+        degrees = degrees[k - start:]
+        keys = tuple(zip(range(k, end + 1), degrees))
+        values = _pure_values(degrees)
+        coeff = work.largest_multiple(keys, values)
+        pieces.append(Piece(coeff, DegreeSequence._make((k, degrees))))
+        work.subtract(coeff, keys, values)
     raise AssertionError("decomposition exceeded its step budget")
 
 

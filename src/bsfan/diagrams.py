@@ -19,26 +19,31 @@ from .errors import EvaluatorRangeError, ParseError, ValidationError
 from .tables import BettiTable, _read, _read_entries, parse_rational
 
 
-def pure_diagram(d):
-    """Smallest positive integer table supported at (position, degree) of d.
+def _pure_values(degrees):
+    """The entries of the pure diagram on the strictly increasing degrees,
+    as a list of ints.
 
     Entry i is proportional to 1/p_i, p_i = prod_{k != i} |d_k - d_i|, so
     with L = lcm(p) it is the integer L // p_i.  These quotients already
-    have gcd 1 (their gcd is L / lcm(p)), so no division follows.
+    have gcd 1 (their gcd is L / lcm(p)), so no division follows.  Each
+    gap d_k - d_i, k > i, is positive and enters both p_i and p_k.
     """
-    degs = d.degrees
-    prods = []
-    for i, di in enumerate(degs):
-        prod = 1
-        for k, dk in enumerate(degs):
-            if k != i:
-                prod *= abs(dk - di)
-        prods.append(prod)
+    prods = [1] * len(degrees)
+    for i, di in enumerate(degrees):
+        for k in range(i + 1, len(degrees)):
+            gap = degrees[k] - di
+            prods[i] *= gap
+            prods[k] *= gap
     scale = math.lcm(*prods)
-    return BettiTable({
-        (pos, deg): Fraction(scale // prod)
-        for pos, deg, prod in zip(d.positions(), degs, prods)
-    })
+    return [scale // prod for prod in prods]
+
+
+def pure_diagram(d):
+    """Smallest positive integer table supported at (position, degree) of
+    d: the values of _pure_values."""
+    return BettiTable._trusted({
+        key: Fraction(value) for key, value in
+        zip(zip(d.positions(), d.degrees), _pure_values(d.degrees))})
 
 
 class CohomologyEvaluator:

@@ -54,9 +54,9 @@ class MultiBettiTable(BettiTable):
     GRADE = "alpha"
     GRADE_SHAPE = [int]
 
-    def __init__(self, m, entries=None, *, require_nonnegative=False):
+    def __init__(self, m, entries=None):
         self.m = int(m)
-        super().__init__(entries, require_nonnegative=require_nonnegative)
+        super().__init__(entries)
 
     def normalize_grade(self, alpha):
         alpha = tuple(int(a) for a in alpha)

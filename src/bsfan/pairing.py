@@ -41,7 +41,8 @@ def pair(table, evaluator):
         for q, gamma in columns[grade]:
             key = (p - q, grade)
             acc[key] = acc.get(key, ZERO) + value * gamma
-    return table.like(acc)
+    return table._trusted({key: v for key, v in acc.items() if v},
+                          *table._head())
 
 
 def pure_pair_support(d, roots, i, j):

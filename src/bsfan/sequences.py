@@ -144,16 +144,36 @@ class CodimensionSequence(namedtuple(
             "codimension sequence").values())
 
 
-def is_compatible(d, c):
-    """Whether the degree sequence can index a piece under the constraint c.
+def _fits(codim, here, above, n):
+    """The compatibility rule on integers: a run of codimension codim whose
+    first position has rank here, and the next position rank above, can
+    index a piece under a constraint over n when here <= codim <= above,
+    codim <= n + 1 (a pure resolution can realize it) and no position of
+    the run is empty.  A constraint never decreases, so no position is
+    empty exactly when the first is not: here >= 0."""
+    return 0 <= here <= codim <= above and codim <= n + 1
 
-    Requires c_k <= codim <= c_{k+1} at the left end of the run, a codimension
-    that a pure resolution can realize (codim <= n+1), and no empty-column
-    constraint inside the run's support.
-    """
-    ell = d.codim
-    if ell > c.n + 1:
-        return False
-    if not c.rank(d.start) <= ell <= c.rank(d.start + 1):
-        return False
-    return all(c.value(i) != EMPTY for i in d.positions())
+
+def is_compatible(d, c):
+    """Whether the degree sequence can index a piece under the constraint c:
+    the rule of _fits at the first position of its run."""
+    return _fits(d.codim, c.rank(d.start), c.rank(d.start + 1), c.n)
+
+
+def _trim_start(c, start, end):
+    """Start of the minimal compatible trim of a strand on the positions
+    start..end: the largest k whose run k..end is compatible with c (more
+    -inf entries make a smaller degree sequence), or None.  Walks k
+    leftward from end while end - k <= n + 1, one rank lookup per
+    position, and stops at the first empty position, which every longer
+    run contains."""
+    n = c.n
+    above = c.rank(end + 1)
+    for k in range(end, max(start, end - n - 1) - 1, -1):
+        here = c.rank(k)
+        if here < 0:
+            return None
+        if _fits(end - k, here, above, n):
+            return k
+        above = here
+    return None

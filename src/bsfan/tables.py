@@ -11,20 +11,24 @@ the origin cell may be decorated with a degree-zero marker "°".
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 ZERO = Fraction(0)  # the shared value of every absent entry
 
 
 def parse_rational(text, where="value"):
-    """Parse "p" or "p/q" (q positive) into a Fraction; reject anything else."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    """Parse "p" or "p/q" (q positive) into a Fraction; reject anything else.
+    The Fraction is built from the matched integers: one parse per string."""
+    match = isinstance(text, str) and _RATIONAL_RE.match(text.strip())
+    if not match:
         raise ParseError(f"{where}: not a rational of the form p or p/q: {text!r}")
-    return Fraction(text.strip())
+    num, den = match.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 class BettiTable:
@@ -36,8 +40,8 @@ class BettiTable:
     GRADE_SHAPE.
 
     Intermediate arithmetic (monad splitting subtracts tables) may produce
-    signed "raw" tables, so negative entries are allowed by default; pass
-    require_nonnegative=True for validated input tables.
+    signed "raw" tables, so negative entries are allowed; table_from_obj
+    rejects them in input tables.
     """
 
     __slots__ = ("_entries",)
@@ -45,17 +49,24 @@ class BettiTable:
     GRADE = "j"
     GRADE_SHAPE = int
 
-    def __init__(self, entries=None, *, require_nonnegative=False):
+    def __init__(self, entries=None):
         cleaned = {}
         for (i, grade), value in (entries or {}).items():
             q = value if isinstance(value, Fraction) else Fraction(value)
-            if not q:
-                continue
-            key = (int(i), self.normalize_grade(grade))
-            if require_nonnegative and q < 0:
-                raise ValidationError(f"negative entry {q} at {key}")
-            cleaned[key] = q
+            if q:
+                cleaned[(int(i), self.normalize_grade(grade))] = q
         self._entries = cleaned
+
+    @classmethod
+    def _trusted(cls, entries, *head):
+        """Table of this class with the HEADER fields head over entries
+        that are already checked: integer columns, normalised grades and
+        nonzero Fractions.  The dict is kept, not copied or checked."""
+        table = cls.__new__(cls)
+        for key, value in zip(cls.HEADER, head):
+            setattr(table, key, value)
+        table._entries = entries
+        return table
 
     def normalize_grade(self, j):
         return int(j)
@@ -109,8 +120,9 @@ class BettiTable:
 
     def restrict_columns(self, hi):
         """Table with only the columns up to hi kept."""
-        return self.like({
-            (i, g): v for (i, g), v in self._entries.items() if i <= hi})
+        return self._trusted({
+            (i, g): v for (i, g), v in self._entries.items() if i <= hi},
+            *self._head())
 
     def is_nonnegative(self):
         return all(v > 0 for v in self._entries.values())
@@ -122,25 +134,25 @@ class BettiTable:
 class WorkingTable:
     """Mutable copy of a table for the greedy decompositions.
 
-    Keeps each column's degrees in descending order, so a column's lowest
-    degree is its last.  largest_multiple() and subtract() read and touch
-    only the keys of the given table and do their arithmetic on numerators
-    and denominators, building one normalised Fraction per result.
+    Holds each entry as a normalised (numerator, denominator) pair of ints
+    and keeps each column's degrees in descending order, so a column's
+    lowest degree is its last.  A piece is given as its keys and positive
+    integer values; largest_multiple() and subtract() read and touch only
+    those keys and compute on integers, building no Fraction but the
+    multiple.
     """
 
     __slots__ = ("_entries", "_degrees")
 
     def __init__(self, table):
-        self._entries = dict(table._entries)
+        self._entries = {key: (v.numerator, v.denominator)
+                         for key, v in table._entries.items()}
         self._degrees = {}
         for i, j in sorted(self._entries, reverse=True):
             self._degrees.setdefault(i, []).append(j)
 
     def __bool__(self):
         return bool(self._entries)
-
-    def __getitem__(self, key):
-        return self._entries.get(key, ZERO)
 
     def last_column(self):
         """Rightmost column that still carries an entry."""
@@ -155,83 +167,89 @@ class WorkingTable:
         """(start, degrees) of the top strand: the lowest degree of the
         rightmost column, extended leftward while the next column's lowest
         degree is strictly smaller."""
-        i = self.last_column()
-        degrees = [self.lowest(i)]
-        while (low := self.lowest(i - 1)) is not None and low < degrees[-1]:
-            degrees.append(low)
+        columns = self._degrees
+        i = max(columns)
+        degrees = [columns[i][-1]]
+        while (column := columns.get(i - 1)) and column[-1] < degrees[-1]:
+            degrees.append(column[-1])
             i -= 1
         return i, tuple(reversed(degrees))
 
-    def largest_multiple(self, table):
-        """Largest c with c * table <= self on every key of table: the
-        minimum over those keys of self[key] / table[key].
+    def largest_multiple(self, keys, values):
+        """Largest c with c * values <= self on keys: the minimum over the
+        keys of self[key] / value, as a Fraction.
 
-        The table's values must be positive (pure diagrams and one-variable
-        blocks are) and it must have an entry.  Candidates are compared by
-        cross-multiplying numerators and denominators; only the minimum
-        becomes a Fraction.
+        The keys must be present and at least one; the values must be
+        positive integers (pure diagrams and one-variable blocks are).  An
+        entry a/b gives the candidate a / (b * value), and candidates are
+        compared by cross-multiplying.
         """
         entries = self._entries
         num = den = None
-        for key, value in table._entries.items():
-            work = entries.get(key, ZERO)
-            n = work.numerator * value.denominator
-            d = work.denominator * value.numerator
-            if num is None or n * den < num * d:
-                num, den = n, d
+        for key, value in zip(keys, values):
+            a, b = entries[key]
+            b *= value
+            if num is None or a * den < num * b:
+                num, den = a, b
         return Fraction(num, den)
 
-    def subtract(self, coeff, table):
-        """Subtract coeff * table over the keys of table, which must be
-        present, dropping the entries that reach zero.
+    def subtract(self, coeff, keys, values):
+        """Subtract coeff * values over keys, dropping the entries that
+        reach zero.  Each key must be the lowest of its column, as every
+        greedy step's keys are, and must not go negative.
 
-        Each entry a/b becomes (a*q*vd - p*vn*b) / (b*q*vd) for coeff p/q
-        and value vn/vd, normalised once.
+        Each entry a/b becomes (a*q - p*value*b) / (b*q) for coeff p/q,
+        reduced by its gcd.
         """
-        entries = self._entries
+        entries, degrees = self._entries, self._degrees
         p, q = coeff.numerator, coeff.denominator
-        for key, value in table._entries.items():
-            work = entries[key]
-            a, b = work.numerator, work.denominator
-            vn, vd = value.numerator, value.denominator
-            top = a * q * vd - p * vn * b
+        for key, value in zip(keys, values):
+            a, b = entries[key]
+            top = a * q - p * value * b
             if top:
-                entries[key] = Fraction(top, b * q * vd)
+                b *= q
+                g = math.gcd(top, b)
+                entries[key] = (top // g, b // g)
                 continue
             del entries[key]
-            i, j = key
-            degrees = self._degrees[i]
-            if degrees[-1] == j:
-                degrees.pop()
-            else:
-                degrees.remove(j)
-            if not degrees:
-                del self._degrees[i]
+            column = degrees[key[0]]
+            column.pop()
+            if not column:
+                del degrees[key[0]]
 
 
 def linear_combine(terms):
     """Entrywise sum of coeff * table over (coeff, table) pairs; zeros pruned.
 
     The result may be signed; callers that need a valid table revalidate.
+    It is graded like the tables, which share one grading; an empty sum is
+    a BettiTable.
     """
     acc = {}
+    table = BettiTable()
     for coeff, table in terms:
         c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
         if c == 0:
             continue
-        for key, value in table.items():
+        for key, value in table._entries.items():
             acc[key] = acc.get(key, ZERO) + c * value
-    return BettiTable(acc)
+    return table._trusted({key: v for key, v in acc.items() if v},
+                          *table._head())
 
 
 def dual(table):
     """Move the entry at (i, j) to (-i, -j)."""
-    return BettiTable({(-i, -j): v for (i, j), v in table.items()})
+    negate = table.negate
+    return table._trusted(
+        {(-i, negate(j)): v for (i, j), v in table._entries.items()},
+        *table._head())
 
 
 def shift(table, k):
     """Move the entry at (i, j) to (i + k, j); degrees are unchanged."""
-    return BettiTable({(i + k, j): v for (i, j), v in table.items()})
+    return table._trusted(
+        {(i + k, j): v for (i, j), v in table._entries.items()},
+        *table._head())
 
 
 def _read(value, shape, where):
@@ -294,7 +312,15 @@ def table_from_obj(obj, cls=BettiTable):
     shape = dict.fromkeys(cls.HEADER, int)
     shape["entries"] = [{"i": int, cls.GRADE: cls.GRADE_SHAPE, "value": None}]
     *head, entries = _read(obj, shape, "table").values()
-    return cls(*head, _read_entries(entries, "table"), require_nonnegative=True)
+    table = cls._trusted({}, *head)
+    checked = table._entries
+    for (i, grade), q in _read_entries(entries, "table").items():
+        if q:
+            key = (i, table.normalize_grade(grade))
+            if q < 0:
+                raise ValidationError(f"negative entry {q} at {key}")
+            checked[key] = q
+    return table
 
 
 def table_to_obj(table):

@@ -9,6 +9,9 @@ infinite resolution over a union of two planes.
 reference_decompose_s and reference_decompose_a are the plain greedy
 decompositions that rebuild and rescan the whole table after every step;
 the library's incremental versions must agree with them exactly.
+_reference_trim tries every trim of a strand, longest last, against
+_reference_compatible, which checks every position of the run; the
+library's trim search walks integer ranks and must pick the same trim.
 reference_membership_a calls chi afresh at every cell of the chi window;
 the library's one-sweep membership_a must give the same verdict.
 reference_kunneth_gamma walks every split of q over the factors of a
@@ -19,8 +22,9 @@ reference_pair asks reference_gamma, the closed form of each evaluator
 kind, at every q = 0..dimension of every entry; the library's pair, which
 reads one evaluator column per distinct grade, must give the same table.
 
-total rebuilds the table a Decomposition stands for, and
-apiece_degree_sequence reads a one-variable block as a degree sequence;
+total rebuilds the table a Decomposition stands for, apiece_table is
+the table of a one-variable block, and apiece_degree_sequence reads a
+block as a degree sequence;
 compare_degree_sequences is the termwise partial order on degree
 sequences that the greedy chains must follow; FormalEvaluator is a signed
 combination of evaluators for the bilinearity and range tests, its column
@@ -42,7 +46,7 @@ from bsfan import (EMPTY, APiece, AVerdict, BettiTable, CohomologyEvaluator,
                    Decomposition, DegreeSequence, EvaluatorRangeError,
                    NotInCone, ProductSpace, SupernaturalSheaf, TwistSheaf,
                    ValidationError, Violation, WindowEvaluator, chi,
-                   chi_window, euler, is_compatible, linear_combine,
+                   chi_window, euler, linear_combine,
                    pure_diagram, table_from_obj, table_to_obj)
 from bsfan.cli import _load_obj
 from bsfan.multigraded import _Capped
@@ -141,6 +145,15 @@ def total(dec):
                           + [(1, dec.remainder)])
 
 
+def apiece_table(p):
+    """The table of a one-variable block: 1 at the generator, and 1 at the
+    socle relation one column up for a torsion block."""
+    if p.kind == "free":
+        return BettiTable({(p.position, p.gen_degree): 1})
+    return BettiTable({(p.position, p.gen_degree): 1,
+                       (p.position + 1, p.socle_degree): 1})
+
+
 def apiece_degree_sequence(p):
     """The one-variable block p as a degree sequence: its generator degree,
     then its socle degree for a torsion block."""
@@ -226,10 +239,22 @@ def _reference_top_strand(table):
     return DegreeSequence(i + 1, tuple(degrees))
 
 
+def _reference_compatible(d, c):
+    """The compatibility rule read position by position: codim <= n + 1,
+    c_start <= codim <= c_{start+1}, and no empty value anywhere in the
+    run."""
+    ell = d.codim
+    if ell > c.n + 1:
+        return False
+    if not c.rank(d.start) <= ell <= c.rank(d.start + 1):
+        return False
+    return all(c.value(i) != EMPTY for i in d.positions())
+
+
 def _reference_trim(strand, c):
     for k in range(strand.end, strand.start - 1, -1):
         candidate = strand.trimmed(k)
-        if is_compatible(candidate, c):
+        if _reference_compatible(candidate, c):
             return candidate
     return None
 
@@ -321,7 +346,7 @@ def reference_decompose_a(table, c):
             piece = APiece("torsion", s - 1, r, t)
             coeff = min(current[(s - 1, r)], current[(s, t)])
         pieces.append((coeff, piece))
-        current = linear_combine([(1, current), (-coeff, piece.table())])
+        current = linear_combine([(1, current), (-coeff, apiece_table(piece))])
     raise AssertionError("decomposition exceeded its step budget")
 
 

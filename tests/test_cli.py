@@ -291,6 +291,10 @@ class TestExitCodes:
         ["multi-pair", "--table",
          '{"m":1,"entries":[{"i":0,"alpha":[0],"value":"1"}]}',
          "--space", '{"kind":"product","dims":[1],"summands":""}'],
+        ["euler", "--table",
+         '{"entries":[{"i":0,"j":0,"value":"1"}],"entries":[]}'],
+        ["euler", "--table",
+         '{"entries":[{"i":0,"j":0,"value":"1","value":"5"}]}'],
     ], ids=["codim-window-not-a-list", "boolean-index", "window-q-past-dim",
             "window-dim-true", "window-q-true", "twist-n-true",
             "twist-ambient-vs-n",
@@ -301,7 +305,8 @@ class TestExitCodes:
             "multi-table-rank-vs-space", "multi-qmax-negative",
             "json-nested-too-deep", "codim-window-an-object",
             "codim-window-a-string", "supernatural-roots-a-string",
-            "window-entries-an-object", "product-summands-a-string"])
+            "window-entries-an-object", "product-summands-a-string",
+            "repeated-key-entries", "repeated-key-value"])
     def test_malformed_input_exits_two_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""

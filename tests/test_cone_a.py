@@ -5,7 +5,7 @@ import pytest
 from bsfan import (APiece, BettiTable, CodimensionSequence, NotInCone,
                    ValidationError, chi, chi_window, decompose_a, euler,
                    linear_combine, membership_a)
-from helpers import F, T, apiece_degree_sequence, rng
+from helpers import F, T, apiece_degree_sequence, apiece_table, rng
 
 ALL_ONE = CodimensionSequence.constant(1, 0)
 
@@ -153,7 +153,7 @@ class TestDecompose:
             table = random_torsion_combo(r)
             pieces = decompose_a(table, ALL_ONE)
             assert linear_combine(
-                [(c, p.table()) for c, p in pieces]) == table
+                [(c, apiece_table(p)) for c, p in pieces]) == table
             seqs = [apiece_degree_sequence(p) for _, p in pieces]
             for a, b in zip(seqs, seqs[1:]):
                 assert compare_degree_sequences(a, b) == Comparison.LESS
@@ -216,7 +216,8 @@ class TestDecompose:
             verdict = membership_a(table, c)
             try:
                 pieces = decompose_a(table, c)
-                assert linear_combine([(co, p.table()) for co, p in pieces]) == table
+                assert linear_combine(
+                    [(co, apiece_table(p)) for co, p in pieces]) == table
                 decomposed = True
             except NotInCone:
                 decomposed = False

@@ -8,10 +8,13 @@ NotInCone (message, partial pieces, blocking strand and entry), and the
 pieces must rebuild the table exactly.
 """
 
+import sys
+
 from bsfan import (EMPTY, INF, BettiTable, CodimensionSequence, NotInCone,
-                   decompose_a, decompose_s, linear_combine, pure_diagram)
-from helpers import (F, T, bump, long_chain_table, reference_decompose_a,
-                     reference_decompose_s, rng, total)
+                   decompose_a, decompose_s, is_compatible, linear_combine,
+                   pure_diagram)
+from helpers import (F, T, apiece_table, bump, long_chain_table,
+                     reference_decompose_a, reference_decompose_s, rng, total)
 
 ALL_ONE = CodimensionSequence.constant(1, 0)
 
@@ -97,6 +100,7 @@ class TestDecomposeS:
             c = r.choice([
                 CodimensionSequence(n, 0, w, (), n + 1),
                 CodimensionSequence(n, EMPTY, w, (k,), INF),
+                CodimensionSequence(n, EMPTY, w, (EMPTY, k), INF),
                 CodimensionSequence(n, 0, w, (k,), k),
             ])
             dec, exc = matches_reference(decompose_s, reference_decompose_s,
@@ -108,6 +112,56 @@ class TestDecomposeS:
                 assert left_over(table, exc.partial_pieces).is_nonnegative()
                 stuck += 1
         assert finished and stuck
+
+    def test_steps_build_no_tables_diagrams_or_candidates(self, monkeypatch):
+        # a step computes on integers: the number of tables built and of
+        # pure_diagram and is_compatible calls must not grow with the steps
+        r = rng(704)
+        seen, steps = [], []
+        for length in (10, 200):
+            n = r.randint(1, 8)
+            k = r.randint(1, n + 1)
+            chain, _, table = long_chain_table(r, k, length)
+            counts = dict.fromkeys(
+                ("tables", "pure_diagram", "is_compatible"), 0)
+            with monkeypatch.context() as m:
+                count_calls(m, counts, pure_diagram)
+                count_calls(m, counts, is_compatible)
+                count_tables(m, counts)
+                dec = decompose_s(table, CodimensionSequence.constant(k, n), n)
+            seen.append(counts)
+            steps.append(len(dec.pieces))
+        assert steps == [10, 200]
+        assert seen[0] == seen[1]
+
+
+def count_calls(monkeypatch, counts, fn):
+    """Count the calls of fn under every name a bsfan module binds it to."""
+    def counted(*args, **kwargs):
+        counts[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bsfan" or name.startswith("bsfan."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+def count_tables(monkeypatch, counts):
+    """Count the tables built, by the checked and the trusted constructor."""
+    init, trusted = BettiTable.__init__, BettiTable._trusted.__func__
+
+    def counted_init(self, *args, **kwargs):
+        counts["tables"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_trusted(cls, *args):
+        counts["tables"] += 1
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(BettiTable, "__init__", counted_init)
+    monkeypatch.setattr(BettiTable, "_trusted", classmethod(counted_trusted))
 
 
 def block_sum(r, entries, s0=None):
@@ -125,7 +179,7 @@ def block_sum(r, entries, s0=None):
 
 
 def rebuilds(table, pieces):
-    return linear_combine([(c, p.table()) for c, p in pieces]) == table
+    return linear_combine([(c, apiece_table(p)) for c, p in pieces]) == table
 
 
 class TestDecomposeA:
@@ -174,7 +228,7 @@ class TestDecomposeA:
             if case % 3 == 2:
                 assert exc.partial_pieces == []
             partial = linear_combine(
-                [(1, spoiled)] + [(-co, p.table())
+                [(1, spoiled)] + [(-co, apiece_table(p))
                                   for co, p in exc.partial_pieces])
             assert partial[exc.blocking_entry] != 0
         assert stuck >= 8

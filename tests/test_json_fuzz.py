@@ -12,7 +12,7 @@ pair is tried; the seed picks the replacement values.  Whatever the input,
 the exit code is 0, 1 or 2; 0 and 1 write one JSON line to stdout and
 nothing to stderr, and 2 writes exactly one stderr line and no traceback.
 A field whose valid value is a list or an object, given another JSON type,
-always exits 2.
+always exits 2, and so does every object that writes one of its keys twice.
 """
 
 import copy
@@ -113,8 +113,24 @@ def mutants(seed):
                 yield f"{kind}:{where}:{name}", kind, holder["value"], retyped
 
 
-def argvs(kind, value):
-    text = json.dumps(value)
+def repeated_key_text(valid, path):
+    """JSON text of valid in which the object at path writes its first key
+    twice, or None when the field at path is not a nonempty object."""
+    holder = {"value": copy.deepcopy(valid)}
+    parent, key = holder, "value"
+    for step in path:
+        parent, key = parent[key], step
+    obj = parent[key]
+    if not isinstance(obj, dict) or not obj:
+        return None
+    first = next(iter(obj))
+    parent[key] = marker = "repeated-key-marker"
+    repeated = ("{" + json.dumps({first: obj[first]})[1:-1] + ","
+                + json.dumps(obj)[1:])
+    return json.dumps(holder["value"]).replace(json.dumps(marker), repeated)
+
+
+def argvs(kind, text):
     if kind == "table":
         return [["chi", "--table", text, "--i", "0", "--j", "1"],
                 ["decompose", "--table", text, "--codim", CODIM, "--n", "0"]]
@@ -134,7 +150,7 @@ def argvs(kind, value):
 
 def test_valid_inputs_run(capsys):
     for kind, valid in VALID.items():
-        for argv in argvs(kind, valid):
+        for argv in argvs(kind, json.dumps(valid)):
             assert main(argv) in (0, 1), argv
             assert capsys.readouterr().err == ""
 
@@ -143,7 +159,7 @@ def test_valid_inputs_run(capsys):
 def test_every_one_field_change_keeps_the_contract(capsys, seed):
     codes = {}
     for name, kind, value, retyped in mutants(seed):
-        for argv in argvs(kind, value):
+        for argv in argvs(kind, json.dumps(value)):
             code = main(argv)
             out, err = capsys.readouterr()
             codes[code] = codes.get(code, 0) + 1
@@ -158,3 +174,19 @@ def test_every_one_field_change_keeps_the_contract(capsys, seed):
                 json.loads(out)
     # the changes reach both sides of the contract
     assert codes.get(2, 0) > 100 and codes.get(0, 0) > 10, codes
+
+
+def test_every_repeated_key_exits_two(capsys):
+    repeats = 0
+    for kind, valid in VALID.items():
+        for path in paths(valid):
+            text = repeated_key_text(valid, path)
+            if text is None:
+                continue
+            for argv in argvs(kind, text):
+                assert main(argv) == 2, (kind, path, argv[0])
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("error: repeated key ")
+                assert err.count("\n") == 1, err
+                repeats += 1
+    assert repeats > 20

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from bsfan import (BettiTable, GradedOrder, MultiBettiTable, ParseError,
-                   ProductSpace, TwistSheaf, ValidationError, chi, multi_chi,
-                   multi_pair, pair, table_from_obj, table_to_obj)
+                   ProductSpace, TwistSheaf, ValidationError, chi, dual,
+                   linear_combine, multi_chi, multi_pair, pair, shift,
+                   table_from_obj, table_to_obj)
 from helpers import (F, multi_chi_box, random_table, reference_kunneth_gamma,
                      rng)
 
@@ -245,6 +246,15 @@ class TestPositivity:
             for i in cols:
                 for alpha in box:
                     assert multi_chi(paired, i, alpha, W11) >= 0, (twist, i, alpha)
+
+
+def test_dual_shift_and_linear_combine_keep_the_grading():
+    table = M(2, {(0, (0, 1)): 1, (1, (2, 1)): F(3, 2)})
+    assert dual(table) == M(2, {(0, (0, -1)): 1, (-1, (-2, -1)): F(3, 2)})
+    assert shift(table, 2) == M(2, {(2, (0, 1)): 1, (3, (2, 1)): F(3, 2)})
+    assert linear_combine([(2, table), (-1, table)]) == table
+    assert linear_combine([(1, table), (-1, table)]) == M(2, {})
+    assert linear_combine([]) == BettiTable()
 
 
 class TestJson:

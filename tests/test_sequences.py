@@ -1,12 +1,14 @@
+import itertools
+
 import pytest
 
 from bsfan import (EMPTY, INF, CodimensionSequence, DegreeSequence,
                    ParseError, ValidationError, is_compatible)
 from bsfan.cli import _json
-from bsfan.sequences import value_rank
+from bsfan.sequences import _trim_start, value_rank
 from bsfan.tables import _read
-from helpers import (Comparison, compare_degree_sequences,
-                     random_degree_sequence, rng)
+from helpers import (Comparison, _reference_compatible, _reference_trim,
+                     compare_degree_sequences, random_degree_sequence, rng)
 
 LESS, EQUAL = Comparison.LESS, Comparison.EQUAL
 GREATER, INCOMPARABLE = Comparison.GREATER, Comparison.INCOMPARABLE
@@ -166,3 +168,26 @@ class TestCompatibility:
                         if is_compatible(strand.trimmed(k), c)]
             if feasible:
                 assert feasible == list(range(feasible[0], feasible[-1] + 1))
+
+    def test_trim_search_matches_reference_exhaustively(self):
+        # every strand of length 1-6 at starts -2..2 against every
+        # constraint with n <= 3 whose fills and window (length <= 3, at
+        # 0) are drawn from empty < 0 < ... < n+1 < inf: the nondecreasing
+        # draws.  The strands start left of, inside and right of the window.
+        strands = [DegreeSequence(start, range(length))
+                   for start in range(-2, 3) for length in range(1, 7)]
+        for n in range(4):
+            alphabet = [EMPTY, *range(n + 2), INF]
+            draws = itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(alphabet, size)
+                for size in range(2, 6))
+            for left, *window, right in draws:
+                c = CodimensionSequence(n, left, 0, window, right)
+                for strand in strands:
+                    trims = [strand.trimmed(k) for k in strand.positions()]
+                    assert ([is_compatible(d, c) for d in trims]
+                            == [_reference_compatible(d, c) for d in trims])
+                    k = _trim_start(c, strand.start, strand.end)
+                    want = _reference_trim(strand, c)
+                    assert (want is None if k is None
+                            else want == strand.trimmed(k))
