@@ -191,7 +191,7 @@ def decompose_a(table, c):
                             pieces, blocking_entry=(s, t))
         if c.value(s) == 0:
             piece = APiece("free", s, t)
-            keys, values = ((s, t),), (1,)
+            block = (((s, t), 1),)
         else:
             r = work.lowest(s - 1)
             if r is None or r >= t:
@@ -199,8 +199,8 @@ def decompose_a(table, c):
                     f"no generator below degree {t} to pair with ({s}, {t})",
                     pieces, blocking_entry=(s, t))
             piece = APiece("torsion", s - 1, r, t)
-            keys, values = ((s - 1, r), (s, t)), (1, 1)
-        coeff = work.largest_multiple(keys, values)
+            block = (((s - 1, r), 1), ((s, t), 1))
+        coeff = work.largest_multiple(block)
         pieces.append(Piece(coeff, piece))
-        work.subtract(coeff, keys, values)
+        work.subtract(coeff, block)
     raise AssertionError("decomposition exceeded its step budget")

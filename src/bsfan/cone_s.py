@@ -10,14 +10,15 @@ nonnegative.  The diagram's keys are positive entries and the multiple is
 the smallest ratio over them, so each step clears an entry, drives none
 negative, and touches only those at most n + 2 keys of one WorkingTable:
 an N-entry table costs O(N * n) table updates.  A step computes on Python
-integers from start to finish: the trim search reads at most n + 3 ranks
-of the constraint, the diagram is the list of integers lcm(p) // p_i for
-the products p_i, the multiple is found by cross-multiplying, and each
-touched entry stays a (numerator, denominator) pair reduced by one gcd.  A
-step builds one Fraction, the multiple, and one DegreeSequence, the piece;
-no table, no diagram and no candidate trim.  When a strand admits no
-compatible trim, the input is outside the cone and the stuck strand is the
-certificate.
+integers: the strand walk reads at most n + 2 columns, the trim search at
+most n + 3 ranks looked up from the constraint's ranks (computed once per
+run), the multiple is found by cross-multiplying the diagram's integer
+values, and each touched entry stays a (numerator, denominator) pair
+reduced by one gcd.  A step builds one DegreeSequence, the piece, its pure
+diagram (one table of at most n + 2 integer Fractions, read as ints) and
+one Fraction, the multiple; no candidate trim.  When a strand admits no
+compatible trim, the input is outside the cone and the stuck strand, walked
+in full, is the certificate.
 
 Monad splitting runs the decomposition once on the table (free constraint
 in nonpositive positions, full codimension above) and once on its dual, and
@@ -31,9 +32,10 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import takewhile
 
-from .diagrams import _pure_values, pure_diagram
+from .diagrams import pure_diagram
 from .errors import MonadViolation, NotInCone, ValidationError
-from .sequences import CodimensionSequence, DegreeSequence, Piece, _trim_start
+from .sequences import (CodimensionSequence, DegreeSequence, Piece,
+                        _rank_lookup, _trim_start)
 from .tables import BettiTable, WorkingTable, dual, linear_combine
 
 
@@ -71,24 +73,25 @@ def decompose_s(table, c, n):
             f"{table.negative_entries()[0]}")
     pieces = []
     work = WorkingTable(table)
+    rank = _rank_lookup(c)
     for _ in range(len(table) + 1):
         if not work:
             return Decomposition(pieces)
-        # degrees strictly increase by construction: no re-validation
-        start, degrees = work.top_strand()
+        # degrees strictly increase by construction: no re-validation; a
+        # trim has at most n + 2 positions, so no more of the strand is read
+        start, degrees = work.top_strand(n + 2)
         end = start + len(degrees) - 1
-        k = _trim_start(c, start, end)
+        k = _trim_start(rank, n, start, end)
         if k is None:
-            strand = DegreeSequence._make((start, degrees))
+            strand = DegreeSequence._make(work.top_strand())
             raise NotInCone(
                 f"strand {strand} admits no compatible trim", pieces,
                 blocking_strand=strand)
-        degrees = degrees[k - start:]
-        keys = tuple(zip(range(k, end + 1), degrees))
-        values = _pure_values(degrees)
-        coeff = work.largest_multiple(keys, values)
-        pieces.append(Piece(coeff, DegreeSequence._make((k, degrees))))
-        work.subtract(coeff, keys, values)
+        piece = DegreeSequence._make((k, degrees[k - start:]))
+        diagram = pure_diagram(piece).items()
+        coeff = work.largest_multiple(diagram)
+        pieces.append(Piece(coeff, piece))
+        work.subtract(coeff, diagram)
     raise AssertionError("decomposition exceeded its step budget")
 
 

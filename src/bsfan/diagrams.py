@@ -41,9 +41,8 @@ def _pure_values(degrees):
 def pure_diagram(d):
     """Smallest positive integer table supported at (position, degree) of
     d: the values of _pure_values."""
-    return BettiTable._trusted({
-        key: Fraction(value) for key, value in
-        zip(zip(d.positions(), d.degrees), _pure_values(d.degrees))})
+    return BettiTable._trusted(dict(zip(
+        zip(d.positions(), d.degrees), map(Fraction, _pure_values(d.degrees)))))
 
 
 class CohomologyEvaluator:

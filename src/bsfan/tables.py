@@ -136,13 +136,15 @@ class WorkingTable:
 
     Holds each entry as a normalised (numerator, denominator) pair of ints
     and keeps each column's degrees in descending order, so a column's
-    lowest degree is its last.  A piece is given as its keys and positive
-    integer values; largest_multiple() and subtract() read and touch only
-    those keys and compute on integers, building no Fraction but the
-    multiple.
+    lowest degree is its last.  A piece is given as (key, value) pairs with
+    positive integer values, such as a pure diagram's items();
+    largest_multiple() and subtract() read and touch only those keys and
+    compute on integers, building no Fraction but the multiple.  Columns
+    only ever empty, so the rightmost column is kept and found again only
+    when it empties, not by a scan per step.
     """
 
-    __slots__ = ("_entries", "_degrees")
+    __slots__ = ("_entries", "_degrees", "_last")
 
     def __init__(self, table):
         self._entries = {key: (v.numerator, v.denominator)
@@ -150,72 +152,79 @@ class WorkingTable:
         self._degrees = {}
         for i, j in sorted(self._entries, reverse=True):
             self._degrees.setdefault(i, []).append(j)
+        self._last = max(self._degrees, default=None)
 
     def __bool__(self):
         return bool(self._entries)
 
     def last_column(self):
         """Rightmost column that still carries an entry."""
-        return max(self._degrees)
+        return self._last
 
     def lowest(self, i):
         """Lowest degree with an entry in column i, or None."""
         degrees = self._degrees.get(i)
         return degrees[-1] if degrees else None
 
-    def top_strand(self):
+    def top_strand(self, limit=None):
         """(start, degrees) of the top strand: the lowest degree of the
         rightmost column, extended leftward while the next column's lowest
-        degree is strictly smaller."""
+        degree is strictly smaller, over at most limit columns if given."""
         columns = self._degrees
-        i = max(columns)
+        i = self._last
         degrees = [columns[i][-1]]
-        while (column := columns.get(i - 1)) and column[-1] < degrees[-1]:
+        while (len(degrees) != limit and (column := columns.get(i - 1))
+               and column[-1] < degrees[-1]):
             degrees.append(column[-1])
             i -= 1
         return i, tuple(reversed(degrees))
 
-    def largest_multiple(self, keys, values):
-        """Largest c with c * values <= self on keys: the minimum over the
-        keys of self[key] / value, as a Fraction.
+    def largest_multiple(self, piece):
+        """Largest c with c * piece <= self: the minimum over the piece's
+        (key, value) pairs of self[key] / value, as a Fraction.
 
         The keys must be present and at least one; the values must be
-        positive integers (pure diagrams and one-variable blocks are).  An
-        entry a/b gives the candidate a / (b * value), and candidates are
-        compared by cross-multiplying.
+        positive integers, as ints or as Fractions of denominator 1 (pure
+        diagrams and one-variable blocks are), and only their numerators
+        are read.  An entry a/b gives the candidate a / (b * value), and
+        candidates are compared by cross-multiplying.
         """
         entries = self._entries
         num = den = None
-        for key, value in zip(keys, values):
+        for key, value in piece:
             a, b = entries[key]
-            b *= value
+            b *= value.numerator
             if num is None or a * den < num * b:
                 num, den = a, b
         return Fraction(num, den)
 
-    def subtract(self, coeff, keys, values):
-        """Subtract coeff * values over keys, dropping the entries that
-        reach zero.  Each key must be the lowest of its column, as every
-        greedy step's keys are, and must not go negative.
+    def subtract(self, coeff, piece):
+        """Subtract coeff * piece over its (key, value) pairs, valued as in
+        largest_multiple(), dropping the entries that reach zero.  Each key
+        must be the lowest of its column, as every greedy step's keys are,
+        and must not go negative.
 
         Each entry a/b becomes (a*q - p*value*b) / (b*q) for coeff p/q,
         reduced by its gcd.
         """
         entries, degrees = self._entries, self._degrees
         p, q = coeff.numerator, coeff.denominator
-        for key, value in zip(keys, values):
+        for key, value in piece:
             a, b = entries[key]
-            top = a * q - p * value * b
+            top = a * q - p * value.numerator * b
             if top:
                 b *= q
                 g = math.gcd(top, b)
                 entries[key] = (top // g, b // g)
                 continue
             del entries[key]
-            column = degrees[key[0]]
+            i = key[0]
+            column = degrees[i]
             column.pop()
             if not column:
-                del degrees[key[0]]
+                del degrees[i]
+                if i == self._last:
+                    self._last = max(degrees, default=None)
 
 
 def linear_combine(terms):

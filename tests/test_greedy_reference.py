@@ -113,9 +113,10 @@ class TestDecomposeS:
                 stuck += 1
         assert finished and stuck
 
-    def test_steps_build_no_tables_diagrams_or_candidates(self, monkeypatch):
-        # a step computes on integers: the number of tables built and of
-        # pure_diagram and is_compatible calls must not grow with the steps
+    def test_steps_build_one_diagram_and_no_candidates(self, monkeypatch):
+        # a step builds its piece's pure diagram, the one table it builds,
+        # and no candidate trim: pure_diagram calls and tables grow by one
+        # per step, is_compatible calls not at all
         r = rng(704)
         seen, steps = [], []
         for length in (10, 200):
@@ -132,7 +133,9 @@ class TestDecomposeS:
             seen.append(counts)
             steps.append(len(dec.pieces))
         assert steps == [10, 200]
-        assert seen[0] == seen[1]
+        assert [c["pure_diagram"] for c in seen] == steps
+        assert seen[1]["tables"] - seen[0]["tables"] == 190
+        assert seen[0]["is_compatible"] == seen[1]["is_compatible"]
 
 
 def count_calls(monkeypatch, counts, fn):

@@ -187,12 +187,13 @@ def test_working_table_tracks_column_minima():
     work = WorkingTable(T({(0, 0): 1, (1, 2): 3, (1, 5): 2, (2, 4): 1}))
     assert work.last_column() == 2 and work.lowest(1) == 2
     assert work.top_strand() == (0, (0, 2, 4))
-    work.subtract(F(1), ((1, 2), (2, 4)), (3, 1))
+    assert work.top_strand(2) == (1, (2, 4))
+    work.subtract(F(1), (((1, 2), 3), ((2, 4), F(1))))
     assert work.lowest(1) == 5 and work.last_column() == 1
-    work.subtract(F(1, 2), ((1, 5),), (4,))
+    work.subtract(F(1, 2), (((1, 5), 4),))
     assert work.lowest(1) is None and work.last_column() == 0
     assert work.top_strand() == (0, (0,))
-    work.subtract(F(1), ((0, 0),), (1,))
+    work.subtract(F(1), (((0, 0), 1),))
     assert not work
 
 
@@ -203,7 +204,7 @@ def random_piece(r, expected):
     for i, j in sorted(expected, reverse=True):
         lowest[i] = j
     keys = r.sample(sorted(lowest.items()), r.randint(1, min(len(lowest), 6)))
-    return keys, [r.randint(1, 40) for _ in keys]
+    return [(key, r.randint(1, 40)) for key in keys]
 
 
 def test_working_table_arithmetic_matches_fraction_operators():
@@ -214,13 +215,13 @@ def test_working_table_arithmetic_matches_fraction_operators():
                    for _ in range(r.randint(1, 30))}
         work, expected = WorkingTable(T(entries)), dict(entries)
         while expected:
-            keys, values = random_piece(r, expected)
-            coeff = work.largest_multiple(keys, values)
-            assert coeff == min(expected[k] / v for k, v in zip(keys, values))
+            piece = random_piece(r, expected)
+            coeff = work.largest_multiple(piece)
+            assert coeff == min(expected[k] / v for k, v in piece)
             if r.random() < 0.3:   # a smaller multiple clears nothing
                 coeff = coeff * F(r.randint(1, 4), 5)
-            work.subtract(coeff, keys, values)
-            for key, value in zip(keys, values):
+            work.subtract(coeff, piece)
+            for key, value in piece:
                 left = expected.pop(key) - coeff * value
                 if left:
                     expected[key] = left
@@ -233,7 +234,9 @@ def test_working_table_arithmetic_matches_fraction_operators():
             for i in range(-4, 6):
                 assert work.lowest(i) == fresh.lowest(i)
             if expected:
+                assert work.last_column() == fresh.last_column()
                 assert work.top_strand() == fresh.top_strand()
+                assert work.top_strand(2) == fresh.top_strand(2)
         assert not work
 
 
