@@ -10,15 +10,16 @@ nonnegative.  The diagram's keys are positive entries and the multiple is
 the smallest ratio over them, so each step clears an entry, drives none
 negative, and touches only those at most n + 2 keys of one WorkingTable:
 an N-entry table costs O(N * n) table updates.  A step computes on Python
-integers: the strand walk reads at most n + 2 columns, the trim search at
-most n + 3 ranks looked up from the constraint's ranks (computed once per
-run), the multiple is found by cross-multiplying the diagram's integer
-values, and each touched entry stays a (numerator, denominator) pair
-reduced by one gcd.  A step builds one DegreeSequence, the piece, its pure
-diagram (one table of at most n + 2 integer Fractions, read as ints) and
-one Fraction, the multiple; no candidate trim.  When a strand admits no
-compatible trim, the input is outside the cone and the stuck strand, walked
-in full, is the certificate.
+integers.  The trim start depends on the constraint and the rightmost
+column alone, so it is searched again (at most n + 3 rank lookups) only
+when that column changes; the strand walk reads just the trim's columns;
+the multiple is found by cross-multiplying the diagram's integer values;
+and each touched entry stays a (numerator, denominator) pair reduced by
+one gcd.  A step builds one DegreeSequence, the piece, its pure diagram
+(one table of at most n + 2 integral Fractions from O(n^2) gap products)
+and one Fraction, the multiple; no candidate trim.  When a strand admits
+no compatible trim, the input is outside the cone and the stuck strand,
+walked in full, is the certificate.
 
 Monad splitting runs the decomposition once on the table (free constraint
 in nonpositive positions, full codimension above) and once on its dual, and
@@ -34,8 +35,7 @@ from itertools import takewhile
 
 from .diagrams import pure_diagram
 from .errors import MonadViolation, NotInCone, ValidationError
-from .sequences import (CodimensionSequence, DegreeSequence, Piece,
-                        _rank_lookup, _trim_start)
+from .sequences import CodimensionSequence, DegreeSequence, Piece, _trim_start
 from .tables import BettiTable, WorkingTable, dual, linear_combine
 
 
@@ -73,21 +73,23 @@ def decompose_s(table, c, n):
             f"{table.negative_entries()[0]}")
     pieces = []
     work = WorkingTable(table)
-    rank = _rank_lookup(c)
+    end = None
     for _ in range(len(table) + 1):
-        if not work:
+        last = work.last_column()
+        if last is None:
             return Decomposition(pieces)
-        # degrees strictly increase by construction: no re-validation; a
-        # trim has at most n + 2 positions, so no more of the strand is read
-        start, degrees = work.top_strand(n + 2)
-        end = start + len(degrees) - 1
-        k = _trim_start(rank, n, start, end)
-        if k is None:
+        # the trim start depends on c and the rightmost column alone; the
+        # strand is walked down to it, its degrees strictly increasing
+        if last != end:
+            end, k = last, _trim_start(c, last)
+        if k is not None:
+            start, degrees = work.top_strand(k)
+        if k is None or start != k:
             strand = DegreeSequence._make(work.top_strand())
             raise NotInCone(
                 f"strand {strand} admits no compatible trim", pieces,
                 blocking_strand=strand)
-        piece = DegreeSequence._make((k, degrees[k - start:]))
+        piece = DegreeSequence._make((k, degrees))
         diagram = pure_diagram(piece).items()
         coeff = work.largest_multiple(diagram)
         pieces.append(Piece(coeff, piece))

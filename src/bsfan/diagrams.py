@@ -19,15 +19,15 @@ from .errors import EvaluatorRangeError, ParseError, ValidationError
 from .tables import BettiTable, _read, _read_entries, parse_rational
 
 
-def _pure_values(degrees):
-    """The entries of the pure diagram on the strictly increasing degrees,
-    as a list of ints.
+def pure_diagram(d):
+    """Smallest positive integer table supported at (position, degree) of d.
 
     Entry i is proportional to 1/p_i, p_i = prod_{k != i} |d_k - d_i|, so
     with L = lcm(p) it is the integer L // p_i.  These quotients already
     have gcd 1 (their gcd is L / lcm(p)), so no division follows.  Each
     gap d_k - d_i, k > i, is positive and enters both p_i and p_k.
     """
+    degrees = d.degrees
     prods = [1] * len(degrees)
     for i, di in enumerate(degrees):
         for k in range(i + 1, len(degrees)):
@@ -35,14 +35,8 @@ def _pure_values(degrees):
             prods[i] *= gap
             prods[k] *= gap
     scale = math.lcm(*prods)
-    return [scale // prod for prod in prods]
-
-
-def pure_diagram(d):
-    """Smallest positive integer table supported at (position, degree) of
-    d: the values of _pure_values."""
-    return BettiTable._trusted(dict(zip(
-        zip(d.positions(), d.degrees), map(Fraction, _pure_values(d.degrees)))))
+    return BettiTable._trusted({key: Fraction(scale // prod) for key, prod
+                                in zip(enumerate(degrees, d.start), prods)})
 
 
 class CohomologyEvaluator:

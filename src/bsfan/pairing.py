@@ -41,8 +41,7 @@ def pair(table, evaluator):
         for q, gamma in columns[grade]:
             key = (p - q, grade)
             acc[key] = acc.get(key, ZERO) + value * gamma
-    return table._trusted({key: v for key, v in acc.items() if v},
-                          *table._head())
+    return table.like({key: v for key, v in acc.items() if v})
 
 
 def pure_pair_support(d, roots, i, j):

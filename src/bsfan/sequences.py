@@ -160,33 +160,16 @@ def is_compatible(d, c):
     return _fits(d.codim, c.rank(d.start), c.rank(d.start + 1), c.n)
 
 
-def _rank_lookup(c):
-    """c.rank as a closure over the ranks of the left fill, the window and
-    the right fill, each computed once: for the greedy, which reads a few
-    positions of one constraint per step."""
-    n, first = c.n, c.window_start
-    left, right = value_rank(c.left, n), value_rank(c.right, n)
-    window = [value_rank(v, n) for v in c.window]
-    past = first + len(window)
-
-    def rank(i):
-        if i < first:
-            return left
-        if i >= past:
-            return right
-        return window[i - first]
-    return rank
-
-
-def _trim_start(rank, n, start, end):
-    """Start of the minimal compatible trim of a strand on the positions
-    start..end under the constraint over n whose ranks rank() looks up
-    (_rank_lookup): the largest k whose run k..end is compatible (more -inf
+def _trim_start(c, end):
+    """Start of the minimal compatible run ending at position end under the
+    constraint c: the largest k whose run k..end is compatible (more -inf
     entries make a smaller degree sequence), or None.  Walks k leftward
     from end while end - k <= n + 1, one rank lookup per position, and
-    stops at the first empty position, which every longer run contains."""
+    stops at the first empty position, which every longer run contains.  A
+    strand on start..end has a compatible trim exactly when k >= start."""
+    n, rank = c.n, c.rank
     above = rank(end + 1)
-    for k in range(end, max(start, end - n - 1) - 1, -1):
+    for k in range(end, end - n - 2, -1):
         here = rank(k)
         if here < 0:
             return None

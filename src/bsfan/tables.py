@@ -11,9 +11,9 @@ the origin cell may be decorated with a degree-zero marker "°".
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError, ValidationError
 
@@ -79,8 +79,9 @@ class BettiTable:
         return tuple(getattr(self, key) for key in self.HEADER)
 
     def like(self, entries):
-        """Table with the same grading (and rank) holding other entries."""
-        return type(self)(*self._head(), entries)
+        """Table with the same grading (and rank) over entries that are
+        already checked, as for _trusted."""
+        return self._trusted(entries, *self._head())
 
     def __getitem__(self, key):
         return self._entries.get(key, ZERO)
@@ -107,8 +108,9 @@ class BettiTable:
         return f"{type(self).__name__}({head}{{{body}}})"
 
     def items(self):
-        """Entries as ((i, grade), value) pairs in (i, grade) order."""
-        return [(key, self._entries[key]) for key in sorted(self._entries)]
+        """Entries as ((i, grade), value) pairs in (i, grade) order (the
+        keys are unique, so no value is compared)."""
+        return sorted(self._entries.items())
 
     def support(self):
         """Sorted list of (i, grade) keys with nonzero entries."""
@@ -120,9 +122,8 @@ class BettiTable:
 
     def restrict_columns(self, hi):
         """Table with only the columns up to hi kept."""
-        return self._trusted({
-            (i, g): v for (i, g), v in self._entries.items() if i <= hi},
-            *self._head())
+        return self.like({
+            (i, g): v for (i, g), v in self._entries.items() if i <= hi})
 
     def is_nonnegative(self):
         return all(v > 0 for v in self._entries.values())
@@ -140,11 +141,12 @@ class WorkingTable:
     positive integer values, such as a pure diagram's items();
     largest_multiple() and subtract() read and touch only those keys and
     compute on integers, building no Fraction but the multiple.  Columns
-    only ever empty, so the rightmost column is kept and found again only
-    when it empties, not by a scan per step.
+    only ever empty, so the columns are kept in ascending order and the
+    emptied ones at the end are popped: the rightmost column is the last,
+    found with no scan of all columns.
     """
 
-    __slots__ = ("_entries", "_degrees", "_last")
+    __slots__ = ("_entries", "_degrees", "_columns")
 
     def __init__(self, table):
         self._entries = {key: (v.numerator, v.denominator)
@@ -152,30 +154,31 @@ class WorkingTable:
         self._degrees = {}
         for i, j in sorted(self._entries, reverse=True):
             self._degrees.setdefault(i, []).append(j)
-        self._last = max(self._degrees, default=None)
+        self._columns = sorted(self._degrees)
 
     def __bool__(self):
         return bool(self._entries)
 
     def last_column(self):
-        """Rightmost column that still carries an entry."""
-        return self._last
+        """Rightmost column that still carries an entry, or None."""
+        return self._columns[-1] if self._columns else None
 
     def lowest(self, i):
         """Lowest degree with an entry in column i, or None."""
         degrees = self._degrees.get(i)
         return degrees[-1] if degrees else None
 
-    def top_strand(self, limit=None):
+    def top_strand(self, first=None):
         """(start, degrees) of the top strand: the lowest degree of the
         rightmost column, extended leftward while the next column's lowest
-        degree is strictly smaller, over at most limit columns if given."""
+        degree is strictly smaller, and not past column first if given."""
         columns = self._degrees
-        i = self._last
-        degrees = [columns[i][-1]]
-        while (len(degrees) != limit and (column := columns.get(i - 1))
-               and column[-1] < degrees[-1]):
-            degrees.append(column[-1])
+        i = self._columns[-1]
+        j = columns[i][-1]
+        degrees = [j]
+        while i != first and (column := columns.get(i - 1)) and column[-1] < j:
+            j = column[-1]
+            degrees.append(j)
             i -= 1
         return i, tuple(reversed(degrees))
 
@@ -190,11 +193,11 @@ class WorkingTable:
         candidates are compared by cross-multiplying.
         """
         entries = self._entries
-        num = den = None
+        num, den = 1, 0  # infinity: every candidate is smaller
         for key, value in piece:
             a, b = entries[key]
             b *= value.numerator
-            if num is None or a * den < num * b:
+            if a * den < num * b:
                 num, den = a, b
         return Fraction(num, den)
 
@@ -214,7 +217,7 @@ class WorkingTable:
             top = a * q - p * value.numerator * b
             if top:
                 b *= q
-                g = math.gcd(top, b)
+                g = gcd(top, b)
                 entries[key] = (top // g, b // g)
                 continue
             del entries[key]
@@ -223,8 +226,9 @@ class WorkingTable:
             column.pop()
             if not column:
                 del degrees[i]
-                if i == self._last:
-                    self._last = max(degrees, default=None)
+                columns = self._columns
+                while columns and columns[-1] not in degrees:
+                    columns.pop()
 
 
 def linear_combine(terms):
@@ -242,23 +246,19 @@ def linear_combine(terms):
             continue
         for key, value in table._entries.items():
             acc[key] = acc.get(key, ZERO) + c * value
-    return table._trusted({key: v for key, v in acc.items() if v},
-                          *table._head())
+    return table.like({key: v for key, v in acc.items() if v})
 
 
 def dual(table):
     """Move the entry at (i, j) to (-i, -j)."""
     negate = table.negate
-    return table._trusted(
-        {(-i, negate(j)): v for (i, j), v in table._entries.items()},
-        *table._head())
+    return table.like(
+        {(-i, negate(j)): v for (i, j), v in table._entries.items()})
 
 
 def shift(table, k):
     """Move the entry at (i, j) to (i + k, j); degrees are unchanged."""
-    return table._trusted(
-        {(i + k, j): v for (i, j), v in table._entries.items()},
-        *table._head())
+    return table.like({(i + k, j): v for (i, j), v in table._entries.items()})
 
 
 def _read(value, shape, where):

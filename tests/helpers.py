@@ -446,7 +446,7 @@ def reference_pair(table, ev):
             if gamma:
                 key = (p - q, grade)
                 acc[key] = acc.get(key, Fraction(0)) + value * gamma
-    return table.like(acc)
+    return table.like({key: v for key, v in acc.items() if v})
 
 
 def parse_table(text):
