@@ -58,10 +58,12 @@ def _load_obj(arg):
 
 
 def _ints(text):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"expected comma-separated integers: {text!r}") from exc
+    """Comma-separated integers, each in parse_rational's grammar."""
+    parts = text.split(",")
+    if not all(re.fullmatch(_layer("tables")._INTEGER, part.strip())
+               for part in parts):
+        raise ParseError(f"expected comma-separated integers: {text!r}")
+    return tuple(map(int, parts))
 
 
 def _table(args):

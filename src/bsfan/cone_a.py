@@ -5,7 +5,7 @@ exact complexes splits into two-term torsion blocks {(p, a): 1, (p+1, b): 1}
 and, where the constraint allows rank, single free blocks {(p, a): 1}.  The
 functionals chi_{i,j} cut the cone out: chi weights column i up to degree j,
 column i+1 up to degree j+1 with opposite sign, and every further column by
-its full alternating column sum.
+its full alternating column sum.  The blocks are the pure diagrams at n = 0.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NotInCone, ValidationError
-from .sequences import EMPTY, Piece
-from .tables import ZERO, WorkingTable
+from .sequences import EMPTY, INF, Piece
+from .tables import ZERO
 
 
 def _partial_euler(table, i, anchor, key):
@@ -144,6 +144,7 @@ def membership_a(table, c):
     """Half-space test for the cone constrained by c.
 
     Collects every violated condition: entries in forbidden columns,
+    entries in a column i that no block can cover because c(i - 1) = inf,
     negative entries, a negative chi over the stabilized window where the
     constraint is at least 1, and a nonzero total Euler characteristic when
     no column admits free homology.  The window cells and their order are
@@ -155,6 +156,8 @@ def membership_a(table, c):
     for (i, j), value in table.items():
         if c.value(i) == EMPTY:
             violations.append(Violation("support_empty", i, j, value))
+        elif c.value(i - 1) == INF:
+            violations.append(Violation("support_inf", i, j, value))
     for (i, j) in table.negative_entries():
         violations.append(Violation("negative_entry", i, j, table[(i, j)]))
     violations.extend(_chi_negatives(table, c))
@@ -166,41 +169,33 @@ def membership_a(table, c):
 
 
 def decompose_a(table, c):
-    """Greedy split into free and torsion blocks with positive coefficients.
+    """Greedy split into free and torsion blocks with positive coefficients:
+    decompose_s at n = 0, whose pure diagrams (a)@p and (a, b)@p are the
+    blocks.  A stuck strand is reported by its top entry."""
+    from .cone_s import decompose_s
 
-    Repeatedly takes the lowest-degree entry of the rightmost column; where
-    the constraint forces torsion it is matched with the lowest-degree entry
-    one column to the left, and the maximal multiple of the block is
-    subtracted (one whole entry is cleared per step, so the number of steps
-    is at most the number of nonzero entries).  Only the input can hold a
-    negative entry: no subtraction exceeds the entries it touches.
-    """
     _check_shape(c)
     if not table.is_nonnegative():
         entry = table.negative_entries()[0]
         raise NotInCone(f"negative entry at {entry}", [], blocking_entry=entry)
-    pieces = []
-    work = WorkingTable(table)
-    for _ in range(len(table) + 1):
-        if not work:
-            return pieces
-        s = work.last_column()
-        t = work.lowest(s)
+    try:
+        return _blocks(decompose_s(table, c, 0).pieces)
+    except NotInCone as exc:
+        strand = exc.blocking_strand
+        s, t = strand.end, strand.degrees[-1]
         if c.value(s) == EMPTY:
-            raise NotInCone(f"entry at ({s}, {t}) in a forbidden column",
-                            pieces, blocking_entry=(s, t))
-        if c.value(s) == 0:
-            piece = APiece("free", s, t)
-            block = (((s, t), 1),)
+            message = f"entry at ({s}, {t}) in a forbidden column"
+        elif not strand.codim:
+            message = f"no generator below degree {t} to pair with ({s}, {t})"
         else:
-            r = work.lowest(s - 1)
-            if r is None or r >= t:
-                raise NotInCone(
-                    f"no generator below degree {t} to pair with ({s}, {t})",
-                    pieces, blocking_entry=(s, t))
-            piece = APiece("torsion", s - 1, r, t)
-            block = (((s - 1, r), 1), ((s, t), 1))
-        coeff = work.largest_multiple(block)
-        pieces.append(Piece(coeff, piece))
-        work.subtract(coeff, block)
-    raise AssertionError("decomposition exceeded its step budget")
+            message = (f"no torsion block ends at ({s}, {t}): column {s - 1} "
+                       f"has codimension {c.value(s - 1)}")
+        raise NotInCone(message, _blocks(exc.partial_pieces),
+                        blocking_entry=(s, t)) from None
+
+
+def _blocks(pieces):
+    """Pieces of degree sequences (a)@p and (a, b)@p as blocks."""
+    return [Piece(coeff, APiece("torsion" if d.codim else "free", d.start,
+                                *d.degrees))
+            for coeff, d in pieces]

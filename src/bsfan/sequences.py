@@ -70,8 +70,9 @@ class DegreeSequence(namedtuple("DegreeSequence", "start degrees")):
 
 
 # One term of a decomposition: a coefficient times the pure diagram of a
-# degree sequence, or times a block (an APiece) of the one-variable split.
-# The field names are the JSON keys of a serialized piece.
+# degree sequence, or times a block (an APiece) of the one-variable split,
+# which is the pure diagram of (a)@p or (a, b)@p under another name.  The
+# field names are the JSON keys of a serialized piece.
 Piece = namedtuple("Piece", "coeff degree_sequence")
 
 

@@ -17,7 +17,8 @@ from math import gcd
 
 from .errors import ParseError, ValidationError
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_INTEGER = r"-?\d+"  # the integer grammar, also of the CLI's comma lists
+_RATIONAL_RE = re.compile(rf"^({_INTEGER})(?:/([1-9]\d*))?$")
 ZERO = Fraction(0)  # the shared value of every absent entry
 
 
@@ -133,7 +134,7 @@ class BettiTable:
 
 
 class WorkingTable:
-    """Mutable copy of a table for the greedy decompositions.
+    """Mutable copy of a table for the greedy chain decomposition.
 
     Holds each entry as a normalised (numerator, denominator) pair of ints
     and keeps each column's degrees in descending order, so a column's
@@ -156,17 +157,9 @@ class WorkingTable:
             self._degrees.setdefault(i, []).append(j)
         self._columns = sorted(self._degrees)
 
-    def __bool__(self):
-        return bool(self._entries)
-
     def last_column(self):
         """Rightmost column that still carries an entry, or None."""
         return self._columns[-1] if self._columns else None
-
-    def lowest(self, i):
-        """Lowest degree with an entry in column i, or None."""
-        degrees = self._degrees.get(i)
-        return degrees[-1] if degrees else None
 
     def top_strand(self, first=None):
         """(start, degrees) of the top strand: the lowest degree of the
@@ -187,9 +180,8 @@ class WorkingTable:
         (key, value) pairs of self[key] / value, as a Fraction.
 
         The keys must be present and at least one; the values must be
-        positive integers, as ints or as Fractions of denominator 1 (pure
-        diagrams and one-variable blocks are), and only their numerators
-        are read.  An entry a/b gives the candidate a / (b * value), and
+        positive integers, as ints or as Fractions of denominator 1 (a
+        pure diagram's are), and only their numerators are read.  An entry a/b gives the candidate a / (b * value), and
         candidates are compared by cross-multiplying.
         """
         entries = self._entries

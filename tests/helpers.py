@@ -42,7 +42,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial, gcd, inf, lcm
 
-from bsfan import (EMPTY, APiece, AVerdict, BettiTable, CohomologyEvaluator,
+from bsfan import (EMPTY, INF, APiece, AVerdict, BettiTable, CohomologyEvaluator,
                    Decomposition, DegreeSequence, EvaluatorRangeError,
                    NotInCone, ProductSpace, SupernaturalSheaf, TwistSheaf,
                    ValidationError, Violation, WindowEvaluator, chi,
@@ -315,7 +315,9 @@ def reference_decompose_s(table, c, n):
 
 
 def reference_decompose_a(table, c):
-    """Greedy block split that rebuilds and rechecks the table each step."""
+    """Greedy block split that rebuilds and rechecks the table each step.
+    A torsion block at column k needs c(k) in {0, 1}: the compatibility
+    rule of a codimension-1 piece at n = 0."""
     if c.n != 0:
         raise ValidationError(
             f"membership over the one-variable ring needs n = 0, got n = {c.n}")
@@ -342,6 +344,11 @@ def reference_decompose_a(table, c):
                 raise NotInCone(
                     f"no generator below degree {t} to pair with ({s}, {t})",
                     pieces, blocking_entry=(s, t))
+            if c.value(s - 1) not in (0, 1):
+                raise NotInCone(
+                    f"no torsion block ends at ({s}, {t}): column {s - 1} "
+                    f"has codimension {c.value(s - 1)}",
+                    pieces, blocking_entry=(s, t))
             r = left[0]
             piece = APiece("torsion", s - 1, r, t)
             coeff = min(current[(s - 1, r)], current[(s, t)])
@@ -351,7 +358,9 @@ def reference_decompose_a(table, c):
 
 
 def reference_membership_a(table, c):
-    """Half-space test that recomputes chi from scratch at every window cell."""
+    """Half-space test that recomputes chi from scratch at every window cell.
+    An entry in column i where c(i - 1) = inf is a support_inf violation:
+    no block can cover it."""
     if c.n != 0:
         raise ValidationError(
             f"membership over the one-variable ring needs n = 0, got n = {c.n}")
@@ -359,6 +368,8 @@ def reference_membership_a(table, c):
     for (i, j), value in table.items():
         if c.value(i) == EMPTY:
             violations.append(Violation("support_empty", i, j, value))
+        elif c.value(i - 1) == INF:
+            violations.append(Violation("support_inf", i, j, value))
     for (i, j) in table.negative_entries():
         violations.append(Violation("negative_entry", i, j, table[(i, j)]))
     cols, degs = chi_window(table)

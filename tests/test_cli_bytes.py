@@ -35,6 +35,11 @@ EMPTY_LEFT = compact({"n": 0, "left": "empty", "window_start": 0,
 # free blocks up to column 0, torsion blocks from column 1 on
 FREE_LEFT = compact({"n": 0, "left": 0, "window_start": 1, "window": [],
                      "right": 1})
+# no block fits anywhere: a torsion block at k needs c(k) <= 1
+ALL_INF = compact({"n": 0, "left": "inf", "right": "inf"})
+# a torsion block from column -1, which EMPTY_LEFT forbids, to column 0
+CLOSED_BLOCK = serialize_table(T({(-1, 0): 1, (0, 1): 1}))
+INF_BLOCK = serialize_table(T({(0, 0): 1, (1, 1): 1}))
 SQUEEZED = T({(-2, 1): 2, (-1, 2): 11, (0, 3): 18, (1, 4): 10})
 KOSZUL = compact({"m": 2, "entries": [
     {"i": i, "alpha": alpha, "value": value} for i, alpha, value in [
@@ -81,6 +86,14 @@ ARGV = {
                          "--codim", FREE_LEFT],
     "decompose_empty": ["decompose", "--table", '{"entries":[]}',
                         "--codim", CONST3, "--n", "2"],
+    # decompose-a is decompose at n = 0, so these agree with check-a
+    "decompose_a_closed_left": ["decompose-a", "--table", CLOSED_BLOCK,
+                                "--codim", EMPTY_LEFT],
+    "decompose_a_inf": ["decompose-a", "--table", INF_BLOCK,
+                        "--codim", ALL_INF],
+    "decompose_n0_inf": ["decompose", "--table", INF_BLOCK,
+                         "--codim", ALL_INF, "--n", "0"],
+    "check_a_inf": ["check-a", "--table", INF_BLOCK, "--codim", ALL_INF],
     "check_a_pass": ["check-a", "--table",
                      serialize_table(T({(0, 0): 1, (1, 2): 1})),
                      "--codim", ALL_ONE],
@@ -173,6 +186,21 @@ EXPECTED = {
         'position":0,"gen_degree":3}}]}\n')),
     "decompose_empty": (0, (
         '{"pieces":[],"remainder":{"entries":[]}}\n')),
+    "decompose_a_closed_left": (1, (
+        '{"status":"fail","message":"no torsion block ends at (0, 1): colum'
+        'n -1 has codimension empty","partial_pieces":[],"blocking_entry":['
+        '0,1]}\n')),
+    "decompose_a_inf": (1, (
+        '{"status":"fail","message":"no torsion block ends at (1, 1): colum'
+        'n 0 has codimension inf","partial_pieces":[],"blocking_entry":[1,1'
+        ']}\n')),
+    "decompose_n0_inf": (1, (
+        '{"status":"fail","message":"strand (0,1)@0 admits no compatible tr'
+        'im","partial_pieces":[],"blocking_strand":{"start":0,"degrees":[0,'
+        '1]}}\n')),
+    "check_a_inf": (1, (
+        '{"status":"fail","violations":[{"kind":"support_inf","i":0,"j":0,"'
+        'value":"1"},{"kind":"support_inf","i":1,"j":1,"value":"1"}]}\n')),
     "check_a_pass": (0, (
         '{"status":"pass"}\n')),
     "check_a_fail": (1, (

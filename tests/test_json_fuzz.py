@@ -13,6 +13,13 @@ the exit code is 0, 1 or 2; 0 and 1 write one JSON line to stdout and
 nothing to stderr, and 2 writes exactly one stderr line and no traceback.
 A field whose valid value is a list or an object, given another JSON type,
 always exits 2, and so does every object that writes one of its keys twice.
+
+The comma-list options (--degrees of pure, --roots of supernatural and es,
+--alpha and --weights of multi-chi) get the same contract: each part of a
+list is an optional minus sign and digits, blanks around it allowed, and
+a part changed to anything else ("1_0", "+3", "1.5", an empty part, ...)
+exits 2 with one line; a part changed to another integer keeps the
+contract whatever the subcommand answers.
 """
 
 import copy
@@ -190,3 +197,73 @@ def test_every_repeated_key_exits_two(capsys):
                 assert err.count("\n") == 1, err
                 repeats += 1
     assert repeats > 20
+
+
+# comma-list options: (argv before, option, valid value, argv after)
+LISTS = [
+    (["pure"], "--degrees", "0,2,3", []),
+    (["supernatural"], "--roots", "1,-3",
+     ["--n", "2", "--jmin", "-2", "--jmax", "2"]),
+    (["es", "--table", TABLE], "--roots", "1,-3",
+     ["--n", "2", "--tau", "1", "--kappa", "0"]),
+    (["multi-chi", "--table", MULTI_TABLE, "--i", "0"], "--alpha", "1,0",
+     ["--weights", "1,2"]),
+    (["multi-chi", "--table", MULTI_TABLE, "--i", "0", "--alpha", "1,0"],
+     "--weights", "1,2", []),
+]
+# part changes outside the integer grammar, each a function of the old
+# part and the rng
+BAD_PARTS = {
+    "underscore": lambda old, r: f"{r.randint(1, 9)}_{r.randint(0, 9)}",
+    "plus": lambda old, r: f"+{r.randint(0, 9)}",
+    "float": lambda old, r: r.choice(["1.5", "-2.0", "1e3", ".5"]),
+    "empty": lambda old, r: "",
+    "letters": lambda old, r: r.choice(["x", "0x1", "inf", "nan"]),
+    "fraction": lambda old, r: r.choice(["3/1", "1/2"]),
+    "double-minus": lambda old, r: f"--{r.randint(0, 9)}",
+    "inner-blank": lambda old, r: f"{r.randint(1, 9)} {r.randint(0, 9)}",
+}
+# part changes inside it
+GOOD_PARTS = {
+    "blanks": lambda old, r: f" {old} ",
+    "leading-zero": lambda old, r: f"0{old.lstrip('-')}",
+    "small": lambda old, r: str(r.randint(-9, 9)),
+    "huge": lambda old, r: str(r.choice([10 ** 30, -10 ** 30])),
+}
+
+
+def list_mutants(seed):
+    """(name, argv, whether the list leaves the integer grammar) for every
+    option, part and change."""
+    r = random.Random(seed)
+    for head, option, valid, tail in LISTS:
+        parts = valid.split(",")
+        for index in range(len(parts)):
+            for changes, bad in ((BAD_PARTS, True), (GOOD_PARTS, False)):
+                for name, change in changes.items():
+                    new = list(parts)
+                    new[index] = change(parts[index], r)
+                    value = ",".join(new)
+                    yield (f"{head[0]}{option}[{index}]:{name}",
+                           head + [f"{option}={value}"] + tail, bad)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_comma_list_change_keeps_the_contract(capsys, seed):
+    codes = {}
+    for name, argv, bad in list_mutants(seed):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        codes[code] = codes.get(code, 0) + 1
+        assert code in (0, 1, 2), (name, code)
+        assert code == 2 or not bad, (name, out)
+        if code == 2:
+            assert out == "" and err.startswith("error: "), name
+            assert err.count("\n") == 1, (name, err)
+            if bad:
+                assert err.startswith("error: expected comma-separated "
+                                      "integers: "), (name, err)
+        else:
+            assert err == "" and out.count("\n") == 1, (name, err)
+            json.loads(out)
+    assert codes.get(2, 0) > 50 and codes.get(0, 0) > 10, codes

@@ -32,6 +32,8 @@ TABLES = {"errors", "tables"}
 ONE_VARIABLE = TABLES | {"sequences", "cone_a"}
 DIAGRAMS = TABLES | {"sequences", "diagrams"}
 CHAINS = DIAGRAMS | {"cone_s"}
+# decompose-a is the chain decomposition at n = 0
+BLOCKS = ONE_VARIABLE | {"diagrams", "cone_s"}
 PAIRING = DIAGRAMS | {"cone_a", "pairing"}
 MULTIGRADED = PAIRING | {"multigraded"}
 
@@ -46,7 +48,7 @@ FOOTPRINT = {
     "check-a": (["check-a", "--table", EMPTY, "--codim", ALL_ONE],
                 ONE_VARIABLE),
     "decompose-a": (["decompose-a", "--table", EMPTY, "--codim", ALL_ONE],
-                    ONE_VARIABLE),
+                    BLOCKS),
     "decompose": (["decompose", "--table", TABLE, "--codim", FREE,
                    "--n", "1"], CHAINS),
     "check": (["check", "--table", TABLE, "--codim", FREE, "--n", "1"],
@@ -105,7 +107,7 @@ SQUEEZED = ('{"entries":[{"i":-2,"j":1,"value":"2"},{"i":-1,"j":2,"value":'
             '"11"},{"i":0,"j":3,"value":"18"},{"i":1,"j":4,"value":"10"}]}')
 FAILURES = {
     "decompose-a": (["decompose-a", "--table", TABLE, "--codim", ALL_ONE],
-                    ONE_VARIABLE),
+                    BLOCKS),
     "check": (["check", "--table", TABLE, "--codim",
                '{"n":1,"left":2,"right":2}', "--n", "1"], CHAINS),
     "monad": (["monad", "--table", SQUEEZED, "--n", "4"], CHAINS),

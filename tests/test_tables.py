@@ -185,16 +185,19 @@ def test_linear_combine_entrywise_algebra():
 
 def test_working_table_tracks_column_minima():
     work = WorkingTable(T({(0, 0): 1, (1, 2): 3, (1, 5): 2, (2, 4): 1}))
-    assert work.last_column() == 2 and work.lowest(1) == 2
+    assert work.last_column() == 2
     assert work.top_strand() == (0, (0, 2, 4))
     assert work.top_strand(1) == (1, (2, 4))
     work.subtract(F(1), (((1, 2), 3), ((2, 4), F(1))))
-    assert work.lowest(1) == 5 and work.last_column() == 1
+    fresh = WorkingTable(T({(0, 0): 1, (1, 5): 2}))
+    assert work.top_strand() == fresh.top_strand() == (0, (0, 5))
+    assert work.top_strand(1) == fresh.top_strand(1) == (1, (5,))
+    assert work.last_column() == 1
     work.subtract(F(1, 2), (((1, 5), 4),))
-    assert work.lowest(1) is None and work.last_column() == 0
+    assert work.last_column() == 0
     assert work.top_strand() == (0, (0,))
     work.subtract(F(1), (((0, 0), 1),))
-    assert not work
+    assert work.last_column() is None
 
 
 def random_piece(r, expected):
@@ -231,14 +234,12 @@ def test_working_table_arithmetic_matches_fraction_operators():
             assert all(type(a) is int and type(b) is int
                        for a, b in work._entries.values())
             fresh = WorkingTable(T(expected))
-            for i in range(-4, 6):
-                assert work.lowest(i) == fresh.lowest(i)
             if expected:
                 assert work.last_column() == fresh.last_column()
                 assert work.top_strand() == fresh.top_strand()
-                first = work.last_column() - 1
-                assert work.top_strand(first) == fresh.top_strand(first)
-        assert not work
+                for first in range(-4, work.last_column() + 1):
+                    assert work.top_strand(first) == fresh.top_strand(first)
+        assert work.last_column() is None
 
 
 def random_fraction_pair(r):
