@@ -154,7 +154,7 @@ def _emit_pretty(table, args):
 
 
 def _emit_table(table, args):
-    if getattr(args, "format", "json") == "pretty":
+    if args.format == "pretty":
         return _emit_pretty(table, args)
     return _emit_json(table, args)
 
@@ -305,7 +305,7 @@ COMMANDS = {
         lambda a: _layer("multigraded").multi_pair(
             _multi_table(a), _layer("multigraded").ProductSpace.from_obj(
                 _load_obj(a.space)), a.qmax),
-        _emit_table),
+        _emit_json),
 }
 
 # argparse's own negative-number pattern, widened to comma lists such as

@@ -24,7 +24,8 @@ walked in full, is the certificate.
 Monad splitting runs the decomposition once on the table (free constraint
 in nonpositive positions, full codimension above) and once on its dual, and
 reassembles the central column; prefixes of infinite resolutions come from
-decomposing a dualized truncation and keeping the stable leading pieces.
+decomposing a dualized truncation once and keeping its full-codimension
+leading pieces.
 """
 
 from __future__ import annotations
@@ -122,8 +123,12 @@ def monad_split(table, n):
 
     Decomposes the table and its dual against the monad constraint, sums the
     positive-codimension prefix of each run (D' and D''), and forms
-    E = table - D' - dual(D'').  E must be a nonnegative column-0 table;
-    anything else means the input is outside the monad cone.
+    E = table - D' - dual(D'').  A negative entry of E means the input is
+    outside the monad cone, and that is the one check E needs.  A piece of
+    a run has positive codimension exactly when it ends in a column >= 1,
+    and it then starts in a column >= 0; the rightmost column only moves
+    left.  So D' lies in columns >= 0 and table - D' in columns <= 0, the
+    dual run mirrors this, and E is zero off column 0.
     """
     if not table.is_nonnegative():
         raise ValidationError("monad splitting needs a nonnegative table")
@@ -141,10 +146,6 @@ def monad_split(table, n):
     if bad:
         raise MonadViolation(
             f"central column would be negative at {bad[0]}", e_column)
-    off = [key for key in e_column.support() if key[0] != 0]
-    if off:
-        raise MonadViolation(
-            f"central part has support outside column 0 at {off[0]}", e_column)
     table_f1 = linear_combine([(1, d_front), (1, e_column)])
     return MonadSplit(
         lambda1=Fraction(1 if table_f1 else 0),
@@ -157,30 +158,22 @@ def monad_split(table, n):
     )
 
 
-def _prefix_run(table, e, n):
-    """Dualize a truncation and decompose it against the one-sided constraint
-    (free at positions <= -e, full codimension above); keep the leading run
-    of full-codimension pieces.
-
-    The trailing lower-codimension pieces only exist because the truncation
-    cut the table off: a complete decomposition of the untruncated dual
-    consists of full-codimension pieces throughout, and the cut's deficit is
-    absorbed by the final, deficient pieces touching the boundary column.
-    """
-    constraint = CodimensionSequence(n, 0, -e + 1, (), n + 1)
-    return _prefix(decompose_s(dual(table), constraint, n).pieces,
-                   lambda codim: codim == n + 1)
-
-
 def infinite_prefix(table, e, n):
     """Stable prefix of the chain decomposition of an infinite resolution.
 
-    The input is the truncation of the resolution to columns 0..e.  The run
-    at e is confirmed against the run at e - 1: pieces are returned (in
-    original orientation, maximal piece first) as long as the shorter run
-    agrees piecewise; if the two runs disagree somewhere, only the agreeing
-    prefix is returned.  The remainder carries whatever the prefix does not
-    reconstruct.
+    The input is the truncation of the resolution to columns 0..e.  Its dual
+    is decomposed once against the one-sided constraint (free at positions
+    <= -e, full codimension above), and the leading run of full-codimension
+    pieces is returned in original orientation, maximal piece first; the
+    remainder carries whatever the prefix does not reconstruct.  The
+    trailing lower-codimension pieces only exist because the truncation cut
+    the table off, and the cut's deficit is absorbed by them.
+
+    A run on the truncation at e - 1 takes the same steps until its own
+    prefix ends, so it cannot cut this one: a full-codimension step ending
+    at column p >= n + 2 - e (dual orientation) starts at p - n - 1 >= 1 - e
+    and reads only columns where the two truncations agree, and the first
+    step ending further left has codimension below n + 1 in the shorter run.
     """
     if e <= n + 1:
         raise ValidationError(f"truncation column e = {e} must exceed n + 1 = {n + 1}")
@@ -190,15 +183,9 @@ def infinite_prefix(table, e, n):
     if high:
         raise ValidationError(
             f"table has support in column {high[0]} past the truncation at {e}")
-    kept = _prefix_run(table, e, n)
-    shorter = _prefix_run(table.restrict_columns(hi=e - 1), e - 1, n)
-    agree = 0
-    for (c1, d1), (c2, d2) in zip(kept, shorter):
-        if c1 != c2 or d1 != d2:
-            break
-        agree += 1
-    if agree < len(shorter):
-        kept = kept[:agree]
+    constraint = CodimensionSequence(n, 0, -e + 1, (), n + 1)
+    kept = _prefix(decompose_s(dual(table), constraint, n).pieces,
+                   lambda codim: codim == n + 1)
     stable = [Piece(coeff, d.dual()) for coeff, d in kept]
     remainder = linear_combine(
         [(1, table)] + [(-c, pure_diagram(d)) for c, d in stable])

@@ -121,11 +121,6 @@ class BettiTable:
         """Sorted homological indices that carry at least one entry."""
         return sorted({i for i, _ in self._entries})
 
-    def restrict_columns(self, hi):
-        """Table with only the columns up to hi kept."""
-        return self.like({
-            (i, g): v for (i, g), v in self._entries.items() if i <= hi})
-
     def is_nonnegative(self):
         return all(v > 0 for v in self._entries.values())
 

@@ -12,6 +12,9 @@ the library's incremental versions must agree with them exactly.
 _reference_trim tries every trim of a strand, longest last, against
 _reference_compatible, which checks every position of the run; the
 library's trim search walks integer ranks and must pick the same trim.
+reference_infinite_prefix decomposes the dualized truncation at e and at
+e - 1 and keeps the prefix on which the two runs agree; the library's
+infinite_prefix, which runs once at e, must give the same pieces.
 reference_membership_a calls chi afresh at every cell of the chi window;
 the library's one-sweep membership_a must give the same verdict.
 reference_kunneth_gamma walks every split of q over the factors of a
@@ -32,7 +35,9 @@ the sum of its terms' columns;
 multi_chi_box is the heuristic column range and grade box of a multigraded
 chi scan; parse_table and serialize_table read and write a table as the
 command line does; long_chain_table and bump build the seeded long chains,
-in the cone and bumped out of it, of the greedy and byte tests.
+in the cone and bumped out of it, of the greedy and byte tests;
+one_sided_chain builds the chains a monad run or a dualized truncation
+decomposes into.
 """
 
 import enum
@@ -42,11 +47,12 @@ import random
 from fractions import Fraction
 from math import comb, factorial, gcd, inf, lcm
 
-from bsfan import (EMPTY, INF, APiece, AVerdict, BettiTable, CohomologyEvaluator,
-                   Decomposition, DegreeSequence, EvaluatorRangeError,
-                   NotInCone, ProductSpace, SupernaturalSheaf, TwistSheaf,
+from bsfan import (EMPTY, INF, APiece, AVerdict, BettiTable,
+                   CodimensionSequence, CohomologyEvaluator, Decomposition,
+                   DegreeSequence, EvaluatorRangeError, NotInCone, Piece,
+                   ProductSpace, SupernaturalSheaf, TwistSheaf,
                    ValidationError, Violation, WindowEvaluator, chi,
-                   chi_window, euler, linear_combine,
+                   chi_window, decompose_s, dual, euler, linear_combine,
                    pure_diagram, table_from_obj, table_to_obj)
 from bsfan.cli import _load_obj
 from bsfan.multigraded import _Capped
@@ -130,6 +136,35 @@ def random_chain(r, k, length, starts=(-2, 2), deg_lo=-5, deg_hi=6):
         else:
             low = degrees[0] - r.randint(1, 3)
             chain.append(DegreeSequence(d.start - 1, (low,) + tuple(degrees[:-1])))
+    return chain
+
+
+def one_sided_chain(r, n, boundary, end, length):
+    """Strictly increasing chain of degree sequences compatible with
+    CodimensionSequence(n, 0, boundary + 1, (), n + 1), the constraint of a
+    monad run (boundary 0) and of a dualized truncation at e (boundary -e).
+
+    The first is a full-codimension run ending at column end.  Raising an
+    entry keeps the run; shifting the window left keeps the codimension
+    while the start stays above the boundary; at the boundary, dropping the
+    top entry lowers the codimension, which is allowed there.
+    """
+    chain = [DegreeSequence(end - n - 1,
+                            tuple(sorted(r.sample(range(-8, 7), n + 2))))]
+    while len(chain) < length:
+        d = chain[-1]
+        degrees = list(d.degrees)
+        moves = [idx for idx in range(len(degrees))
+                 if idx + 1 == len(degrees) or degrees[idx] + 1 < degrees[idx + 1]]
+        idx = r.choice(moves + [None])
+        if idx is not None:
+            degrees[idx] += 1
+            chain.append(DegreeSequence(d.start, tuple(degrees)))
+        elif d.start > boundary:
+            low = degrees[0] - r.randint(1, 3)
+            chain.append(DegreeSequence(d.start - 1, (low,) + tuple(degrees[:-1])))
+        elif len(degrees) > 1:
+            chain.append(DegreeSequence(d.start, tuple(degrees[:-1])))
     return chain
 
 
@@ -312,6 +347,34 @@ def reference_decompose_s(table, c, n):
                 f"subtraction along {d} drove ({entry[0]}, {entry[1]}) "
                 "negative", pieces, blocking_strand=d, blocking_entry=entry)
     raise AssertionError("decomposition exceeded its step budget")
+
+
+def _reference_prefix_run(table, e, n):
+    """The leading full-codimension pieces of the dualized truncation at e,
+    decomposed free at positions <= -e and at full codimension above."""
+    c = CodimensionSequence(n, 0, -e + 1, (), n + 1)
+    pieces = decompose_s(dual(table), c, n).pieces
+    return list(itertools.takewhile(lambda p: p[1].codim == n + 1, pieces))
+
+
+def reference_infinite_prefix(table, e, n):
+    """Stable prefix confirmed against the truncation at e - 1: the run at
+    e is cut where the shorter run stops agreeing with it piecewise."""
+    kept = _reference_prefix_run(table, e, n)
+    shorter = _reference_prefix_run(
+        BettiTable({(i, j): v for (i, j), v in table.items() if i <= e - 1}),
+        e - 1, n)
+    agree = 0
+    for one, other in zip(kept, shorter):
+        if one != other:
+            break
+        agree += 1
+    if agree < len(shorter):
+        kept = kept[:agree]
+    stable = [Piece(coeff, d.dual()) for coeff, d in kept]
+    remainder = linear_combine(
+        [(1, table)] + [(-c, pure_diagram(d)) for c, d in stable])
+    return Decomposition(stable, remainder)
 
 
 def reference_decompose_a(table, c):

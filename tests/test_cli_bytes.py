@@ -14,7 +14,8 @@ import pytest
 
 from bsfan import CodimensionSequence, MultiBettiTable, membership_a
 from bsfan.cli import _json, _verdict, main
-from helpers import (MONAD_TABLE, TENSOR_TABLE, TWO_STRAND_TABLE, F, T, bump,
+from helpers import (MONAD_TABLE, MONOMIAL_RES_TABLE, TENSOR_TABLE,
+                     TRUNCATION_TABLE, TWO_STRAND_TABLE, F, T, bump,
                      long_chain_table, random_roots, rng, serialize_table)
 
 
@@ -22,6 +23,8 @@ def compact(obj):
     return json.dumps(obj, separators=(",", ":"))
 
 
+CONST2 = compact({"n": 2, "left": 2, "window_start": 0, "window": [],
+                  "right": 2})
 CONST3 = compact({"n": 2, "left": 3, "window_start": 0, "window": [],
                   "right": 3})
 STAIRCASE = compact({"n": 2, "left": "empty", "window_start": 0,
@@ -86,6 +89,17 @@ ARGV = {
                          "--codim", FREE_LEFT],
     "decompose_empty": ["decompose", "--table", '{"entries":[]}',
                         "--codim", CONST3, "--n", "2"],
+    # each piece's table, with the origin cell marked where a piece has one
+    "decompose_pretty_mark_origin": [
+        "decompose", "--table", serialize_table(MONOMIAL_RES_TABLE),
+        "--codim", CONST2, "--n", "2", "--format", "pretty", "--mark-origin"],
+    "decompose_empty_pretty": ["decompose", "--table", '{"entries":[]}',
+                               "--codim", CONST3, "--n", "2",
+                               "--format", "pretty"],
+    # the stable prefix, then the unresolved tail as a remainder
+    "infinite_pretty": ["infinite", "--table",
+                        serialize_table(TRUNCATION_TABLE),
+                        "--e", "4", "--n", "1", "--format", "pretty"],
     # decompose-a is decompose at n = 0, so these agree with check-a
     "decompose_a_closed_left": ["decompose-a", "--table", CLOSED_BLOCK,
                                 "--codim", EMPTY_LEFT],
@@ -186,6 +200,29 @@ EXPECTED = {
         'position":0,"gen_degree":3}}]}\n')),
     "decompose_empty": (0, (
         '{"pieces":[],"remainder":{"entries":[]}}\n')),
+    "decompose_pretty_mark_origin": (0, (
+        "piece 1: coeff 1 along (2,3,4)@1\n"
+        "    1  2  3\n"
+        "1:  1  2  1\n"
+        "piece 2: coeff 1 along (0,2,3)@0\n"
+        "     0  1  2\n"
+        "0:  1°  -  -\n"
+        "1:   -  3  2\n")),
+    "decompose_empty_pretty": (0, "(empty decomposition)\n"),
+    "infinite_pretty": (0, (
+        "piece 1: coeff 1 along (0,2,3)@0\n"
+        "    0  1  2\n"
+        "0:  1  -  -\n"
+        "1:  -  3  2\n"
+        "piece 2: coeff 3 along (2,3,4)@1\n"
+        "    1  2  3\n"
+        "1:  3  6  3\n"
+        "piece 3: coeff 8 along (3,4,5)@2\n"
+        "    2   3  4\n"
+        "1:  8  16  8\n"
+        "remainder:\n"
+        "     3   4\n"
+        "1:  19  84\n")),
     "decompose_a_closed_left": (1, (
         '{"status":"fail","message":"no torsion block ends at (0, 1): colum'
         'n -1 has codimension empty","partial_pieces":[],"blocking_entry":['

@@ -1,13 +1,14 @@
 import pytest
 
 from bsfan import (EMPTY, INF, BettiTable, CodimensionSequence,
-                   DegreeSequence, MonadViolation, NotInCone, decompose_s,
-                   dual, euler, infinite_prefix, linear_combine, monad_split,
-                   pure_diagram)
+                   Decomposition, DegreeSequence, MonadViolation, NotInCone,
+                   decompose_s, dual, euler, infinite_prefix, linear_combine,
+                   monad_split, pure_diagram)
 from helpers import (F, MONAD_TABLE, MONOMIAL_RES_TABLE, T, TENSOR_TABLE,
                      TRUNCATION_TABLE, TWO_STRAND_TABLE, Comparison,
                      chain_combination, compare_degree_sequences,
-                     koszul_table, random_chain, rng, solve_chain_coefficients,
+                     koszul_table, one_sided_chain, random_chain,
+                     reference_infinite_prefix, rng, solve_chain_coefficients,
                      total)
 
 STAIRCASE = CodimensionSequence(2, EMPTY, 0, (2, 2), INF)
@@ -15,6 +16,23 @@ STAIRCASE = CodimensionSequence(2, EMPTY, 0, (2, 2), INF)
 
 def piece_tables(dec):
     return [linear_combine([(c, pure_diagram(d))]) for c, d in dec.pieces]
+
+
+def random_coeffs(r, chain):
+    return [F(r.randint(1, 9), r.randint(1, 9)) for _ in chain]
+
+
+def perturbed(r, table, cols):
+    """table with one entry scaled, or one entry added in a column of cols
+    next to a degree the table has."""
+    entries = dict(table.items())
+    key = r.choice(sorted(entries))
+    if r.random() < 0.5:
+        entries[key] *= F(r.randint(1, 9), r.randint(1, 9))
+    else:
+        spot = (r.randint(*cols), key[1] + r.randint(-1, 1))
+        entries[spot] = entries.get(spot, 0) + F(r.randint(1, 9), r.randint(1, 9))
+    return T(entries)
 
 
 class TestGreedyGoldens:
@@ -209,6 +227,71 @@ class TestMonad:
         with pytest.raises(MonadViolation):
             monad_split(squeezed, 4)
 
+    def test_rejects_signed_input(self):
+        from bsfan import ValidationError
+        with pytest.raises(ValidationError, match="nonnegative"):
+            monad_split(BettiTable({(0, 0): -1}), 2)
+
+    def test_central_part_lies_in_column_zero(self):
+        # a positive-codimension piece of the monad run starts in a column
+        # >= 0, and what the run leaves lies in columns <= 0 (the dual run
+        # mirrors this), so table - D' - dual(D'') is zero off column 0 and
+        # only its negativity is left to check
+        r = rng(1802)
+        split = 0
+        for _ in range(500):
+            n = r.randint(1, 3)
+            c = CodimensionSequence(n, 0, 1, (), n + 1)
+            front, back = (one_sided_chain(r, n, 0, r.randint(n + 1, n + 3),
+                                           r.randint(1, n + 3))
+                           for _ in range(2))
+            central = T({(0, r.randint(-3, 3)): F(r.randint(1, 9))
+                         for _ in range(r.randint(0, 2))})
+            table = linear_combine([
+                (1, chain_combination(front, random_coeffs(r, front))),
+                (1, dual(chain_combination(back, random_coeffs(r, back)))),
+                (1, central)])
+            if r.random() < 0.5:
+                table = perturbed(r, table, (-2, 2))
+            try:
+                parts = [linear_combine([
+                    (co, pure_diagram(d)) for co, d in pieces if d.codim > 0])
+                    for pieces in (decompose_s(table, c, n).pieces,
+                                   decompose_s(dual(table), c, n).pieces)]
+            except NotInCone:
+                with pytest.raises(NotInCone):
+                    monad_split(table, n)
+                continue
+            e_column = linear_combine(
+                [(1, table), (-1, parts[0]), (-1, dual(parts[1]))])
+            assert e_column.columns() in ([], [0])
+            if e_column.is_nonnegative():
+                split += 1
+                assert monad_split(table, n).e_column == e_column
+            else:
+                with pytest.raises(MonadViolation, match="negative"):
+                    monad_split(table, n)
+        assert split >= 250
+
+
+def prefix_outcome(prefix, table, e, n):
+    """The pieces and remainder of a prefix run, or its failure certificate."""
+    try:
+        dec = prefix(table, e, n)
+    except NotInCone as exc:
+        return str(exc), exc.partial_pieces, exc.blocking_strand
+    return dec.pieces, dec.remainder
+
+
+def truncation(r):
+    """(table, e, n): a positive chain combination that decomposes, dualized,
+    under the run at e: full-codimension pieces above the boundary -e."""
+    n = r.randint(1, 3)
+    e = r.randint(n + 2, n + 6)
+    chain = one_sided_chain(r, n, -e, r.randint(n + 1 - e, 0),
+                            r.randint(1, n + 4))
+    return dual(chain_combination(chain, random_coeffs(r, chain))), e, n
+
 
 class TestInfinitePrefix:
     def test_quotient_ring_truncation(self):
@@ -235,8 +318,31 @@ class TestInfinitePrefix:
     def test_shorter_truncation_gives_prefix(self):
         long_run = infinite_prefix(TRUNCATION_TABLE, 4, 1)
         short_run = infinite_prefix(
-            TRUNCATION_TABLE.restrict_columns(hi=3), 3, 1)
+            T({(i, j): v for (i, j), v in TRUNCATION_TABLE.items() if i <= 3}),
+            3, 1)
         assert short_run.pieces == long_run.pieces[:len(short_run.pieces)]
+
+    def test_one_run_matches_the_run_confirmed_at_e_minus_1(self):
+        r = rng(1801)
+        for _ in range(1000):
+            table, e, n = truncation(r)
+            outcome = prefix_outcome(infinite_prefix, table, e, n)
+            assert outcome == prefix_outcome(
+                reference_infinite_prefix, table, e, n)
+            pieces, remainder = outcome  # a truncation passes the run at e
+            assert total(Decomposition(pieces, remainder)) == table
+
+    def test_one_run_matches_the_confirmed_run_on_noisy_tables(self):
+        r = rng(1803)
+        passed = 0
+        for _ in range(1000):
+            table, e, n = truncation(r)
+            table = perturbed(r, table, (-2, e))
+            outcome = prefix_outcome(infinite_prefix, table, e, n)
+            assert outcome == prefix_outcome(
+                reference_infinite_prefix, table, e, n)
+            passed += len(outcome) == 2
+        assert 50 <= passed <= 950
 
     def test_validates_truncation_bounds(self):
         from bsfan import ValidationError
@@ -244,3 +350,8 @@ class TestInfinitePrefix:
             infinite_prefix(TRUNCATION_TABLE, 2, 1)
         with pytest.raises(ValidationError):
             infinite_prefix(TRUNCATION_TABLE, 3, 1)
+
+    def test_rejects_signed_input(self):
+        from bsfan import ValidationError
+        with pytest.raises(ValidationError, match="nonnegative"):
+            infinite_prefix(BettiTable({(0, 0): -1}), 3, 1)

@@ -158,6 +158,8 @@ class TestKunneth:
             ProductSpace((1, 1), (((0,), 1),))
         with pytest.raises(ValidationError):
             ProductSpace((1,), (((0,), 0),))
+        with pytest.raises(ValidationError, match="rank 3, expected 2"):
+            ProductSpace((1, 1), (((0, 0), 1),)).column((0, 0, 0))
 
 
 class TestMultiPair:

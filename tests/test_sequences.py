@@ -35,6 +35,14 @@ class TestDegreeSequence:
         with pytest.raises(ParseError):
             _read({"degrees": [1]}, DEGREES, "d")
 
+    def test_trimmed_within_the_run(self):
+        d = DegreeSequence(1, (2, 3, 5))
+        assert d.trimmed(2) == DegreeSequence(2, (3, 5))
+        assert d.trimmed(3) == DegreeSequence(3, (5,))
+        for k in (0, 4):
+            with pytest.raises(ValidationError, match="outside run"):
+                d.trimmed(k)
+
     def test_dual(self):
         d = DegreeSequence(1, (2, 3, 5))
         assert d.dual() == DegreeSequence(-3, (-5, -3, -2))
