@@ -5,7 +5,8 @@ exact complexes splits into two-term torsion blocks {(p, a): 1, (p+1, b): 1}
 and, where the constraint allows rank, single free blocks {(p, a): 1}.  The
 functionals chi_{i,j} cut the cone out: chi weights column i up to degree j,
 column i+1 up to degree j+1 with opposite sign, and every further column by
-its full alternating column sum.  The blocks are the pure diagrams at n = 0.
+its full alternating column sum (the loop is tables._partial_euler, shared
+with multi_chi).  The blocks are the pure diagrams at n = 0.
 """
 
 from __future__ import annotations
@@ -15,25 +16,7 @@ from fractions import Fraction
 
 from .errors import NotInCone, ValidationError
 from .sequences import EMPTY, INF, Piece
-from .tables import ZERO
-
-
-def _partial_euler(table, i, anchor, key):
-    """Column i counts the grades whose key is below the anchor, column i+1
-    those whose key is at most the anchor, with opposite sign, and every
-    further column adds its full alternating column sum (sign +1 at i+2,
-    so the value is invariant under homological shift of table and i)."""
-    total = Fraction(0)
-    for (col, grade), value in table.items():
-        if col == i:
-            if key(grade) < anchor:
-                total += value
-        elif col == i + 1:
-            if key(grade) <= anchor:
-                total -= value
-        elif col >= i + 2:
-            total += value if (col - i) % 2 == 0 else -value
-    return total
+from .tables import ZERO, _partial_euler
 
 
 def chi(table, i, j):

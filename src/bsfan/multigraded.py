@@ -1,6 +1,7 @@
 """Multigraded tables, total orders, chi functionals, and the pairing on
-products of projective spaces: the single-graded table, chi loop and pairing
-loop over the grading group Z^m.
+products of projective spaces: the single-graded table, chi loop
+(tables._partial_euler) and pairing loop (pairing.pair, imported by
+multi_pair when it is called) over the grading group Z^m.
 
 Gradings live in Z^m in coordinates where the effective cone is the
 standard orthant.  A GradedOrder (positive weights, lexicographic
@@ -14,11 +15,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .cone_a import _partial_euler
 from .diagrams import CohomologyEvaluator, _bott
 from .errors import ParseError, ValidationError
-from .pairing import pair
-from .tables import BettiTable, _read
+from .tables import BettiTable, _partial_euler, _read
 
 
 class GradedOrder(namedtuple("GradedOrder", "weights")):
@@ -99,6 +98,8 @@ def multi_pair(table, space, qmax=None):
             f"table has rank {table.m}, the space has rank {space.rank}")
     if qmax is not None and qmax < 0:
         raise ValidationError(f"qmax must be >= 0, got {qmax}")
+    from .pairing import pair
+
     return pair(table, space if qmax is None else _Capped(space, qmax))
 
 

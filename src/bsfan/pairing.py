@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cone_a import chi, membership_a
 from .diagrams import SupernaturalSheaf
 from .errors import EvaluatorRangeError
-from .sequences import CodimensionSequence
 from .tables import ZERO
 
 
@@ -68,6 +66,8 @@ def es_functional(table, roots, rank_scale, n, tau, kappa):
     The anchor degree is nu = min(max(kappa, -f_tau - 1), -f_{tau+1} - 1);
     for tau = s the second bound is +inf and drops out.
     """
+    from .cone_a import chi
+
     s = len(roots)
     if not 1 <= tau <= s:
         raise ValueError(f"tau must be in 1..{s}, got {tau}")
@@ -86,6 +86,9 @@ def pair_check(table, evaluators, n):
     functional and its negative value.  A sheaf with an ambient n must
     live on P^n.
     """
+    from .cone_a import membership_a
+    from .sequences import CodimensionSequence
+
     for ev in evaluators:
         if getattr(ev, "n", n) != n:
             raise ValueError(

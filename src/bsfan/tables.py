@@ -7,6 +7,10 @@ arithmetic is exact; there is no floating point anywhere in this package.
 Rendering uses the classical display convention: the cell in column i and
 display row r shows the entry of degree j = i + r, zeros print as "-", and
 the origin cell may be decorated with a degree-zero marker "°".
+
+The partial Euler characteristic loop, _partial_euler, lives here: it is
+cone_a.chi over Z and multigraded.multi_chi over Z^m, so a multi-chi
+process loads neither the one-variable side nor the pairing.
 """
 
 from __future__ import annotations
@@ -248,11 +252,34 @@ def shift(table, k):
     return table.like({(i + k, j): v for (i, j), v in table._entries.items()})
 
 
+def _partial_euler(table, i, anchor, key):
+    """Column i counts the grades whose key is below the anchor, column i+1
+    those whose key is at most the anchor, with opposite sign, and every
+    further column adds its full alternating column sum (sign +1 at i+2,
+    so the value is invariant under homological shift of table and i)."""
+    total = Fraction(0)
+    for (col, grade), value in table.items():
+        if col == i:
+            if key(grade) < anchor:
+                total += value
+        elif col == i + 1:
+            if key(grade) <= anchor:
+                total -= value
+        elif col >= i + 2:
+            total += value if (col - i) % 2 == 0 else -value
+    return total
+
+
 def _read(value, shape, where):
     """Decoded JSON checked against shape: int (a JSON integer, not true),
     None (any value), [s] (a list of s, read as a tuple) or {key: s} (an
     object, read as a dict in shape order; a key of shape (s, default) may
-    be absent).  A mismatch is one ParseError that names the field."""
+    be absent).  A mismatch is one ParseError that names the field.
+
+    A list of integers, or of objects whose fields are present with shapes
+    int, None or [int] (a table's entries), is checked inline in one call;
+    an item that does not pass inline is read by a call of its own, which
+    words the error."""
     if shape is int:
         if type(value) is int:
             return value
@@ -268,6 +295,28 @@ def _read(value, shape, where):
                         break
                 else:
                     return tuple(value)
+            elif type(item) is dict:  # nor per flat object: per table entry
+                fields = item.items()
+                rows = []
+                for k, v in enumerate(value):
+                    row = {}
+                    if type(v) is dict:
+                        for key, field in fields:
+                            if key not in v:
+                                break
+                            x = v[key]
+                            if field is None or field is int and type(x) is int:
+                                row[key] = x
+                            elif (field == [int] and type(x) is list
+                                  and all(type(a) is int for a in x)):
+                                row[key] = tuple(x)
+                            else:
+                                break
+                        else:
+                            rows.append(row)
+                            continue
+                    rows.append(_read(v, item, f"{where}[{k}]"))
+                return tuple(rows)
             return tuple([_read(v, item, f"{where}[{k}]")
                           for k, v in enumerate(value)])
         kind = "a JSON list"
@@ -304,18 +353,48 @@ def _read_entries(entries, where):
 
 def table_from_obj(obj, cls=BettiTable):
     """Validated table of class cls from decoded JSON: integer HEADER
-    fields and an "entries" list of {i, <cls.GRADE>, value} objects."""
+    fields (the rank m of Z^m, at least 1) and an "entries" list of
+    {i, <cls.GRADE>, value} objects.
+
+    One loop over the entries: a duplicate key or a value that is not a
+    rational raises at once; a grade of the wrong rank (zero entries
+    included) or a negative value is kept and raised after the loop.  So
+    faults are reported shapes first, then keys and rationals, then ranks
+    and signs, each kind in entry order.
+    """
     shape = dict.fromkeys(cls.HEADER, int)
     shape["entries"] = [{"i": int, cls.GRADE: cls.GRADE_SHAPE, "value": None}]
     *head, entries = _read(obj, shape, "table").values()
+    for key, m in zip(cls.HEADER, head):
+        if m < 1:
+            raise ValidationError(f"table.{key} must be >= 1, got {m}")
+    rank = head[0] if head else None
     table = cls._trusted({}, *head)
-    checked = table._entries
-    for (i, grade), q in _read_entries(entries, "table").items():
-        if q:
-            key = (i, table.normalize_grade(grade))
-            if q < 0:
-                raise ValidationError(f"negative entry {q} at {key}")
-            checked[key] = q
+    checked, seen, fault = table._entries, set(), None
+    match = _RATIONAL_RE.match
+    for entry in entries:
+        i, grade, text = entry.values()
+        key = (i, grade)
+        if key in seen:
+            raise ParseError(f"table: duplicate entry for {key}")
+        seen.add(key)
+        found = isinstance(text, str) and match(text.strip())
+        if not found:
+            parse_rational(text, f"entry {key}")  # raises its own message
+        if fault is not None:
+            continue
+        num, den = found.groups()
+        num = int(num)
+        if rank is not None and len(grade) != rank:
+            fault = ValidationError(
+                f"grade {grade} has rank {len(grade)}, expected {rank}")
+        elif num > 0:
+            checked[key] = Fraction(num, int(den)) if den else Fraction(num)
+        elif num:
+            fault = ValidationError(
+                f"negative entry {parse_rational(text)} at {key}")
+    if fault is not None:
+        raise fault
     return table
 
 

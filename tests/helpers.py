@@ -24,6 +24,12 @@ library's pure_diagram, which stays on integers, must give the same table.
 reference_pair asks reference_gamma, the closed form of each evaluator
 kind, at every q = 0..dimension of every entry; the library's pair, which
 reads one evaluator column per distinct grade, must give the same table.
+reference_table_from_obj is the three-pass table reader: the shape check
+of _reference_read with one call per entry, then _reference_read_entries
+(duplicates and rationals), then the rank and sign checks on the nonzero
+entries; the library's one-pass table_from_obj must return the same table
+or raise the same error, except that it also checks the rank m and the
+grades of zero entries.
 
 total rebuilds the table a Decomposition stands for, apiece_table is
 the table of a one-variable block, and apiece_degree_sequence reads a
@@ -49,13 +55,14 @@ from math import comb, factorial, gcd, inf, lcm
 
 from bsfan import (EMPTY, INF, APiece, AVerdict, BettiTable,
                    CodimensionSequence, CohomologyEvaluator, Decomposition,
-                   DegreeSequence, EvaluatorRangeError, NotInCone, Piece,
-                   ProductSpace, SupernaturalSheaf, TwistSheaf,
-                   ValidationError, Violation, WindowEvaluator, chi,
-                   chi_window, decompose_s, dual, euler, linear_combine,
+                   DegreeSequence, EvaluatorRangeError, NotInCone,
+                   ParseError, Piece, ProductSpace, SupernaturalSheaf,
+                   TwistSheaf, ValidationError, Violation, WindowEvaluator,
+                   chi, chi_window, decompose_s, dual, euler, linear_combine,
                    pure_diagram, table_from_obj, table_to_obj)
 from bsfan.cli import _load_obj
 from bsfan.multigraded import _Capped
+from bsfan.tables import parse_rational
 
 
 def T(entries):
@@ -521,6 +528,73 @@ def reference_pair(table, ev):
                 key = (p - q, grade)
                 acc[key] = acc.get(key, Fraction(0)) + value * gamma
     return table.like({key: v for key, v in acc.items() if v})
+
+
+def _reference_read(value, shape, where):
+    """Decoded JSON checked against shape, one call per list item that is
+    not an integer."""
+    if shape is int:
+        if type(value) is int:
+            return value
+        kind = "a JSON integer"
+    elif shape is None:
+        return value
+    elif type(shape) is list:
+        if type(value) is list:
+            item = shape[0]
+            if item is int:  # no call per integer: one grade per table entry
+                for v in value:
+                    if type(v) is not int:
+                        break
+                else:
+                    return tuple(value)
+            return tuple([_reference_read(v, item, f"{where}[{k}]")
+                          for k, v in enumerate(value)])
+        kind = "a JSON list"
+    elif type(value) is dict:
+        read = {}
+        for key, field in shape.items():
+            if key in value:
+                v = value[key]
+                if type(field) is tuple:
+                    field = field[0]
+                read[key] = (v if field is None or field is int and type(v) is int
+                             else _reference_read(v, field, f"{where}.{key}"))
+            elif type(field) is tuple:
+                read[key] = field[1]
+            else:
+                raise ParseError(f"{where} has no {key!r} field")
+        return read
+    else:
+        kind = "a JSON object"
+    raise ParseError(f"{where} must be {kind}, got {value!r}")
+
+
+def _reference_read_entries(entries, where):
+    """{(a, b): Fraction} from read entries {a, b, value}, keys unique."""
+    data = {}
+    for entry in entries:
+        a, b, text = entry.values()
+        key = (a, b)
+        if key in data:
+            raise ParseError(f"{where}: duplicate entry for {key}")
+        data[key] = parse_rational(text, f"entry {key}")
+    return data
+
+
+def reference_table_from_obj(obj, cls=BettiTable):
+    shape = dict.fromkeys(cls.HEADER, int)
+    shape["entries"] = [{"i": int, cls.GRADE: cls.GRADE_SHAPE, "value": None}]
+    *head, entries = _reference_read(obj, shape, "table").values()
+    table = cls._trusted({}, *head)
+    checked = table._entries
+    for (i, grade), q in _reference_read_entries(entries, "table").items():
+        if q:
+            key = (i, table.normalize_grade(grade))
+            if q < 0:
+                raise ValidationError(f"negative entry {q} at {key}")
+            checked[key] = q
+    return table
 
 
 def parse_table(text):

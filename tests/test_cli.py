@@ -295,6 +295,13 @@ class TestExitCodes:
          '{"entries":[{"i":0,"j":0,"value":"1"}],"entries":[]}'],
         ["euler", "--table",
          '{"entries":[{"i":0,"j":0,"value":"1","value":"5"}]}'],
+        ["multi-chi", "--table",
+         '{"m":2,"entries":[{"i":0,"alpha":[1,2,3],"value":"0"},'
+         '{"i":0,"alpha":[0,0],"value":"1"}]}',
+         "--i", "0", "--alpha=1,1", "--weights=1,1"],
+        ["multi-chi", "--table",
+         '{"m":-1,"entries":[{"i":0,"alpha":[1],"value":"1"}]}',
+         "--i", "0", "--alpha=1", "--weights=1"],
     ], ids=["codim-window-not-a-list", "boolean-index", "window-q-past-dim",
             "window-dim-true", "window-q-true", "twist-n-true",
             "twist-ambient-vs-n",
@@ -306,7 +313,8 @@ class TestExitCodes:
             "json-nested-too-deep", "codim-window-an-object",
             "codim-window-a-string", "supernatural-roots-a-string",
             "window-entries-an-object", "product-summands-a-string",
-            "repeated-key-entries", "repeated-key-value"])
+            "repeated-key-entries", "repeated-key-value",
+            "multi-zero-entry-rank-vs-m", "multi-m-negative"])
     def test_malformed_input_exits_two_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""

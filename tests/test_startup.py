@@ -35,14 +35,18 @@ CHAINS = DIAGRAMS | {"cone_s"}
 # decompose-a is the chain decomposition at n = 0
 BLOCKS = ONE_VARIABLE | {"diagrams", "cone_s"}
 PAIRING = DIAGRAMS | {"cone_a", "pairing"}
-MULTIGRADED = PAIRING | {"multigraded"}
+# pair, multi-chi and multi-pair reach neither the one-variable side nor
+# the sequences: the chi loop lives in tables
+PAIR = TABLES | {"diagrams", "pairing"}
+MULTI_CHI = TABLES | {"diagrams", "multigraded"}
+MULTI_PAIR = MULTI_CHI | {"pairing"}
 
 FOOTPRINT = {
     "--help": (["--help"], {"errors"}),
     "pure": (["pure", "--degrees", "0,1"], DIAGRAMS),
     "supernatural": (["supernatural", "--roots", "0", "--n", "1",
                       "--jmin", "0", "--jmax", "1"], TABLES | {"diagrams"}),
-    "pair": (["pair", "--table", TABLE, "--sheaf", TWIST], PAIRING),
+    "pair": (["pair", "--table", TABLE, "--sheaf", TWIST], PAIR),
     "chi": (["chi", "--table", TABLE, "--i", "0", "--j", "0"], ONE_VARIABLE),
     "euler": (["euler", "--table", TABLE], ONE_VARIABLE),
     "check-a": (["check-a", "--table", EMPTY, "--codim", ALL_ONE],
@@ -64,9 +68,9 @@ FOOTPRINT = {
     "shift": (["shift", "--table", TABLE, "--k", "1"], TABLES),
     "render": (["render", "--table", TABLE], TABLES),
     "multi-chi": (["multi-chi", "--table", MULTI, "--i", "0",
-                   "--alpha", "0", "--weights", "1"], MULTIGRADED),
+                   "--alpha", "0", "--weights", "1"], MULTI_CHI),
     "multi-pair": (["multi-pair", "--table", MULTI, "--space", SPACE],
-                   MULTIGRADED),
+                   MULTI_PAIR),
 }
 
 

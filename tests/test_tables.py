@@ -1,14 +1,17 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
-from bsfan import (BettiTable, ParseError, ValidationError, dual,
-                   linear_combine, pretty_render, shift)
-from bsfan.tables import WorkingTable, _read, _read_entries
+from bsfan import (BettiTable, MultiBettiTable, ParseError, ValidationError,
+                   dual, linear_combine, pretty_render, shift, table_from_obj,
+                   tables)
+from bsfan.tables import WorkingTable, _read, _read_entries, parse_rational
 from helpers import (F, INTRO_TABLE, MONAD_TABLE, T, parse_table,
-                     random_table, rng, serialize_table)
+                     random_table, reference_table_from_obj, rng,
+                     serialize_table)
 
 
 class TestParse:
@@ -117,6 +120,160 @@ class TestRead:
             _read_entries(entries + ({"q": 0, "j": 1, "value": "1"},), "w")
         with pytest.raises(ParseError, match=r"entry \(0, 1\)"):
             _read_entries(({"q": 0, "j": 1, "value": 1},), "w")
+
+
+class TestOnePassReader:
+    """table_from_obj against the three-pass reference reader."""
+
+    VALUES = ["1", "7", "2/4", "9/3", " 5 ", "0", "-0", "0/7", "12/5"]
+    BAD_VALUES = ["1/0", "1.5", "abc", "", "1/-2", "+1", 1, None, True, [1]]
+    NEGATIVE = ["-1", "-2/4", "-3/7"]
+
+    def random_obj(self, r, m):
+        """A valid table object over Z^m, or over Z when m is None."""
+        grade = "j" if m is None else "alpha"
+        entries, keys = [], set()
+        for _ in range(r.randint(0, 12)):
+            i = r.randint(-3, 4)
+            g = (r.randint(-6, 7) if m is None
+                 else [r.randint(-3, 5) for _ in range(m)])
+            key = (i, g if m is None else tuple(g))
+            if key not in keys:
+                keys.add(key)
+                entries.append({"i": i, grade: g,
+                                "value": r.choice(self.VALUES)})
+        return ({"entries": entries} if m is None
+                else {"m": m, "entries": entries})
+
+    def break_entry(self, r, obj, k, m):
+        """One fault in entry k that both readers see the same way."""
+        grade = "j" if m is None else "alpha"
+        entry = obj["entries"][k]
+        fault = r.choice(["index", "grade", "missing", "value", "negative",
+                          "duplicate", "not-an-object", "rank", "extra"])
+        if fault == "index":
+            entry["i"] = r.choice(["1", True, 1.5, None, [1]])
+        elif fault == "grade":
+            entry[grade] = (r.choice(["0", True, 1.0, [0]]) if m is None
+                            else r.choice([0, "x", [True] * m, ["0"] * m,
+                                           [1.0] * m, {}]))
+        elif fault == "missing":
+            del entry[r.choice(["i", grade, "value"])]
+        elif fault == "value":
+            entry["value"] = r.choice(self.BAD_VALUES)
+        elif fault == "negative":
+            entry["value"] = r.choice(self.NEGATIVE)
+        elif fault == "duplicate":
+            other = obj["entries"][r.randrange(len(obj["entries"]))]
+            if (other is not entry and type(other) is dict
+                    and "i" in other and grade in other):
+                entry["i"], entry[grade] = other["i"], other[grade]
+        elif fault == "not-an-object":
+            obj["entries"][k] = r.choice([5, [], "x", None])
+        elif fault == "rank" and m is not None:
+            # a nonzero entry: the grade of a zero entry is read only here
+            entry[grade] = [0] * r.choice([n for n in range(5) if n != m])
+            entry["value"] = r.choice(["1", "2/3", "-1"])
+        else:  # also "rank" over Z: a field no reader reads
+            entry["extra"] = [1, {}]
+
+    def break_table(self, r, obj, m):
+        fault = r.choice(["entries", "no-entries", "rank-type", "no-rank",
+                          "not-an-object"])
+        if fault == "entries":
+            obj["entries"] = r.choice([{}, "", 5, None])
+        elif fault == "no-entries":
+            del obj["entries"]
+        elif fault == "rank-type" and m is not None:
+            obj["m"] = r.choice([True, "2", 2.0, None])
+        elif fault == "no-rank" and m is not None:
+            del obj["m"]
+        elif fault == "not-an-object":
+            return r.choice([[], "", 3, None])
+        return obj
+
+    @staticmethod
+    def outcome(reader, obj, cls):
+        try:
+            table = reader(obj, cls)
+        except Exception as exc:  # the type and message must match
+            return type(exc), str(exc)
+        assert all(type(v) is Fraction and v > 0
+                   for v in table._entries.values())
+        return table
+
+    def test_matches_the_reference_reader(self):
+        r = rng(2026)
+        kinds = {"valid": 0, "raised": 0}
+        for _ in range(3000):
+            m = r.choice([None, 1, 2, 3])
+            cls = BettiTable if m is None else MultiBettiTable
+            obj = self.random_obj(r, m)
+            n = len(obj["entries"])
+            faults = r.choice([0, 1, 2, 2])
+            if faults and r.random() < 0.15:
+                obj = self.break_table(r, obj, m)
+            elif faults and n:
+                # two faults fall in different entries
+                for k in r.sample(range(n), min(faults, n)):
+                    self.break_entry(r, obj, k, m)
+            text = json.dumps(obj)
+            want = self.outcome(reference_table_from_obj, json.loads(text),
+                                cls)
+            got = self.outcome(table_from_obj, json.loads(text), cls)
+            assert got == want, text
+            kinds["raised" if type(want) is tuple else "valid"] += 1
+        # both kinds of outcome are well represented
+        assert min(kinds.values()) > 800, kinds
+
+    def test_rank_and_zero_entry_grades_are_checked(self):
+        # the two inputs the three-pass reader let through or misworded
+        r = rng(2027)
+        for _ in range(300):
+            m = r.randint(1, 3)
+            obj = self.random_obj(r, m)
+            wrong = r.choice([n for n in range(5) if n != m])
+            obj["entries"].insert(
+                r.randint(0, len(obj["entries"])),
+                {"i": 9, "alpha": [0] * wrong, "value": r.choice(
+                    ["0", "-0", "0/4"])})
+            assert type(reference_table_from_obj(
+                json.loads(json.dumps(obj)), MultiBettiTable)) \
+                is MultiBettiTable
+            message = f"grade {(0,) * wrong} has rank {wrong}, expected {m}"
+            with pytest.raises(ValidationError,
+                               match=f"^{re.escape(message)}$"):
+                table_from_obj(obj, MultiBettiTable)
+            obj["m"] = r.randint(-3, 0)
+            with pytest.raises(ValidationError,
+                               match=rf"^table\.m must be >= 1, got {obj['m']}$"):
+                table_from_obj(obj, MultiBettiTable)
+
+    @pytest.mark.parametrize("m", [None, 3])
+    def test_entries_are_read_in_one_call(self, monkeypatch, m):
+        # one _read for the table object and one for its whole entries
+        # list, whatever the number of entries: none per entry or grade
+        values = self.VALUES
+        entries = [{"i": k % 5, "value": values[k % len(values)]}
+                   for k in range(300)]
+        for k, entry in enumerate(entries):
+            if m is None:
+                entry["j"] = k
+            else:
+                entry["alpha"] = [k, -k, k % 7]
+        obj = {"entries": entries} if m is None else {"m": m, "entries": entries}
+        calls = []
+        read = tables._read
+
+        def counted(value, shape, where):
+            calls.append(where)
+            return read(value, shape, where)
+
+        monkeypatch.setattr(tables, "_read", counted)
+        cls = BettiTable if m is None else MultiBettiTable
+        assert len(table_from_obj(obj, cls)) == sum(
+            parse_rational(e["value"]) != 0 for e in entries)
+        assert calls == ["table", "table.entries"]
 
 
 def test_round_trip_random():
