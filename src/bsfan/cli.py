@@ -6,21 +6,21 @@ writer, _json, builds every JSON result and certificate from the value's
 structure, so the library's records carry no serializers.  A row holds
 the help line, the output flags, the options, the call (load the
 arguments, run the library function) and the emitter (write the result,
-return the exit code).  main builds the options of the invoked subcommand
-alone, and the call imports only the layer modules it reaches, so a
-process pays for its own subcommand and nothing else.  Exit codes: 0 for
+return the exit code).  main reads a well-formed command line straight
+from the row's options (_parse) and loads argparse only for help and usage
+errors, where it builds the options of the invoked subcommand alone; the
+call imports only the layer modules it reaches, so a process pays for its
+own subcommand and nothing else.  Exit codes: 0 for
 success / in-cone, 1 for a non-membership verdict (the machine-readable
 certificate goes to stdout), 2 for malformed input or usage errors
 (diagnostics go to stderr).
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import re
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from .errors import BsfanError, MonadViolation, NotInCone, ParseError
 
@@ -313,6 +313,16 @@ COMMANDS = {
 NEGATIVE_VALUE = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
 
+def _options(command):
+    """Each option of a row's option string: its flag, its dest, whether
+    its value is an integer, whether it is required, and its default."""
+    for option in command.options.split():
+        flag, optional, default = option.partition("=")
+        flag, _, kind = flag.partition(":")
+        yield (flag, flag[2:].replace("-", "_"), kind == "int", not optional,
+               default or None)
+
+
 def _declare(parser, command):
     parser._negative_number_matcher = NEGATIVE_VALUE
     if "format" in command.flags:
@@ -321,11 +331,55 @@ def _declare(parser, command):
     if "mark-origin" in command.flags:
         parser.add_argument("--mark-origin", action="store_true",
                             help="decorate the origin cell in pretty output")
-    for option in command.options.split():
-        flag, optional, default = option.partition("=")
-        flag, _, kind = flag.partition(":")
-        parser.add_argument(flag, type=int if kind == "int" else None,
-                            required=not optional, default=default or None)
+    for flag, _, is_int, required, default in _options(command):
+        parser.add_argument(flag, type=int if is_int else None,
+                            required=required, default=default)
+
+
+def _parse(argv):
+    """The namespace build_parser(argv).parse_args(argv) returns, read
+    without argparse; None unless argv is a subcommand followed by each of
+    its options at most once, as --name value or --name=value (a flag
+    alone), with every value valid and every required option present.  A
+    separate value must not look like an option: it starts with no "-"
+    or is a NEGATIVE_VALUE."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if flag in given:
+            return None
+        if flag == "--mark-origin":
+            if equals:
+                return None
+            value = True
+        elif not equals:
+            value = next(tokens, "-")  # a missing value fails as "-" does
+            if value.startswith("-") and not NEGATIVE_VALUE.match(value):
+                return None
+        elif value == "--":  # argparse drops it, leaving no value
+            return None
+        given[flag] = value
+    args = {"command": argv[0]}
+    if "format" in command.flags:
+        args["format"] = given.pop("--format", "json")
+        if args["format"] not in ("json", "pretty"):
+            return None
+    if "mark-origin" in command.flags:
+        args["mark_origin"] = given.pop("--mark-origin", False)
+    for flag, dest, is_int, required, default in _options(command):
+        if required and flag not in given:
+            return None
+        value = given.pop(flag, default)
+        if is_int and value is not None:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        args[dest] = value
+    return None if given else SimpleNamespace(**args)
 
 
 def build_parser(argv=()):
@@ -336,6 +390,8 @@ def build_parser(argv=()):
     (top-level help, an unknown name, no name) every name is listed with
     its help line.
     """
+    import argparse
+
     invoked = next((arg for arg in argv if not arg.startswith("-")), None)
     alone = invoked in COMMANDS and argv[0] == invoked
     parser = argparse.ArgumentParser(
@@ -354,8 +410,12 @@ def build_parser(argv=()):
 
 
 def main(argv=None):
+    """Run one subcommand and return its exit code.  A well-formed argv is
+    read by _parse; any other (help, a usage error, an abbreviated or
+    repeated option) goes to argparse, which prints help and usage errors
+    and exits."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _parse(argv) or build_parser(argv).parse_args(argv)
     command = COMMANDS[args.command]
     try:
         return command.emit(command.call(args), args)

@@ -9,8 +9,6 @@ its full alternating column sum (the loop is tables._partial_euler, shared
 with multi_chi).  The blocks are the pure diagrams at n = 0.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 

@@ -28,8 +28,6 @@ decomposing a dualized truncation once and keeping its full-codimension
 leading pieces.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from itertools import takewhile

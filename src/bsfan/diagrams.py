@@ -9,8 +9,6 @@ magnitude given by the Hilbert polynomial |prod (j - f_k)| * r / s!; the
 twisted structure sheaves follow Bott's formula, _bott.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from fractions import Fraction

@@ -11,8 +11,6 @@ exactly like the single-graded ones, with strict comparison in the anchored
 column and non-strict one column up.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .diagrams import CohomologyEvaluator, _bott
@@ -55,6 +53,8 @@ class MultiBettiTable(BettiTable):
 
     def __init__(self, m, entries=None):
         self.m = int(m)
+        if self.m < 1:
+            raise ValidationError(f"table.m must be >= 1, got {self.m}")
         super().__init__(entries)
 
     def normalize_grade(self, alpha):

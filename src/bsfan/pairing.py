@@ -13,8 +13,6 @@ checks through the one-variable side) is a composition of this formula with
 the chi functionals.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .diagrams import SupernaturalSheaf

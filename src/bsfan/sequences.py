@@ -8,8 +8,6 @@ infinite sequence over {empty} | {0..n+1} | {inf} (ordered empty < 0 < ...
 homology of a complex must be in each homological position.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import ValidationError

@@ -13,8 +13,6 @@ cone_a.chi over Z and multigraded.multi_chi over Z^m, so a multi-chi
 process loads neither the one-variable side nor the pairing.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from math import gcd

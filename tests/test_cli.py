@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -7,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from bsfan.cli import main
+from bsfan.cli import COMMANDS, _options, _parse, build_parser, main
 from helpers import (MONAD_TABLE, TENSOR_TABLE, TRUNCATION_TABLE,
-                     TWO_STRAND_TABLE, serialize_table)
+                     TWO_STRAND_TABLE, rng, serialize_table)
 
 STAIRCASE_JSON = json.dumps({"n": 2, "left": "empty", "window_start": 0,
                              "window": [2, 2], "right": "inf"})
@@ -435,3 +437,149 @@ class TestDeterminism:
             env=dict(os.environ, PYTHONPATH=str(src)))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["entries"][1]["value"] == "5"
+
+
+def argparse_vars(argv):
+    """vars of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# values every option takes in both spellings, --name value and
+# --name=value: comma lists, negative ones included, and int() spellings
+PLAIN = {
+    "str": ["x", "0,2,3", "-1,-2", "-1,3", "-.5", "-1", "", "a=b", "a b",
+            '{"entries":[]}'],
+    "int": ["5", "0", "-3", " 5", "+5", "1_0", "5 "],
+    "format": ["json", "pretty"],
+}
+# values that argparse rejects or reads as an option, and values _parse
+# may leave to argparse: a bad int, a value that looks like an option,
+# "--", an empty format
+ODD = ["5.0", "x", "", "-x", "-", "--", "-h", "--help", "--table", "- 1",
+       "-7 ", "-1\n", "-1,x", "--=", "xml", "--format"]
+
+
+def option_kinds(name):
+    """Each option of a subcommand: its flag, kind and whether required."""
+    command = COMMANDS[name]
+    kinds = []
+    if "format" in command.flags:
+        kinds.append(("--format", "format", False))
+    if "mark-origin" in command.flags:
+        kinds.append(("--mark-origin", "flag", False))
+    kinds += [(flag, "int" if is_int else "str", required)
+              for flag, _, is_int, required, _ in _options(command)]
+    return kinds
+
+
+def spell(r, flag, kind, value):
+    if kind == "flag":
+        return [flag]
+    return [f"{flag}={value}"] if r.random() < 0.5 else [flag, value]
+
+
+def draw(r, name):
+    """A seeded argv of the subcommand and whether it is well formed: each
+    option once in either spelling, in canonical or shuffled order, or with
+    one fault."""
+    kinds = option_kinds(name)
+    given = [(flag, kind, spell(r, flag, kind, r.choice(PLAIN.get(kind, [""]))))
+             for flag, kind, required in kinds
+             if required or r.random() < 0.6]
+    if r.random() < 0.5:
+        r.shuffle(given)
+    parts = [tokens for _, _, tokens in given]
+    fault = r.choice([None] * 6 + ["odd", "drop", "repeat", "unknown",
+                                   "abbrev", "insert", "flag=", "xml"])
+    where = r.randrange(len(parts) + 1)
+    if fault == "odd" and given:
+        flag, kind, _ = r.choice(given)
+        odd = r.choice(ODD)
+        parts = [[f"{flag}={odd}"] if r.random() < 0.5 else [flag, odd]]
+        parts += [tokens for other, _, tokens in given if other != flag]
+    elif fault == "drop" and parts:
+        del parts[r.randrange(len(parts))]
+    elif fault == "repeat" and parts:
+        parts.insert(where, r.choice(parts))
+    elif fault == "unknown":
+        parts.insert(where, r.choice([["--bogus", "1"], ["--bogus=1"],
+                                      ["stray"], ["--command", name]]))
+    elif fault == "abbrev":
+        flag, kind, _ = r.choice([k for k in kinds if len(k[0]) > 3])
+        short = flag[:r.randrange(3, len(flag))]
+        parts.insert(where, spell(r, short, kind, r.choice(
+            PLAIN.get(kind, [""]))))
+    elif fault == "insert":
+        parts.insert(where, [r.choice(["--", "-h", "--help", "-", "-x"])])
+    elif fault == "flag=":
+        parts.insert(where, [r.choice(["--mark-origin=", "--mark-origin=1",
+                                       "--mark-origin=yes"])])
+    elif fault == "xml":
+        parts.insert(where, r.choice([["--format", "xml"], ["--format=xml"],
+                                      ["--format="]]))
+    argv = [name] + [token for tokens in parts for token in tokens]
+    return argv, fault is None
+
+
+def typed(namespace):
+    return {key: (type(value), value) for key, value in namespace.items()}
+
+
+class TestParse:
+    """_parse reads a well-formed argv into argparse's namespace and
+    leaves every other argv to argparse, which prints help and errors."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_argparse(self, seed):
+        r = rng(seed)
+        accepted = 0
+        for name in COMMANDS:
+            for _ in range(150):
+                argv, plain = draw(r, name)
+                expected, got = argparse_vars(argv), _parse(argv)
+                if plain:
+                    assert got is not None, argv
+                    accepted += 1
+                if got is not None:
+                    assert expected is not None, argv
+                    assert typed(vars(got)) == typed(expected), argv
+        assert accepted > 1000
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["frobnicate"], ["--", "euler"],
+        ["euler"], ["euler", "--help"], ["euler", "--table"],
+        ["euler", "--table", "x", "--"], ["euler", "--table=--"],
+        ["euler", "--table", "--"], ["euler", "--tab", "x"],
+        ["euler", "--table", "x", "--table", "y"],
+        ["es", "--table", "x", "--r", "1"],
+        ["pure", "--degrees", "1", "--start", "5.0"],
+        ["pure", "--degrees", "1", "--start="],
+        ["render", "--table", "x", "--mark-origin=1"],
+        ["render", "--table", "x", "--mark-origin", "--mark-origin"],
+        ["chi", "--table", "x", "--i", "0", "--j", "0", "--format", "xml"],
+    ])
+    def test_leaves_other_argvs_to_argparse(self, argv):
+        assert _parse(argv) is None
+
+    @pytest.mark.parametrize("argv, namespace", [
+        (["pure", "--degrees", "0,1"],
+         {"command": "pure", "format": "json", "mark_origin": False,
+          "start": 0, "degrees": "0,1"}),
+        (["supernatural", "--roots=-1,3", "--n", "2", "--jmin", "-3",
+          "--jmax", " 1"],
+         {"command": "supernatural", "format": "json", "roots": "-1,3",
+          "rank_scale": "1", "n": 2, "jmin": -3, "jmax": 1}),
+        (["pair", "--sheaf", "s", "--table", "t"],
+         {"command": "pair", "format": "json", "mark_origin": False,
+          "table": "t", "sheaf": "s", "n": None}),
+        (["multi-pair", "--table", "t", "--space", "s", "--qmax=+1_0"],
+         {"command": "multi-pair", "table": "t", "space": "s", "qmax": 10}),
+    ])
+    def test_reads_defaults_and_int_spellings(self, argv, namespace):
+        assert typed(vars(_parse(argv))) == typed(namespace)
+        assert typed(argparse_vars(argv)) == typed(namespace)

@@ -284,6 +284,13 @@ class TestJson:
         with pytest.raises(ValidationError):
             MultiBettiTable(2, {(0, (1,)): 1})
 
+    @pytest.mark.parametrize("m, entries", [(0, {(0, ()): 1}), (0, {}),
+                                            (-1, {})])
+    def test_rank_below_one_is_rejected(self, m, entries):
+        with pytest.raises(ValidationError,
+                           match=rf"^table\.m must be >= 1, got {m}$"):
+            MultiBettiTable(m, entries)
+
     def test_entries_must_be_a_list_and_m_an_integer(self):
         for obj in ({"m": 1, "entries": 5}, {"m": True, "entries": []},
                     {"entries": []}, {"m": 1, "entries": [

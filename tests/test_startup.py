@@ -3,7 +3,8 @@
 Each subcommand runs on a tiny valid input under `python -X importtime`,
 whose stderr names every module imported by its dotted name (the CLI and
 the package load layers that way).  A subcommand loads exactly the layer
-modules its call reaches and never `dataclasses` or `inspect`, and
+modules its call reaches and never `dataclasses` or `inspect`, a
+well-formed run never loads argparse (help and usage errors do), and
 `import bsfan` loads no layer module.  Nothing here asserts a time.
 """
 
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import bsfan
+from test_cli_bytes import USAGE_ARGV
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -86,6 +88,12 @@ def imported(*args):
     return proc.returncode, names
 
 
+# what only help and usage errors load: argparse, the gettext it imports
+# and the locale gettext imports for argparse's first translated string;
+# and __future__, which no module needs
+UNNEEDED = {"argparse", "gettext", "locale", "__future__"}
+
+
 def layers(names):
     return {name[len("bsfan."):] for name in names
             if name.startswith("bsfan.")}
@@ -103,6 +111,10 @@ def test_subcommand_imports_only_its_layers(name):
     assert code == 0
     assert "dataclasses" not in names and "inspect" not in names
     assert layers(names) == expected
+    if name == "--help":
+        assert "argparse" in names
+    else:
+        assert not names & UNNEEDED
 
 
 # Runs that end in a failure certificate (exit 1) load no more than the
@@ -124,6 +136,14 @@ def test_failure_certificate_imports_only_its_layers(name):
     code, names = imported("-m", "bsfan.cli", *argv)
     assert code == 1
     assert layers(names) == expected
+    assert not names & UNNEEDED
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ARGV))
+def test_usage_error_loads_argparse(name):
+    code, names = imported("-m", "bsfan.cli", *USAGE_ARGV[name])
+    assert code == 2
+    assert "argparse" in names
 
 
 def test_import_bsfan_loads_no_layer():
@@ -201,8 +221,6 @@ def unread_imports(source):
     tree = ast.parse(source)
     bound = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             bound.update((alias.asname or alias.name).split(".")[0]
                          for alias in node.names)
@@ -214,7 +232,7 @@ def unread_imports(source):
 def test_unread_imports_are_found():
     assert unread_imports("import os, sys as s\nfrom a.b import c\n"
                           "from __future__ import annotations\n"
-                          "print(os.sep)") == ["c", "s"]
+                          "print(os.sep)") == ["annotations", "c", "s"]
 
 
 def test_no_module_binds_an_unread_import():
