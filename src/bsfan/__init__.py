@@ -21,8 +21,7 @@ _EXPORTS = {
     "multigraded": "GradedOrder MultiBettiTable ProductSpace multi_chi "
                    "multi_pair",
     "pairing": "es_functional pair pair_check pure_pair_support",
-    "sequences": "EMPTY INF CodimensionSequence DegreeSequence Piece "
-                 "is_compatible",
+    "sequences": "EMPTY INF CodimensionSequence DegreeSequence Piece",
     "tables": "BettiTable dual linear_combine pretty_render shift "
               "table_from_obj table_to_obj",
 }

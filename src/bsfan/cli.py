@@ -8,9 +8,8 @@ the help line, the output flags, the options, the call (load the
 arguments, run the library function) and the emitter (write the result,
 return the exit code).  main reads a well-formed command line straight
 from the row's options (_parse) and loads argparse only for help and usage
-errors, where it builds the options of the invoked subcommand alone; the
-call imports only the layer modules it reaches, so a process pays for its
-own subcommand and nothing else.  Exit codes: 0 for
+errors; the call imports only the layer modules it reaches, so a process
+pays for its own subcommand and nothing else.  Exit codes: 0 for
 success / in-cone, 1 for a non-membership verdict (the machine-readable
 certificate goes to stdout), 2 for malformed input or usage errors
 (diagnostics go to stderr).
@@ -323,21 +322,8 @@ def _options(command):
                default or None)
 
 
-def _declare(parser, command):
-    parser._negative_number_matcher = NEGATIVE_VALUE
-    if "format" in command.flags:
-        parser.add_argument("--format", choices=("json", "pretty"),
-                            default="json")
-    if "mark-origin" in command.flags:
-        parser.add_argument("--mark-origin", action="store_true",
-                            help="decorate the origin cell in pretty output")
-    for flag, _, is_int, required, default in _options(command):
-        parser.add_argument(flag, type=int if is_int else None,
-                            required=required, default=default)
-
-
 def _parse(argv):
-    """The namespace build_parser(argv).parse_args(argv) returns, read
+    """The namespace build_parser().parse_args(argv) returns, read
     without argparse; None unless argv is a subcommand followed by each of
     its options at most once, as --name value or --name=value (a flag
     alone), with every value valid and every required option present.  A
@@ -382,30 +368,41 @@ def _parse(argv):
     return None if given else SimpleNamespace(**args)
 
 
-def build_parser(argv=()):
-    """The parser of argv, with the options of the subcommand it invokes.
-
-    When argv starts with a subcommand, only that one is built, and the
-    usage line of a top-level error still lists every name; otherwise
-    (top-level help, an unknown name, no name) every name is listed with
-    its help line.
-    """
+def build_parser():
+    """The parser of every subcommand with its options, which prints help
+    and usage errors."""
     import argparse
 
-    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
-    alone = invoked in COMMANDS and argv[0] == invoked
+    class Store(argparse.Action):
+        """argparse's store, except that --name=-- is a missing value:
+        argparse drops the "--" and would store an empty list."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                parser.error(
+                    f"argument {option_string}: expected one argument")
+            setattr(namespace, self.dest, values)
+
     parser = argparse.ArgumentParser(
         prog="bsfan",
         description="Exact computations with Betti tables: pure diagrams, "
                     "cohomology pairings, cone membership and chain "
                     "decompositions.")
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{%s}" % ",".join(COMMANDS) if alone else None)
-    for name in [invoked] if alone else COMMANDS:
-        subparser = sub.add_parser(name, help=COMMANDS[name].help)
-        if name == invoked:
-            _declare(subparser, COMMANDS[name])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        subparser = sub.add_parser(name, help=command.help)
+        subparser._negative_number_matcher = NEGATIVE_VALUE
+        if "format" in command.flags:
+            subparser.add_argument("--format", choices=("json", "pretty"),
+                                   default="json", action=Store)
+        if "mark-origin" in command.flags:
+            subparser.add_argument(
+                "--mark-origin", action="store_true",
+                help="decorate the origin cell in pretty output")
+        for flag, _, is_int, required, default in _options(command):
+            subparser.add_argument(flag, type=int if is_int else None,
+                                   required=required, default=default,
+                                   action=Store)
     return parser
 
 
@@ -415,7 +412,7 @@ def main(argv=None):
     repeated option) goes to argparse, which prints help and usage errors
     and exits."""
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse(argv) or build_parser(argv).parse_args(argv)
+    args = _parse(argv) or build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
         return command.emit(command.call(args), args)

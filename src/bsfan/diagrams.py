@@ -6,7 +6,9 @@ forces entry i proportional to prod_{k != i} 1/|d_k - d_i|.  Supernatural
 sheaves give the cohomology tables on the dual side: at most one
 cohomology index is nonzero per twist, located by the root sequence, with
 magnitude given by the Hilbert polynomial |prod (j - f_k)| * r / s!; the
-twisted structure sheaves follow Bott's formula, _bott.
+twisted structure sheaves follow Bott's formula, _bott.  Every evaluator
+is read through one method, column(j), the cohomology at one twist; an
+explicit window raises EvaluatorRangeError for a twist it does not hold.
 """
 
 import math
@@ -40,20 +42,14 @@ def pure_diagram(d):
 class CohomologyEvaluator:
     """Exact cohomology table with a declared dimension, read one twist at a
     time: column(j) lists the nonzero (q, gamma(q, j)) pairs, all with
-    q <= dimension, so pair walks only those.  gamma(q, j) reads the column."""
+    q <= dimension, so pair walks only those.  A twist the evaluator cannot
+    answer makes column raise EvaluatorRangeError."""
 
     __slots__ = ()  # no instance dict: the tuple evaluators stay frozen
     dimension = 0
 
     def column(self, j):
         raise NotImplementedError
-
-    def gamma(self, q, j):
-        return dict(self.column(j)).get(q, Fraction(0))
-
-    def missing_degrees(self, js):
-        """Subset of the twists js the evaluator cannot answer."""
-        return []
 
 
 def _bott(n, a):
@@ -157,9 +153,6 @@ class WindowEvaluator(CohomologyEvaluator):
         if not self.jmin <= j <= self.jmax:
             raise EvaluatorRangeError([j], self.dimension)
         return self.columns.get(j, ())
-
-    def missing_degrees(self, js):
-        return sorted(j for j in set(js) if not self.jmin <= j <= self.jmax)
 
 
 def evaluator_from_obj(obj):

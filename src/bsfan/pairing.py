@@ -6,7 +6,9 @@ The pairing convolves a Betti table with a cohomology table:
 
 Evaluators answer one twist at a time: column(-j) lists the nonzero
 (q, gamma(q, -j)), so pair asks once per distinct grade of the table and
-walks only those q, whatever the declared dimension n.
+walks only those q, whatever the declared dimension n.  A column is the
+whole evaluator protocol: a twist outside a window's range is found by
+asking for its column.
 
 Everything downstream (support predicates, separating functionals, cone
 checks through the one-variable side) is a composition of this formula with
@@ -24,14 +26,19 @@ def pair(table, evaluator):
     """Betti table of the paired complex, graded like the input (Z or Z^m).
 
     The work is one evaluator column per distinct grade plus one term per
-    (entry, nonzero q).  Window evaluators are pre-checked so a single range
-    error names every missing twist instead of failing one at a time.
+    (entry, nonzero q).  Every column is asked for before a range error is
+    raised, so a single error names every missing twist instead of failing
+    one at a time.
     """
     negated = {g: table.negate(g) for _, g in table.support()}
-    missing = evaluator.missing_degrees(sorted(negated.values()))
+    columns, missing = {}, []
+    for g, neg in negated.items():
+        try:
+            columns[g] = evaluator.column(neg)
+        except EvaluatorRangeError:
+            missing.append(neg)
     if missing:
         raise EvaluatorRangeError(missing, evaluator.dimension)
-    columns = {g: evaluator.column(neg) for g, neg in negated.items()}
     acc = {}
     for (p, grade), value in table.items():
         for q, gamma in columns[grade]:

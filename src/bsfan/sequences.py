@@ -49,16 +49,6 @@ class DegreeSequence(namedtuple("DegreeSequence", "start degrees")):
     def end(self):
         return self.start + self.codim
 
-    def positions(self):
-        return range(self.start, self.end + 1)
-
-    def trimmed(self, k):
-        """Subrun starting at position k (k within the run)."""
-        if not self.start <= k <= self.end:
-            raise ValidationError(f"trim position {k} outside run {self}")
-        # a subrun of a valid run is valid: skip the checks of __new__
-        return self._make((k, self.degrees[k - self.start:]))
-
     def dual(self):
         """Positions and degrees negated; matches dualizing the pure diagram."""
         return DegreeSequence(-self.end, tuple(-d for d in reversed(self.degrees)))
@@ -151,12 +141,6 @@ def _fits(codim, here, above, n):
     the run is empty.  A constraint never decreases, so no position is
     empty exactly when the first is not: here >= 0."""
     return 0 <= here <= codim <= above and codim <= n + 1
-
-
-def is_compatible(d, c):
-    """Whether the degree sequence can index a piece under the constraint c:
-    the rule of _fits at the first position of its run."""
-    return _fits(d.codim, c.rank(d.start), c.rank(d.start + 1), c.n)
 
 
 def _trim_start(c, end):

@@ -274,10 +274,10 @@ def _read(value, shape, where):
     object, read as a dict in shape order; a key of shape (s, default) may
     be absent).  A mismatch is one ParseError that names the field.
 
-    A list of integers, or of objects whose fields are present with shapes
-    int, None or [int] (a table's entries), is checked inline in one call;
-    an item that does not pass inline is read by a call of its own, which
-    words the error."""
+    A list of objects whose fields are present with shapes int, None or
+    [int] (a table's entries) is checked inline in one call; an item that
+    does not pass inline is read by a call of its own, which words the
+    error."""
     if shape is int:
         if type(value) is int:
             return value
@@ -287,13 +287,7 @@ def _read(value, shape, where):
     elif type(shape) is list:
         if type(value) is list:
             item = shape[0]
-            if item is int:  # no call per integer: one grade per table entry
-                for v in value:
-                    if type(v) is not int:
-                        break
-                else:
-                    return tuple(value)
-            elif type(item) is dict:  # nor per flat object: per table entry
+            if type(item) is dict:  # no call per flat object: per table entry
                 fields = item.items()
                 rows = []
                 for k, v in enumerate(value):

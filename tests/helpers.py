@@ -10,7 +10,7 @@ reference_decompose_s and reference_decompose_a are the plain greedy
 decompositions that rebuild and rescan the whole table after every step;
 the library's incremental versions must agree with them exactly.
 _reference_trim tries every trim of a strand, longest last, against
-_reference_compatible, which checks every position of the run; the
+reference_compatible, which checks every position of the run; the
 library's trim search walks integer ranks and must pick the same trim.
 reference_infinite_prefix decomposes the dualized truncation at e and at
 e - 1 and keeps the prefix on which the two runs agree; the library's
@@ -22,8 +22,11 @@ product space; the library's closed form must give the same value.
 reference_pure_diagram scales the Fractions 1/p_i to integers; the
 library's pure_diagram, which stays on integers, must give the same table.
 reference_pair asks reference_gamma, the closed form of each evaluator
-kind, at every q = 0..dimension of every entry; the library's pair, which
-reads one evaluator column per distinct grade, must give the same table.
+kind, at every q = 0..dimension of every entry, after _reference_missing
+has walked the windows of the evaluator for the twists they lack; the
+library's pair, which reads one evaluator column per distinct grade and
+collects the twists whose column raised, must give the same table or
+name the same twists.
 reference_table_from_obj is the three-pass table reader: the shape check
 of _reference_read with one call per entry, then _reference_read_entries
 (duplicates and rationals), then the rank and sign checks on the nonzero
@@ -33,11 +36,14 @@ grades of zero entries.
 
 total rebuilds the table a Decomposition stands for, apiece_table is
 the table of a one-variable block, and apiece_degree_sequence reads a
-block as a degree sequence;
+block as a degree sequence; positions and trimmed read a degree
+sequence's run, and gamma(ev, q, j) reads one value off an evaluator's
+column;
 compare_degree_sequences is the termwise partial order on degree
 sequences that the greedy chains must follow; FormalEvaluator is a signed
 combination of evaluators for the bilinearity and range tests, its column
 the sum of its terms' columns;
+box is the box product of two tables, the Künneth oracle of multi_pair;
 multi_chi_box is the heuristic column range and grade box of a multigraded
 chi scan; parse_table and serialize_table read and write a table as the
 command line does; long_chain_table and bump build the seeded long chains,
@@ -55,11 +61,11 @@ from math import comb, factorial, gcd, inf, lcm
 
 from bsfan import (EMPTY, INF, APiece, AVerdict, BettiTable,
                    CodimensionSequence, CohomologyEvaluator, Decomposition,
-                   DegreeSequence, EvaluatorRangeError, NotInCone,
-                   ParseError, Piece, ProductSpace, SupernaturalSheaf,
-                   TwistSheaf, ValidationError, Violation, WindowEvaluator,
-                   chi, chi_window, decompose_s, dual, euler, linear_combine,
-                   pure_diagram, table_from_obj, table_to_obj)
+                   DegreeSequence, EvaluatorRangeError, MultiBettiTable,
+                   NotInCone, ParseError, Piece, ProductSpace,
+                   SupernaturalSheaf, TwistSheaf, ValidationError, Violation,
+                   WindowEvaluator, chi, chi_window, decompose_s, dual, euler,
+                   linear_combine, pure_diagram, table_from_obj, table_to_obj)
 from bsfan.cli import _load_obj
 from bsfan.multigraded import _Capped
 from bsfan.tables import parse_rational
@@ -281,7 +287,17 @@ def _reference_top_strand(table):
     return DegreeSequence(i + 1, tuple(degrees))
 
 
-def _reference_compatible(d, c):
+def positions(d):
+    """The homological positions of a degree sequence's run."""
+    return range(d.start, d.end + 1)
+
+
+def trimmed(d, k):
+    """The subrun of a degree sequence from position k, within the run."""
+    return DegreeSequence(k, d.degrees[k - d.start:])
+
+
+def reference_compatible(d, c):
     """The compatibility rule read position by position: codim <= n + 1,
     c_start <= codim <= c_{start+1}, and no empty value anywhere in the
     run."""
@@ -290,13 +306,13 @@ def _reference_compatible(d, c):
         return False
     if not c.rank(d.start) <= ell <= c.rank(d.start + 1):
         return False
-    return all(c.value(i) != EMPTY for i in d.positions())
+    return all(c.value(i) != EMPTY for i in positions(d))
 
 
 def _reference_trim(strand, c):
     for k in range(strand.end, strand.start - 1, -1):
-        candidate = strand.trimmed(k)
-        if _reference_compatible(candidate, c):
+        candidate = trimmed(strand, k)
+        if reference_compatible(candidate, c):
             return candidate
     return None
 
@@ -317,7 +333,7 @@ def reference_pure_diagram(d):
     g = gcd(*ints)
     return BettiTable({
         (pos, deg): Fraction(value, g)
-        for pos, deg, value in zip(d.positions(), degs, ints)
+        for pos, deg, value in zip(positions(d), degs, ints)
     })
 
 
@@ -478,9 +494,14 @@ def reference_kunneth_gamma(space, q, alpha):
                 continue
             prod = Fraction(mult)
             for qt, at, ct, ev in zip(split, alpha, twist, factors):
-                prod *= ev.gamma(qt, at + ct)
+                prod *= gamma(ev, qt, at + ct)
             total += prod
     return total
+
+
+def gamma(ev, q, j):
+    """gamma(q, j) of an evaluator, read off its column j."""
+    return dict(ev.column(j)).get(q, Fraction(0))
 
 
 def reference_gamma(ev, q, j):
@@ -513,11 +534,26 @@ def reference_gamma(ev, q, j):
     raise TypeError(f"no closed form for {ev!r}")
 
 
+def _reference_missing(ev, js):
+    """The twists of js outside the declared range of a window, or of a
+    window inside a signed sum or under a cap; the other kinds answer every
+    twist."""
+    if isinstance(ev, WindowEvaluator):
+        return {j for j in js if j < ev.jmin or j > ev.jmax}
+    if isinstance(ev, FormalEvaluator):
+        return set().union(*(_reference_missing(term, js)
+                             for _, term in ev.terms))
+    if isinstance(ev, _Capped):
+        return _reference_missing(ev.space, js)
+    return set()
+
+
 def reference_pair(table, ev):
-    """The pairing by a scan of every q = 0..dimension at every entry."""
+    """The pairing by a scan of every q = 0..dimension at every entry,
+    after a range check of every twist the table needs."""
     qs = range(ev.dimension + 1)
-    missing = ev.missing_degrees(
-        sorted({table.negate(g) for _, g in table.support()}))
+    missing = _reference_missing(
+        ev, {table.negate(g) for _, g in table.support()})
     if missing:
         raise EvaluatorRangeError(missing, ev.dimension)
     acc = {}
@@ -649,11 +685,22 @@ class FormalEvaluator(CohomologyEvaluator):
                 col[q] = col.get(q, 0) + c * value
         return [(q, value) for q, value in col.items() if value]
 
-    def missing_degrees(self, js):
-        missing = set()
-        for _, ev in self.terms:
-            missing.update(ev.missing_degrees(js))
-        return sorted(missing)
+
+def box(f, g):
+    """The box product f ⊠ g of two tables graded by Z or Z^m, as a
+    MultiBettiTable: the entries at (p1, a1) and (p2, a2) multiply into
+    (p1 + p2, a1 + a2), columns added and grades concatenated (an integer
+    degree is a grade of rank 1)."""
+    def graded(table):
+        return [(p, a if type(a) is tuple else (a,), v)
+                for (p, a), v in table.items()]
+
+    acc = {}
+    for p1, a1, v1 in graded(f):
+        for p2, a2, v2 in graded(g):
+            key = (p1 + p2, a1 + a2)
+            acc[key] = acc.get(key, Fraction(0)) + v1 * v2
+    return MultiBettiTable(getattr(f, "m", 1) + getattr(g, "m", 1), acc)
 
 
 def multi_chi_box(table):

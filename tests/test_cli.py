@@ -439,12 +439,15 @@ class TestDeterminism:
         assert json.loads(proc.stdout)["entries"][1]["value"] == "5"
 
 
+PARSER = build_parser()  # it does not depend on argv, so one serves all
+
+
 def argparse_vars(argv):
     """vars of argparse's namespace for argv, or None where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(build_parser(argv).parse_args(argv))
+            return vars(PARSER.parse_args(argv))
         except SystemExit:
             return None
 
@@ -583,3 +586,44 @@ class TestParse:
     def test_reads_defaults_and_int_spellings(self, argv, namespace):
         assert typed(vars(_parse(argv))) == typed(namespace)
         assert typed(argparse_vars(argv)) == typed(namespace)
+
+
+@pytest.fixture(scope="module")
+def edge_paths(tmp_path_factory):
+    """A missing path, a directory and a file of bytes that are not UTF-8."""
+    root = tmp_path_factory.mktemp("argv")
+    (root / "latin-1.json").write_bytes(b'{"entries": ["\xe9"]}')
+    return [str(root / "missing.json"), str(root), str(root / "latin-1.json")]
+
+
+def without(argv, flag):
+    """argv with flag and the value that follows it left out."""
+    at = argv.index(flag) if flag in argv else len(argv)
+    return argv[:at] + argv[at + 2:]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_every_option_survives_edge_values(capsys, edge_paths, name):
+    # a valid argv with one option given --name=--, an empty value, a
+    # separate "-", -1, or the path of no file, of a directory or of a
+    # file that is not UTF-8: exit 0, 1 with a certificate, or 2 with a
+    # diagnostic, and no other exception; --name=-- is a missing value
+    from test_startup import FOOTPRINT
+
+    base = FOOTPRINT[name][0]
+    for flag, _, _ in option_kinds(name):
+        rest = without(base, flag)
+        for tokens in ([f"{flag}=--"], [f"{flag}="], [flag, "-"],
+                       [f"{flag}=-1"], *([flag, path] for path in edge_paths)):
+            try:
+                code = main(rest + tokens)
+            except SystemExit as done:
+                code = done.code
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (rest + tokens, code)
+            if tokens == [f"{flag}=--"]:
+                assert code == 2, rest + tokens
+            if code == 1:
+                assert json.loads(out)["status"] == "fail" and err == ""
+            if code == 2:
+                assert out == "" and err != "", rest + tokens

@@ -701,6 +701,10 @@ USAGE_ARGV = {
                    "--format", "xml"],
     "unknown-option": ["check-a", "--table", EMPTY, "--codim", ONE_ZERO,
                        "--bogus"],
+    # argparse drops the "--" of --name=--, which leaves no value
+    "dashes-table": ["euler", "--table=--"],
+    "dashes-int": ["shift", "--table", EMPTY, "--k=--"],
+    "dashes-degrees": ["pure", "--degrees=--"],
 }
 
 USAGE_ERRORS = {
@@ -729,6 +733,20 @@ usage: bsfan [-h]
              {pure,supernatural,pair,chi,euler,check-a,decompose-a,decompose,check,monad,infinite,es,pair-check,dual,shift,render,multi-chi,multi-pair}
              ...
 bsfan: error: unrecognized arguments: --bogus
+""",
+    "dashes-table": """\
+usage: bsfan euler [-h] [--format {json,pretty}] --table TABLE
+bsfan euler: error: argument --table: expected one argument
+""",
+    "dashes-int": """\
+usage: bsfan shift [-h] [--format {json,pretty}] [--mark-origin] --table TABLE
+                   --k K
+bsfan shift: error: argument --k: expected one argument
+""",
+    "dashes-degrees": """\
+usage: bsfan pure [-h] [--format {json,pretty}] [--mark-origin]
+                  [--start START] --degrees DEGREES
+bsfan pure: error: argument --degrees: expected one argument
 """,
 }
 

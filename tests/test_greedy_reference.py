@@ -11,9 +11,8 @@ pieces must rebuild the table exactly.
 import sys
 
 from bsfan import (EMPTY, INF, BettiTable, CodimensionSequence, NotInCone,
-                   decompose_a, decompose_s, is_compatible, linear_combine,
-                   pure_diagram)
-from helpers import (F, T, apiece_table, bump, long_chain_table,
+                   decompose_a, decompose_s, linear_combine, pure_diagram)
+from helpers import (F, T, apiece_table, bump, long_chain_table, positions,
                      reference_decompose_a, reference_decompose_s, rng, total)
 
 ALL_ONE = CodimensionSequence.constant(1, 0)
@@ -81,7 +80,7 @@ class TestDecomposeS:
             assert rest.is_nonnegative()
             strand = exc.blocking_strand
             assert all(rest[(i, strand.degrees[i - strand.start])] > 0
-                       for i in strand.positions())
+                       for i in positions(strand))
             partial_seen += bool(exc.partial_pieces)
         assert partial_seen >= 6
 
@@ -114,20 +113,17 @@ class TestDecomposeS:
         assert finished and stuck
 
     def test_steps_build_one_diagram_and_no_candidates(self, monkeypatch):
-        # a step builds its piece's pure diagram, the one table it builds,
-        # and no candidate trim: pure_diagram calls and tables grow by one
-        # per step, is_compatible calls not at all
+        # a step builds its piece's pure diagram and no other table:
+        # pure_diagram calls and tables grow by one per step
         r = rng(704)
         seen, steps = [], []
         for length in (10, 200):
             n = r.randint(1, 8)
             k = r.randint(1, n + 1)
             chain, _, table = long_chain_table(r, k, length)
-            counts = dict.fromkeys(
-                ("tables", "pure_diagram", "is_compatible"), 0)
+            counts = dict.fromkeys(("tables", "pure_diagram"), 0)
             with monkeypatch.context() as m:
                 count_calls(m, counts, pure_diagram)
-                count_calls(m, counts, is_compatible)
                 count_tables(m, counts)
                 dec = decompose_s(table, CodimensionSequence.constant(k, n), n)
             seen.append(counts)
@@ -135,7 +131,6 @@ class TestDecomposeS:
         assert steps == [10, 200]
         assert [c["pure_diagram"] for c in seen] == steps
         assert seen[1]["tables"] - seen[0]["tables"] == 190
-        assert seen[0]["is_compatible"] == seen[1]["is_compatible"]
 
 
 def count_calls(monkeypatch, counts, fn):

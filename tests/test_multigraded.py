@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -6,8 +7,8 @@ from bsfan import (BettiTable, GradedOrder, MultiBettiTable, ParseError,
                    ProductSpace, TwistSheaf, ValidationError, chi, dual,
                    linear_combine, multi_chi, multi_pair, pair, shift,
                    table_from_obj, table_to_obj)
-from helpers import (F, multi_chi_box, random_table, reference_kunneth_gamma,
-                     rng)
+from helpers import (F, box, gamma, multi_chi_box, random_table,
+                     reference_kunneth_gamma, rng)
 
 W11 = GradedOrder((1, 1))
 W1 = GradedOrder((1,))
@@ -117,21 +118,21 @@ class TestMultiChi:
 class TestKunneth:
     def test_section_count(self):
         space = ProductSpace((1, 1), (((1, 1), 1),))
-        assert space.gamma(0, (0, 0)) == 4
+        assert gamma(space, 0, (0, 0)) == 4
 
     def test_top_cohomology(self):
         space = ProductSpace((1, 1), (((0, 0), 1),))
-        assert space.gamma(2, (-2, -2)) == 1
+        assert gamma(space, 2, (-2, -2)) == 1
 
     def test_acyclic_twist(self):
         space = ProductSpace((1, 1), (((0, 0), 1),))
         for q in range(3):
             for b in range(-4, 5):
-                assert space.gamma(q, (-1, b)) == 0
+                assert gamma(space, q, (-1, b)) == 0
 
     def test_multiplicity_and_sums(self):
         space = ProductSpace((1, 1), (((1, 1), 2), ((0, 0), 1)))
-        assert space.gamma(0, (0, 0)) == 2 * 4 + 1
+        assert gamma(space, 0, (0, 0)) == 2 * 4 + 1
 
     def test_matches_split_enumeration(self):
         # twists and grades in -8..8 put every factor in its vanishing band
@@ -146,7 +147,7 @@ class TestKunneth:
             for _ in range(8):
                 alpha = tuple(r.randint(-8, 8) for _ in dims)
                 for q in range(space.dimension + 2):
-                    got = space.gamma(q, alpha)
+                    got = gamma(space, q, alpha)
                     want = reference_kunneth_gamma(space, q, alpha)
                     assert got == want, (space, q, alpha)
                     assert type(got) in (int, Fraction), (space, q, alpha)
@@ -221,6 +222,32 @@ class TestMultiPair:
             for (i, j), value in expected.items():
                 assert paired[(i, (j,))] == value
 
+    def test_kunneth_box_of_single_graded_pairs(self):
+        # pairing F1 ⊠ ... ⊠ Fr with O(a1, ..., ar) boxes the single-graded
+        # pairings of each Fk with O(ak) on its factor; a sum of line
+        # bundles adds these boxes by bilinearity, and a cap at or past the
+        # dimension of the space drops nothing
+        r = rng(707)
+        nonzero = 0
+        for _ in range(150):
+            rank = r.randint(2, 3)
+            factors = [random_table(r, max_entries=5, nonneg=False)
+                       for _ in range(rank)]
+            dims = [r.randint(1, 3) for _ in range(rank)]
+            summands = [([r.randint(-4, 4) for _ in range(rank)],
+                         r.randint(1, 3)) for _ in range(r.randint(1, 3))]
+            space = ProductSpace(dims, summands)
+            expected = linear_combine([
+                (mult, reduce(box, [pair(f, TwistSheaf(n, a))
+                                    for f, n, a in zip(factors, dims, twist)]))
+                for twist, mult in summands])
+            table = reduce(box, factors)
+            for qmax in (None, space.dimension,
+                         space.dimension + r.randint(1, 5)):
+                assert multi_pair(table, space, qmax) == expected
+            nonzero += bool(expected)
+        assert nonzero > 75
+
     def test_qmax_past_the_dimension_changes_nothing(self):
         # the cap is clamped to the space: no work per q above its dimension
         space = ProductSpace((1, 2), (((1, -2), 2), ((-3, 0), 1)))
@@ -276,7 +303,7 @@ class TestJson:
         space = ProductSpace.from_obj({
             "kind": "product", "dims": [1, 1],
             "summands": [{"twist": [1, 1], "mult": 2}]})
-        assert space.gamma(0, (0, 0)) == 8
+        assert gamma(space, 0, (0, 0)) == 8
         with pytest.raises(ParseError):
             ProductSpace.from_obj({"kind": "other"})
 
