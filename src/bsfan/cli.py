@@ -9,12 +9,15 @@ arguments, run the library function) and the emitter (write the result,
 return the exit code).  main reads a well-formed command line straight
 from the row's options (_parse) and loads argparse only for help and usage
 errors; the call imports only the layer modules it reaches, so a process
-pays for its own subcommand and nothing else.  Exit codes: 0 for
-success / in-cone, 1 for a non-membership verdict (the machine-readable
-certificate goes to stdout), 2 for malformed input or usage errors
-(diagnostics go to stderr).
+pays for its own subcommand and nothing else.  run is the process entry
+(the bsfan script and python -m bsfan.cli); main(argv) is the in-process
+call and has no process-wide side effect.  Exit codes: 0 for success /
+in-cone, 1 for a non-membership verdict (the machine-readable certificate
+goes to stdout), 2 for malformed input or usage errors (diagnostics go to
+stderr).
 """
 
+import gc
 import json
 import re
 import sys
@@ -424,5 +427,15 @@ def main(argv=None):
         return 2
 
 
-if __name__ == "__main__":
+def run():
+    """The process entry: freeze every object made so far (the interpreter,
+    site and this module) into the permanent generation, which no
+    collection walks, not even the one at shutdown, then exit with main's
+    code.  The operating system frees the frozen heap; streams are still
+    flushed and atexit still runs."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

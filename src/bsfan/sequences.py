@@ -91,6 +91,8 @@ class CodimensionSequence(namedtuple(
             # rejects true from library callers (from_obj's reader, in JSON)
             raise TypeError(f"n and window_start must be integers, got "
                             f"{n!r} and {window_start!r}")
+        if n < 0:
+            raise ValidationError(f"ambient dimension must be >= 0, got {n}")
         left = _check_value(left, n, "left fill")
         right = _check_value(right, n, "right fill")
         window = tuple(

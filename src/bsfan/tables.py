@@ -14,6 +14,7 @@ process loads neither the one-variable side nor the pairing.
 """
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -414,8 +415,12 @@ def pretty_render(table, mark_origin=False):
     if not table:
         return "(empty table)"
     cols = table.columns()
-    col_range = list(range(cols[0], cols[-1] + 1))
     rows = sorted({j - i for i, j in table.support()})
+    height, width = rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1
+    if height * width > sys.maxsize:  # more cells than a str can hold
+        raise ValidationError(f"pretty grid of {height} rows by {width} "
+                              f"columns is too large to write")
+    col_range = list(range(cols[0], cols[-1] + 1))
     row_range = list(range(rows[0], rows[-1] + 1))
 
     mark = None

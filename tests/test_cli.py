@@ -304,6 +304,8 @@ class TestExitCodes:
         ["multi-chi", "--table",
          '{"m":-1,"entries":[{"i":0,"alpha":[1],"value":"1"}]}',
          "--i", "0", "--alpha=1", "--weights=1"],
+        # a pretty grid of more cells than any str can hold
+        ["pure", "--degrees", f"0,{10 ** 30}", "--format", "pretty"],
     ], ids=["codim-window-not-a-list", "boolean-index", "window-q-past-dim",
             "window-dim-true", "window-q-true", "twist-n-true",
             "twist-ambient-vs-n",
@@ -316,7 +318,8 @@ class TestExitCodes:
             "codim-window-a-string", "supernatural-roots-a-string",
             "window-entries-an-object", "product-summands-a-string",
             "repeated-key-entries", "repeated-key-value",
-            "multi-zero-entry-rank-vs-m", "multi-m-negative"])
+            "multi-zero-entry-rank-vs-m", "multi-m-negative",
+            "pretty-grid-too-large"])
     def test_malformed_input_exits_two_with_one_line(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""

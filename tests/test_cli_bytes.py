@@ -340,6 +340,26 @@ def test_exact_bytes(capsys, name):
     assert captured.err == ""
 
 
+# A negative ambient dimension is malformed input: there is no projective
+# space to split a monad or decompose a table over.
+ONE = serialize_table(T({(0, 0): 1}))
+NEGATIVE_N = {
+    "monad": ["monad", "--table", serialize_table(T({(0, 0): 1, (1, 2): 1})),
+              "--n", "-1"],
+    "infinite": ["infinite", "--table", ONE, "--e", "3", "--n", "-1"],
+    "decompose": ["decompose", "--table", ONE, "--codim",
+                  '{"n":-1,"left":0,"right":0}', "--n", "-1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_N))
+def test_negative_ambient_dimension_bytes(capsys, name):
+    code = main(NEGATIVE_N[name])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: ambient dimension must be >= 0, got -1\n")
+
+
 # A negative_entry violation needs a signed table, which no command-line
 # input is (tables are read nonnegative), so this verdict goes through the
 # writer directly; it carries all four kinds of violation.

@@ -6,13 +6,19 @@ the package load layers that way).  A subcommand loads exactly the layer
 modules its call reaches and never `dataclasses` or `inspect`, a
 well-formed run never loads argparse (help and usage errors do), and
 `import bsfan` loads no layer module.  Two lints read the sources: no
-import goes unread, and every public name has a caller in src/.  Nothing
-here asserts a time.
+import goes unread, and every public name has a caller in src/.  The
+process entry cli.run freezes the start-up heap (gc.freeze) so that the
+collection at shutdown skips it; the guards below check that a process
+reaches exit frozen and with main's bytes, and that main itself, which
+tests and the benchmark call in process, freezes nothing.  Nothing here
+asserts a time.
 """
 
 import ast
+import gc
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,9 +26,11 @@ from pathlib import Path
 import pytest
 
 import bsfan
+from bsfan.cli import main
 from test_cli_bytes import USAGE_ARGV
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 TABLE = '{"entries":[{"i":0,"j":0,"value":"1"}]}'
 EMPTY = '{"entries":[]}'
@@ -283,3 +291,82 @@ def test_every_public_name_has_a_caller_in_src():
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(SRC, "bsfan").glob("*.py"))]
     assert uncalled(trees) == set(UNCALLED)
+
+
+# The process entry.  A job, help and a usage error each leave main by a
+# return or by SystemExit.
+ENTRY_ARGV = {"job": ["dual", "--table", TABLE], "help": ["--help"],
+              "usage": USAGE_ARGV["missing-option"]}
+# python -m bsfan.cli, and main called as a script would call it
+AS_MODULE = 'runpy.run_module("bsfan.cli", run_name="__main__", alter_sys=True)'
+MAIN_ONLY = "from bsfan.cli import main; sys.exit(main())"
+
+
+def spawn(entry, argv):
+    """Exit code, stdout and stderr of a process that runs entry with argv
+    and, once the interpreter shuts down, appends "frozen <count>" to
+    stderr from an atexit probe."""
+    source = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: sys.stderr.write(\n"
+              "    f'frozen {gc.get_freeze_count()}\\n'))\n" + entry)
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", source, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as done:
+        code = done.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_ARGV))
+def test_main_freezes_nothing(capsys, name):
+    before = gc.get_freeze_count()
+    in_process(capsys, ENTRY_ARGV[name])
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_ARGV))
+def test_process_reaches_exit_frozen_with_mains_bytes(capsys, monkeypatch,
+                                                      name):
+    code, out, err = spawn(AS_MODULE, ENTRY_ARGV[name])
+    err, _, frozen = err.rpartition("frozen ")
+    assert int(frozen) > 0
+    monkeypatch.setenv("COLUMNS", "80")
+    assert (code, out, err) == in_process(capsys, ENTRY_ARGV[name])
+
+
+def test_probe_reads_an_unfrozen_exit():
+    code, _, err = spawn(MAIN_ONLY, ENTRY_ARGV["job"])
+    assert (code, err) == (0, "frozen 0\n")
+
+
+def test_script_and_main_block_name_run():
+    scripts = re.findall(r'^bsfan = "bsfan\.cli:(\w+)"$',
+                         (ROOT / "pyproject.toml").read_text(), re.M)
+    assert scripts == ["run"]
+    tree = ast.parse(Path(SRC, "bsfan", "cli.py").read_text(encoding="utf-8"))
+    block = tree.body[-1]
+    assert ast.unparse(block.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in block.body] == ["run()"]
+
+
+def test_one_freeze_in_src_inside_run():
+    freezes = []
+    for path in sorted(Path(SRC, "bsfan").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                freezes += [(path.name, function.name)
+                            for node in ast.walk(function)
+                            if isinstance(node, ast.Call)
+                            and ast.unparse(node.func) == "gc.freeze"]
+    assert freezes == [("cli.py", "run")]
+    assert sum(path.read_text(encoding="utf-8").count("freeze(")
+               for path in Path(SRC, "bsfan").glob("*.py")) == 1

@@ -135,6 +135,8 @@ def test_default_remainders_are_not_shared():
      "codimension sequence decreases from left fill (2) to position 0 (1)"),
     (lambda: CodimensionSequence(True, 0, 0, (), 0), TypeError,
      "n and window_start must be integers, got True and 0"),
+    (lambda: CodimensionSequence(-1, 0, 0, (), 0), ValidationError,
+     "ambient dimension must be >= 0, got -1"),
     (lambda: APiece("block", 0, 0), ValidationError,
      "unknown piece kind 'block'"),
     (lambda: APiece("torsion", 0, 2, 2), ValidationError,
