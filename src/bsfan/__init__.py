@@ -10,8 +10,7 @@ module, and `bsfan.chi` loads cone_a and what it imports.
 """
 
 _EXPORTS = {
-    "cone_a": "APiece AVerdict Violation chi chi_window decompose_a euler "
-              "membership_a",
+    "cone_a": "APiece AVerdict Violation chi decompose_a euler membership_a",
     "cone_s": "Decomposition MonadSplit decompose_s infinite_prefix "
               "monad_split",
     "diagrams": "CohomologyEvaluator SupernaturalSheaf TwistSheaf "

@@ -204,7 +204,15 @@ def _emit_decomposition(dec, args):
 
 def _emit_window(sheaf, args):
     """The class's cohomology at q = 0..n and j = jmin..jmax, read one
-    column per twist: JSON lists the nonzero cells, pretty fills a grid."""
+    column per twist: JSON lists the nonzero cells, pretty fills a grid.
+    The time taken follows the number of twists (and of grid cells), so
+    more of them than a list can hold are refused."""
+    check = _layer("tables")._check_writable
+    twists = args.jmax - args.jmin + 1
+    check(twists, f"window of {twists} twists")
+    if args.format == "pretty":
+        check((args.n + 1) * twists,
+              f"pretty grid of {args.n + 1} rows by {twists} columns")
     js = range(args.jmin, args.jmax + 1)
     cells = sorted((q, j, v) for j in js for q, v in sheaf.column(j))
     if args.format != "pretty":
@@ -424,6 +432,9 @@ def main(argv=None):
         return 1
     except (BsfanError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError:  # each emitter builds its output before writing it
+        sys.stderr.write("error: out of memory\n")
         return 2
 
 

@@ -9,8 +9,8 @@ its full alternating column sum (the loop is tables._partial_euler, shared
 with multi_chi).  The blocks are the pure diagrams at n = 0.
 """
 
+from bisect import bisect_right
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import NotInCone, ValidationError
 from .sequences import EMPTY, INF, Piece
@@ -25,26 +25,7 @@ def chi(table, i, j):
 
 def euler(table):
     """Alternating sum of all entries."""
-    return sum((-v if i % 2 else v for (i, _), v in table.items()), Fraction(0))
-
-
-# The checked window: columns above the support only ever see empty partial
-# sums, columns more than two below only the alternating full column sums
-# (two parities), and the degree cutoffs saturate one step outside the
-# degree support, so values outside repeat values inside.
-LEFT_I, RIGHT_I, LEFT_J, RIGHT_J = 3, 0, 2, 1
-
-
-def chi_window(table):
-    """Ranges (columns, degrees) that capture every distinct chi value."""
-    if not table:
-        return range(0), range(0)
-    cols = [i for i, _ in table.support()]
-    degs = [j for _, j in table.support()]
-    return (
-        range(min(cols) - LEFT_I, max(cols) + RIGHT_I + 1),
-        range(min(degs) - LEFT_J, max(degs) + RIGHT_J + 1),
-    )
+    return sum((-v if i % 2 else v for (i, _), v in table.items()), ZERO)
 
 
 class APiece(namedtuple("APiece", "kind position gen_degree socle_degree")):
@@ -85,39 +66,39 @@ def _check_shape(c):
 
 
 def _chi_negatives(table, c):
-    """chi_negative violations over the window, in (i, j) order.
-
-    One sweep per checked column instead of one chi call per cell: column
-    sums and alternating tail sums come from a single pass, and two
-    pointers walk column i up to degree j and column i+1 up to degree j+1.
-    """
-    cols, degs = chi_window(table)
-    columns = {}
-    for (i, j), value in table.items():  # sorted, so degrees ascend
-        columns.setdefault(i, []).append((j, value))
-    # tail[i]: alternating sum of the column sums from column i up; the
-    # window ends at the top column, so everything above it is zero
-    tail, running = {}, Fraction(0)
-    for i in reversed(cols):
-        running = sum((v for _, v in columns.get(i, ())), -running)
-        tail[i] = running
-    violations = []
-    for i in cols:
-        if c.rank(i) < 1:
+    """chi_negative violations in (i, j) order, over columns min - 3 to max
+    and degrees min - 2 to max + 1 of the support, where chi takes every
+    value it has.  chi(i, .) starts at tail(i + 2), the alternating sum of
+    the column sums from column i + 2 up, and steps only where j reaches an
+    entry (i, d), at j = d, or an entry (i + 1, d), at j = d - 1.  So a
+    column is one walk over its sorted steps; a column without steps is
+    constant, and where that is zero, chi is zero up to the next column
+    with steps.  Only negative runs become cells: O(N log N + output)."""
+    if not table:
+        return []
+    steps, sums = {}, {}
+    for (i, d), value in table.items():
+        steps.setdefault(i, []).append((d, value))
+        steps.setdefault(i - 1, []).append((d - 1, -value))
+        sums[i] = sums.get(i, ZERO) + value
+    cols, degs = sorted(steps), [d for _, d in table.support()]
+    low, high = min(degs) - 2, max(degs) + 1
+    i = cols[0] - 2
+    tail, violations = chi(table, i, low), []  # tail(i + 2)
+    while i <= cols[-1]:
+        if i not in steps and not tail:
+            i = cols[bisect_right(cols, i)]
+            tail = sums[i + 1]  # tail(i + 1) is zero
             continue
-        low, high = columns.get(i, []), columns.get(i + 1, [])
-        a = b = 0
-        value = tail.get(i + 2, ZERO)
-        for j in degs:
-            # chi changes only where a pointer passes an entry
-            while a < len(low) and low[a][0] <= j:
-                value += low[a][1]
-                a += 1
-            while b < len(high) and high[b][0] <= j + 1:
-                value -= high[b][1]
-                b += 1
-            if value < 0:
-                violations.append(Violation("chi_negative", i, j, value))
+        if (i in steps or tail < 0) and c.rank(i) >= 1:
+            start, value = low, tail
+            for j, step in sorted(steps.get(i, ())) + [(high + 1, ZERO)]:
+                if value < 0:
+                    violations.extend(Violation("chi_negative", i, k, value)
+                                      for k in range(start, j))
+                start, value = j, value + step
+        tail = sums.get(i + 2, ZERO) - tail
+        i += 1
     return violations
 
 
@@ -126,11 +107,9 @@ def membership_a(table, c):
 
     Collects every violated condition: entries in forbidden columns,
     entries in a column i that no block can cover because c(i - 1) = inf,
-    negative entries, a negative chi over the stabilized window where the
-    constraint is at least 1, and a nonzero total Euler characteristic when
-    no column admits free homology.  The window cells and their order are
-    those of chi_window, but the values come from one sweep per column, so
-    the cost is O(N + window) rather than a full chi rescan per cell.
+    negative entries, a negative chi where the constraint is at least 1
+    (one breakpoint sweep per column, not a chi call per cell), and a
+    nonzero total Euler characteristic when no column admits free homology.
     """
     _check_shape(c)
     violations = []

@@ -403,6 +403,12 @@ def table_to_obj(table):
     return obj
 
 
+def _check_writable(count, what):
+    """Refuse to write more cells than a str or a list can hold."""
+    if count > sys.maxsize:
+        raise ValidationError(f"{what} is too large to write")
+
+
 def pretty_render(table, mark_origin=False):
     """Text grid in the display convention.
 
@@ -417,9 +423,8 @@ def pretty_render(table, mark_origin=False):
     cols = table.columns()
     rows = sorted({j - i for i, j in table.support()})
     height, width = rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1
-    if height * width > sys.maxsize:  # more cells than a str can hold
-        raise ValidationError(f"pretty grid of {height} rows by {width} "
-                              f"columns is too large to write")
+    _check_writable(height * width,
+                    f"pretty grid of {height} rows by {width} columns")
     col_range = list(range(cols[0], cols[-1] + 1))
     row_range = list(range(rows[0], rows[-1] + 1))
 

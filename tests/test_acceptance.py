@@ -11,13 +11,13 @@ from contextlib import contextmanager
 
 from bsfan import (BettiTable, CodimensionSequence, DegreeSequence,
                    GradedOrder, MultiBettiTable, ProductSpace,
-                   SupernaturalSheaf, TwistSheaf, chi, chi_window,
-                   decompose_s, dual, linear_combine, multi_chi, multi_pair,
-                   pair, pure_diagram, shift)
+                   SupernaturalSheaf, TwistSheaf, chi, decompose_s, dual,
+                   linear_combine, multi_chi, multi_pair, pair, pure_diagram,
+                   shift)
 from bsfan.cli import main as cli_main
 from helpers import (F, MONAD_TABLE, T, TENSOR_TABLE, TRUNCATION_TABLE,
-                     TWO_STRAND_TABLE, chain_combination, koszul_table,
-                     multi_chi_box, parse_table, random_chain,
+                     TWO_STRAND_TABLE, chain_combination, chi_window,
+                     koszul_table, multi_chi_box, parse_table, random_chain,
                      random_degree_sequence, random_roots, random_table, rng,
                      serialize_table, solve_chain_coefficients, total)
 

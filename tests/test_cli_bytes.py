@@ -9,6 +9,10 @@ construction cannot move them.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -486,6 +490,49 @@ def test_supernatural_wide_ambient_bytes(capsys):
         0, 295,
         "7c877bfb373e29e7a666f5af812c8fdbb3274a3cb4a1976a34873c075bb8067e")
     assert captured.err == ""
+
+
+# Outputs too large to write are malformed input: a window of more twists
+# than a list can hold is refused before its first twist is read, and so is
+# a pretty grid of more cells.
+TOO_LARGE = {
+    "window": (["supernatural", "--roots", "0", "--n", "1", "--jmin", "0",
+                "--jmax", str(10 ** 30)],
+               f"error: window of {10 ** 30 + 1} twists is too large to "
+               f"write\n"),
+    "window-grid": (["supernatural", "--roots", "0", "--n", str(10 ** 30),
+                     "--jmin", "0", "--jmax", "3", "--format", "pretty"],
+                    f"error: pretty grid of {10 ** 30 + 1} rows by 4 columns "
+                    f"is too large to write\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_LARGE))
+def test_too_large_output_bytes(capsys, name):
+    argv, err = TOO_LARGE[name]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
+
+
+def test_out_of_memory_bytes():
+    # a pretty grid of 2 x 10^8 cells, below the size check, in a process
+    # whose address space cannot hold it: exit 2 and nothing on stdout,
+    # not a traceback under exit 1, the "not in cone" code
+    resource = pytest.importorskip("resource")
+    limit = 400 * 1024 * 1024
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bsfan.cli", "pure", "--degrees",
+         "0,100000000", "--format", "pretty"],
+        capture_output=True, text=True, preexec_fn=cap, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: out of memory\n")
 
 
 # The command-line surface itself: help text and usage errors, captured

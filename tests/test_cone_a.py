@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from bsfan import (APiece, BettiTable, CodimensionSequence, NotInCone,
-                   ValidationError, chi, chi_window, decompose_a, euler,
-                   linear_combine, membership_a)
-from helpers import F, T, apiece_degree_sequence, apiece_table, rng
+                   ValidationError, chi, decompose_a, euler, linear_combine,
+                   membership_a)
+from helpers import (F, T, apiece_degree_sequence, apiece_table, chi_window,
+                     reference_membership_a, rng)
 
 ALL_ONE = CodimensionSequence.constant(1, 0)
 
@@ -129,6 +130,39 @@ class TestMembership:
     def test_requires_one_variable_shape(self):
         with pytest.raises(ValidationError):
             membership_a(BettiTable(), CodimensionSequence.constant(1, 2))
+
+    def test_work_is_bounded_by_the_table_not_its_gaps(self):
+        # two torsion blocks K columns apart, the second one D degrees up:
+        # in the cone, with a window of about K columns by K + 2D degrees;
+        # at most two rank lookups per entry, failing at the first one past
+        # that rather than walking the window
+        lookups = []
+
+        class Counting(CodimensionSequence):
+            __slots__ = ()
+
+            def rank(self, i):
+                lookups.append(i)
+                assert len(lookups) <= 8, "a rank lookup per gap column"
+                return super().rank(i)
+
+        K, D = 10**6, 10**9
+        for entries in ({(0, 0): 1, (1, 1): 1, (K, K): 1, (K + 1, K + 1): 1},
+                        {(0, 0): 1, (1, D): 1, (K, K + D): 1,
+                         (K + 1, K + 2 * D): 1}):
+            lookups.clear()
+            assert membership_a(T(entries), Counting.constant(1, 0)).ok
+
+    def test_gap_table_matches_the_reference_cell_for_cell(self):
+        # the doubled generator leaves a nonzero tail over the column gap,
+        # so every other gap column is negative at every degree
+        K, D = 50, 10**3
+        table = T({(0, 0): 1, (1, D): 1, (K, K + D): 2, (K + 1, K + 2 * D): 1})
+        verdict = membership_a(table, ALL_ONE)
+        assert verdict == reference_membership_a(table, ALL_ONE)
+        gap_columns = {v.i for v in verdict.violations
+                       if v.kind == "chi_negative" and 1 < v.i < K - 1}
+        assert len(gap_columns) == (K - 3) // 2
 
 
 class TestDecompose:

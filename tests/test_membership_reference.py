@@ -1,15 +1,17 @@
 """membership_a against the cell-by-cell reference.
 
-membership_a gets every chi value of the window from one sweep per column;
+membership_a gets its chi cells from one sweep over each column's
+breakpoints and jumps over column gaps where chi is zero;
 reference_membership_a in helpers.py calls chi afresh at each window cell.
 Both must return equal verdicts: the same violations, in the same order,
-with the same exact values.  The inputs are
-small random signed tables under three constraints, and pairings of
-pure-diagram chains with supernatural classes and sums of torsion blocks of
-60-120 entries, in and out of the cone.
+with the same exact values.  The inputs are small random signed tables
+under three constraints, among them tables spread over 80 columns whose
+gaps have zero and nonzero tails, and pairings of pure-diagram chains with
+supernatural classes and sums of torsion blocks of 60-120 entries, in and
+out of the cone.
 """
 
-from bsfan import (EMPTY, INF, CodimensionSequence, SupernaturalSheaf,
+from bsfan import (EMPTY, INF, CodimensionSequence, SupernaturalSheaf, chi,
                    linear_combine, membership_a, pair)
 from helpers import (F, T, chain_combination, random_chain, random_roots,
                      random_table, reference_membership_a, rng)
@@ -72,17 +74,43 @@ def spoil(r, table):
     return linear_combine([(1, table), (1, bump)])
 
 
+def with_torsion_partners(table):
+    """table plus its copy one column and one degree up.  Column sums
+    telescope, so chi is zero over every gap of two or more empty
+    columns."""
+    partners = T({(i + 1, j + 1): v for (i, j), v in table.items()})
+    return linear_combine([(1, table), (1, partners)])
+
+
+def gap_tails(table):
+    """chi over each gap of two or more empty columns, where it is the
+    alternating sum of the column sums above the gap's first column."""
+    cols = table.columns()
+    return [chi(table, low + 1, 0)
+            for low, high in zip(cols, cols[1:]) if high - low > 2]
+
+
 class TestSmallTables:
     def test_random_signed_tables_under_three_constraints(self):
         r = rng(901)
         seen = {"pass": 0, "fail": 0, "several_chi": 0}
-        for _ in range(600):
-            table = random_table(r, max_entries=12, nonneg=r.random() < 0.4)
+        gaps = {"zero_tail": 0, "nonzero_tail": 0}
+        tables = [random_table(r, max_entries=12, nonneg=r.random() < 0.4)
+                  for _ in range(600)]
+        for _ in range(40):
+            wide = random_table(r, max_entries=12, nonneg=r.random() < 0.4,
+                                cols=(-40, 40))
+            tables += [wide, with_torsion_partners(wide)]
+        for table in tables:
             for c in (ALL_ONE, STAIRCASE, FORBIDDEN_LEFT):
                 verdict = same_verdict(table, c)
                 seen["pass" if verdict.ok else "fail"] += 1
                 seen["several_chi"] += chi_negatives(verdict) > 1
+            tails = gap_tails(table)
+            gaps["zero_tail"] += 0 in tails
+            gaps["nonzero_tail"] += any(tails)
         assert min(seen.values()) > 100
+        assert min(gaps.values()) > 20
 
     def test_empty_table(self):
         for c in (ALL_ONE, STAIRCASE, FORBIDDEN_LEFT):

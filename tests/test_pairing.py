@@ -11,10 +11,10 @@ from bsfan import (BettiTable, CohomologyEvaluator, DegreeSequence,
                    pure_diagram, pure_pair_support, shift)
 from bsfan.cli import main
 from bsfan.multigraded import _Capped
-from helpers import (F, T, TWO_STRAND_TABLE, FormalEvaluator, gamma,
-                     koszul_table, random_degree_sequence, random_fraction,
-                     random_roots, random_table, reference_gamma,
-                     reference_pair, rng)
+from helpers import (F, T, TWO_STRAND_TABLE, FormalEvaluator, chi_window,
+                     gamma, koszul_table, random_degree_sequence,
+                     random_fraction, random_roots, random_table,
+                     reference_gamma, reference_pair, rng)
 
 
 def supernatural(roots, scale, n):
@@ -418,7 +418,6 @@ class TestPairCheck:
 
 def test_paired_chi_nonnegativity_sample():
     # full-size sweep lives in the acceptance suite
-    from bsfan import chi_window
     r = rng(406)
     for _ in range(40):
         n = r.randint(1, 4)

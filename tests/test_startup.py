@@ -171,7 +171,7 @@ ALL = [
     "EvaluatorRangeError", "GradedOrder", "INF", "MonadSplit",
     "MonadViolation", "MultiBettiTable", "NotInCone", "ParseError", "Piece",
     "ProductSpace", "SupernaturalSheaf", "TwistSheaf",
-    "ValidationError", "Violation", "WindowEvaluator", "chi", "chi_window",
+    "ValidationError", "Violation", "WindowEvaluator", "chi",
     "cone_a", "cone_s", "decompose_a", "decompose_s", "diagrams", "dual",
     "errors", "es_functional", "euler", "evaluator_from_obj",
     "infinite_prefix", "linear_combine", "membership_a",
