@@ -9,7 +9,6 @@ its full alternating column sum (the loop is tables._partial_euler, shared
 with multi_chi).  The blocks are the pure diagrams at n = 0.
 """
 
-from bisect import bisect_right
 from collections import namedtuple
 
 from .errors import NotInCone, ValidationError
@@ -68,12 +67,14 @@ def _check_shape(c):
 def _chi_negatives(table, c):
     """chi_negative violations in (i, j) order, over columns min - 3 to max
     and degrees min - 2 to max + 1 of the support, where chi takes every
-    value it has.  chi(i, .) starts at tail(i + 2), the alternating sum of
-    the column sums from column i + 2 up, and steps only where j reaches an
-    entry (i, d), at j = d, or an entry (i + 1, d), at j = d - 1.  So a
-    column is one walk over its sorted steps; a column without steps is
-    constant, and where that is zero, chi is zero up to the next column
-    with steps.  Only negative runs become cells: O(N log N + output)."""
+    value it has, and where c(i) >= 1.  Swept from the right: chi(i, .)
+    starts at tail(i + 2), the alternating sum of the column sums from
+    column i + 2 up, and steps only where j reaches an entry (i, d), at
+    j = d, or an entry (i + 1, d), at j = d - 1.  So a column is one walk
+    over its sorted steps; a column without steps is constant, and where
+    that is zero, chi is zero down to the previous column with steps.
+    Ranks never decrease, so the sweep stops at the first c(i) < 1.  Only
+    negative runs become cells: O(N log N + output)."""
     if not table:
         return []
     steps, sums = {}, {}
@@ -81,25 +82,24 @@ def _chi_negatives(table, c):
         steps.setdefault(i, []).append((d, value))
         steps.setdefault(i - 1, []).append((d - 1, -value))
         sums[i] = sums.get(i, ZERO) + value
-    cols, degs = sorted(steps), [d for _, d in table.support()]
+    cols, degs = sorted(steps, reverse=True), [d for _, d in table.support()]
     low, high = min(degs) - 2, max(degs) + 1
-    i = cols[0] - 2
-    tail, violations = chi(table, i, low), []  # tail(i + 2)
-    while i <= cols[-1]:
+    below = dict(zip(cols, cols[1:] + [cols[-1] - 3]))  # then past the window
+    i, tail, columns = cols[0], ZERO, []  # tail(i + 2)
+    while i >= cols[-1] - 2 and c.rank(i) >= 1:
         if i not in steps and not tail:
-            i = cols[bisect_right(cols, i)]
-            tail = sums[i + 1]  # tail(i + 1) is zero
+            i = below[i + 1]  # no entry in between: tail(i + 2) stays zero
             continue
-        if (i in steps or tail < 0) and c.rank(i) >= 1:
-            start, value = low, tail
-            for j, step in sorted(steps.get(i, ())) + [(high + 1, ZERO)]:
-                if value < 0:
-                    violations.extend(Violation("chi_negative", i, k, value)
-                                      for k in range(start, j))
-                start, value = j, value + step
-        tail = sums.get(i + 2, ZERO) - tail
-        i += 1
-    return violations
+        start, value, cells = low, tail, []
+        for j, step in sorted(steps.get(i, ())) + [(high + 1, ZERO)]:
+            if value < 0:
+                cells.extend(Violation("chi_negative", i, k, value)
+                             for k in range(start, j))
+            start, value = j, value + step
+        columns.append(cells)
+        tail = sums.get(i + 1, ZERO) - tail
+        i -= 1
+    return [cell for cells in reversed(columns) for cell in cells]
 
 
 def membership_a(table, c):

@@ -11,11 +11,12 @@ the smallest ratio over them, so each step clears an entry, drives none
 negative, and touches only those at most n + 2 keys of one WorkingTable:
 an N-entry table costs O(N * n) table updates.  A step computes on Python
 integers.  The trim start depends on the constraint and the rightmost
-column alone, so it is searched again (at most n + 3 rank lookups) only
-when that column changes; the strand walk reads just the trim's columns;
-the multiple is found by cross-multiplying the diagram's integer values;
-and each touched entry stays a (numerator, denominator) pair reduced by
-one gcd.  A step builds one DegreeSequence, the piece, its pure diagram
+column alone, so it is searched again (at most n + 3 rank lookups, none
+left of the input's first column, where no strand starts) only when that
+column changes; the strand walk reads just the trim's columns; the
+multiple is found by cross-multiplying the diagram's integer values; and
+each touched entry stays a (numerator, denominator) pair reduced by one
+gcd.  A step builds one DegreeSequence, the piece, its pure diagram
 (one table of at most n + 2 integral Fractions from O(n^2) gap products)
 and one Fraction, the multiple; no candidate trim.  When a strand admits
 no compatible trim, the input is outside the cone and the stuck strand,
@@ -72,7 +73,7 @@ def decompose_s(table, c, n):
             f"{table.negative_entries()[0]}")
     pieces = []
     work = WorkingTable(table)
-    end = None
+    end, floor = None, min(table.columns(), default=0)
     for _ in range(len(table) + 1):
         last = work.last_column()
         if last is None:
@@ -80,7 +81,7 @@ def decompose_s(table, c, n):
         # the trim start depends on c and the rightmost column alone; the
         # strand is walked down to it, its degrees strictly increasing
         if last != end:
-            end, k = last, _trim_start(c, last)
+            end, k = last, _trim_start(c, last, floor)
         if k is not None:
             start, degrees = work.top_strand(k)
         if k is None or start != k:

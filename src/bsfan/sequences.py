@@ -145,16 +145,17 @@ def _fits(codim, here, above, n):
     return 0 <= here <= codim <= above and codim <= n + 1
 
 
-def _trim_start(c, end):
+def _trim_start(c, end, floor):
     """Start of the minimal compatible run ending at position end under the
-    constraint c: the largest k whose run k..end is compatible (more -inf
-    entries make a smaller degree sequence), or None.  Walks k leftward
-    from end while end - k <= n + 1, one rank lookup per position, and
-    stops at the first empty position, which every longer run contains.  A
-    strand on start..end has a compatible trim exactly when k >= start."""
+    constraint c: the largest k >= floor whose run k..end is compatible
+    (more -inf entries make a smaller degree sequence), or None.  Walks k
+    leftward from end while end - k <= n + 1 and k >= floor, one rank
+    lookup per position, and stops at the first empty position, which every
+    longer run contains.  A strand on start..end, with floor <= start, has
+    a compatible trim exactly when k >= start."""
     n, rank = c.n, c.rank
     above = rank(end + 1)
-    for k in range(end, end - n - 2, -1):
+    for k in range(end, max(end - n - 2, floor - 1), -1):
         here = rank(k)
         if here < 0:
             return None

@@ -425,8 +425,8 @@ def pretty_render(table, mark_origin=False):
     height, width = rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1
     _check_writable(height * width,
                     f"pretty grid of {height} rows by {width} columns")
-    col_range = list(range(cols[0], cols[-1] + 1))
-    row_range = list(range(rows[0], rows[-1] + 1))
+    col_range = range(cols[0], cols[-1] + 1)
+    row_range = range(rows[0], rows[-1] + 1)
 
     mark = None
     if mark_origin and 0 in col_range:
@@ -439,21 +439,9 @@ def pretty_render(table, mark_origin=False):
             text += "°"
         return text
 
-    grid = {(r, c): cell(r, c) for r in row_range for c in col_range}
-    widths = {
-        c: max(len(str(c)), max(len(grid[(r, c)]) for r in row_range))
-        for c in col_range
-    }
-    label_width = max(len(f"{r}:") for r in row_range)
-    lines = [
-        " " * label_width
-        + "  "
-        + "  ".join(str(c).rjust(widths[c]) for c in col_range)
-    ]
-    for r in row_range:
-        lines.append(
-            f"{r}:".rjust(label_width)
-            + "  "
-            + "  ".join(grid[(r, c)].rjust(widths[c]) for c in col_range)
-        )
-    return "\n".join(lines)
+    # the row labels, then each table column under its index, each
+    # right-justified to its widest string
+    columns = [[""] + [f"{r}:" for r in row_range]]
+    columns += [[str(c)] + [cell(r, c) for r in row_range] for c in col_range]
+    columns = [[s.rjust(max(map(len, col))) for s in col] for col in columns]
+    return "\n".join("  ".join(line) for line in zip(*columns))

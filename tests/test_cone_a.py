@@ -134,8 +134,10 @@ class TestMembership:
     def test_work_is_bounded_by_the_table_not_its_gaps(self):
         # two torsion blocks K columns apart, the second one D degrees up:
         # in the cone, with a window of about K columns by K + 2D degrees;
-        # at most two rank lookups per entry, failing at the first one past
-        # that rather than walking the window
+        # and two free blocks K columns apart, whose gap has a nonzero tail,
+        # under a constraint below 1 up to column K: the sweep stops at the
+        # gate rather than walking the gap.  At most two rank lookups per
+        # entry, failing at the first one past that
         lookups = []
 
         class Counting(CodimensionSequence):
@@ -147,11 +149,14 @@ class TestMembership:
                 return super().rank(i)
 
         K, D = 10**6, 10**9
-        for entries in ({(0, 0): 1, (1, 1): 1, (K, K): 1, (K + 1, K + 1): 1},
-                        {(0, 0): 1, (1, D): 1, (K, K + D): 1,
-                         (K + 1, K + 2 * D): 1}):
+        for entries, c in (
+                ({(0, 0): 1, (1, 1): 1, (K, K): 1, (K + 1, K + 1): 1},
+                 Counting.constant(1, 0)),
+                ({(0, 0): 1, (1, D): 1, (K, K + D): 1, (K + 1, K + 2 * D): 1},
+                 Counting.constant(1, 0)),
+                ({(0, 0): 1, (K, 0): 1}, Counting(0, 0, K + 1, (), 1))):
             lookups.clear()
-            assert membership_a(T(entries), Counting.constant(1, 0)).ok
+            assert membership_a(T(entries), c).ok
 
     def test_gap_table_matches_the_reference_cell_for_cell(self):
         # the doubled generator leaves a nonzero tail over the column gap,

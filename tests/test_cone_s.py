@@ -232,6 +232,29 @@ class TestMonad:
         with pytest.raises(ValidationError, match="nonnegative"):
             monad_split(BettiTable({(0, 0): -1}), 2)
 
+    def test_trim_walk_stops_at_the_table(self):
+        # a lone entry at (n, 0) under the monad constraint is outside the
+        # cone; no strand starts left of column n, so the trim search
+        # stops there rather than walking n + 2 positions leftward
+        n, lookups = 10**7, []
+
+        class Counting(CodimensionSequence):
+            __slots__ = ()
+
+            def rank(self, i):
+                lookups.append(i)
+                assert len(lookups) <= 4, "a rank lookup per position"
+                return super().rank(i)
+
+        table = T({(n, 0): 1})
+        message = f"strand (0)@{n} admits no compatible trim"
+        with pytest.raises(NotInCone) as err:
+            decompose_s(table, Counting(n, 0, 1, (), n + 1), n)
+        assert str(err.value) == message
+        with pytest.raises(NotInCone) as err:
+            monad_split(table, n)
+        assert str(err.value) == message
+
     def test_central_part_lies_in_column_zero(self):
         # a positive-codimension piece of the monad run starts in a column
         # >= 0, and what the run leaves lies in columns <= 0 (the dual run

@@ -1,14 +1,16 @@
 """membership_a against the cell-by-cell reference.
 
 membership_a gets its chi cells from one sweep over each column's
-breakpoints and jumps over column gaps where chi is zero;
+breakpoints, run from the right: it jumps over column gaps where chi is
+zero and stops at the first column where the constraint is below 1;
 reference_membership_a in helpers.py calls chi afresh at each window cell.
 Both must return equal verdicts: the same violations, in the same order,
 with the same exact values.  The inputs are small random signed tables
-under three constraints, among them tables spread over 80 columns whose
-gaps have zero and nonzero tails, and pairings of pure-diagram chains with
-supernatural classes and sums of torsion blocks of 60-120 entries, in and
-out of the cone.
+under four constraints, one of them with its gate drawn per table (so the
+gate falls inside column gaps), among them tables spread over 80 columns
+whose gaps have zero and nonzero tails, and pairings of pure-diagram chains
+with supernatural classes and sums of torsion blocks of 60-120 entries, in
+and out of the cone.
 """
 
 from bsfan import (EMPTY, INF, CodimensionSequence, SupernaturalSheaf, chi,
@@ -102,7 +104,9 @@ class TestSmallTables:
                                 cols=(-40, 40))
             tables += [wide, with_torsion_partners(wide)]
         for table in tables:
-            for c in (ALL_ONE, STAIRCASE, FORBIDDEN_LEFT):
+            # free homology up to s0, torsion required from s0 on
+            gate = CodimensionSequence(0, 0, r.randint(-45, 45), (), 1)
+            for c in (ALL_ONE, STAIRCASE, FORBIDDEN_LEFT, gate):
                 verdict = same_verdict(table, c)
                 seen["pass" if verdict.ok else "fail"] += 1
                 seen["several_chi"] += chi_negatives(verdict) > 1

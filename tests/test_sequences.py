@@ -186,9 +186,11 @@ class TestCompatibility:
             for left, *window, right in draws:
                 c = CodimensionSequence(n, left, 0, window, right)
                 for strand in strands:
-                    k = _trim_start(c, strand.end)
+                    k = _trim_start(c, strand.end, strand.start)
+                    far = _trim_start(c, strand.end, strand.start - 10)
                     want = _reference_trim(strand, c)
-                    if k is None or k < strand.start:
+                    if k is None:
                         assert want is None
+                        assert far is None or far < strand.start
                     else:
-                        assert want == trimmed(strand, k)
+                        assert want == trimmed(strand, k) and far == k

@@ -285,6 +285,22 @@ def test_round_trip_random():
         assert serialize_table(parse_table(text)) == text
 
 
+def test_iteration_hash_and_repr():
+    # iteration walks the sorted support; equal tables built in another
+    # order hash equal, in both gradings; repr shows the header and the
+    # entries in (i, grade) order
+    t = T({(1, 2): F(4, 3), (0, 0): 1})
+    assert list(t) == t.support() == [(0, 0), (1, 2)]
+    assert hash(t) == hash(T({(0, 0): 1, (1, 2): F(4, 3)}))
+    m = MultiBettiTable(2, {(1, (0, 3)): 5, (0, (1, 2)): 1})
+    assert list(m) == m.support() == [(0, (1, 2)), (1, (0, 3))]
+    assert hash(m) == hash(MultiBettiTable(2, {(0, (1, 2)): 1,
+                                               (1, (0, 3)): 5}))
+    assert repr(t) == "BettiTable({(0,0): 1, (1,2): 4/3})"
+    assert (repr(MultiBettiTable(2, {(0, (1, 2)): 1}))
+            == "MultiBettiTable(m=2, {(0,(1, 2)): 1})")
+
+
 def test_all_values_in_lowest_terms():
     r = rng(102)
     for _ in range(200):
