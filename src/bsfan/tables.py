@@ -439,9 +439,9 @@ def pretty_render(table, mark_origin=False):
             text += "°"
         return text
 
-    # the row labels, then each table column under its index, each
-    # right-justified to its widest string
+    # row labels, then each table column, each right-justified to its widest
     columns = [[""] + [f"{r}:" for r in row_range]]
     columns += [[str(c)] + [cell(r, c) for r in row_range] for c in col_range]
-    columns = [[s.rjust(max(map(len, col))) for s in col] for col in columns]
-    return "\n".join("  ".join(line) for line in zip(*columns))
+    widths = [max(map(len, col)) for col in columns]
+    return "\n".join("  ".join(map(str.rjust, line, widths))
+                     for line in zip(*columns))

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import re
@@ -441,3 +442,17 @@ class TestRender:
     def test_fractional_cells(self):
         lines = pretty_render(T({(1, 2): F(1, 2), (2, 3): F(4, 3)})).splitlines()
         assert lines[1].split() == ["1:", "1/2", "4/3"]
+
+    def test_each_string_is_measured_once(self, monkeypatch):
+        # a tall grid of 3 columns: its width is measured once per string,
+        # not once per string for every string of its column
+        calls = []
+        monkeypatch.setattr(tables, "len", lambda s: calls.append(s) or
+                            builtins.len(s), raising=False)
+        height = 2000
+        lines = pretty_render(T({(0, 0): 1, (1, height): 1})).splitlines()
+        assert len(calls) <= 3 * (height + 1)
+        assert lines[0] == "       0  1"
+        assert lines[1] == "   0:  1  -"
+        assert lines[-1] == f"{height - 1}:  -  1"
+        assert len(lines) == height + 1
