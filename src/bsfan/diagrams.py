@@ -129,6 +129,9 @@ class WindowEvaluator(CohomologyEvaluator):
     """
 
     def __init__(self, dimension, jmin, jmax, values):
+        if dimension < 0:
+            raise ValidationError(
+                f"ambient dimension must be >= 0, got {dimension}")
         if jmin > jmax:
             raise ValidationError(f"empty declared range [{jmin}, {jmax}]")
         self.dimension = int(dimension)

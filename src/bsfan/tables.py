@@ -179,8 +179,9 @@ class WorkingTable:
 
         The keys must be present and at least one; the values must be
         positive integers, as ints or as Fractions of denominator 1 (a
-        pure diagram's are), and only their numerators are read.  An entry a/b gives the candidate a / (b * value), and
-        candidates are compared by cross-multiplying.
+        pure diagram's are), and only their numerators are read.  An entry
+        a/b gives the candidate a / (b * value), and candidates are
+        compared by cross-multiplying.
         """
         entries = self._entries
         num, den = 1, 0  # infinity: every candidate is smaller
@@ -273,12 +274,9 @@ def _read(value, shape, where):
     """Decoded JSON checked against shape: int (a JSON integer, not true),
     None (any value), [s] (a list of s, read as a tuple) or {key: s} (an
     object, read as a dict in shape order; a key of shape (s, default) may
-    be absent).  A mismatch is one ParseError that names the field.
-
-    A list of objects whose fields are present with shapes int, None or
-    [int] (a table's entries) is checked inline in one call; an item that
-    does not pass inline is read by a call of its own, which words the
-    error."""
+    be absent).  A mismatch is one ParseError that names the field.  A
+    JSON integer read as int, and any value read as None, is taken without
+    a call of its own."""
     if shape is int:
         if type(value) is int:
             return value
@@ -288,29 +286,8 @@ def _read(value, shape, where):
     elif type(shape) is list:
         if type(value) is list:
             item = shape[0]
-            if type(item) is dict:  # no call per flat object: per table entry
-                fields = item.items()
-                rows = []
-                for k, v in enumerate(value):
-                    row = {}
-                    if type(v) is dict:
-                        for key, field in fields:
-                            if key not in v:
-                                break
-                            x = v[key]
-                            if field is None or field is int and type(x) is int:
-                                row[key] = x
-                            elif (field == [int] and type(x) is list
-                                  and all(type(a) is int for a in x)):
-                                row[key] = tuple(x)
-                            else:
-                                break
-                        else:
-                            rows.append(row)
-                            continue
-                    rows.append(_read(v, item, f"{where}[{k}]"))
-                return tuple(rows)
-            return tuple([_read(v, item, f"{where}[{k}]")
+            return tuple([v if item is None or item is int and type(v) is int
+                          else _read(v, item, f"{where}[{k}]")
                           for k, v in enumerate(value)])
         kind = "a JSON list"
     elif type(value) is dict:
@@ -349,11 +326,9 @@ def table_from_obj(obj, cls=BettiTable):
     fields (the rank m of Z^m, at least 1) and an "entries" list of
     {i, <cls.GRADE>, value} objects.
 
-    One loop over the entries: a duplicate key or a value that is not a
-    rational raises at once; a grade of the wrong rank (zero entries
-    included) or a negative value is kept and raised after the loop.  So
-    faults are reported shapes first, then keys and rationals, then ranks
-    and signs, each kind in entry order.
+    Faults are reported shapes first (_read), then keys and rationals
+    (_read_entries), then ranks and signs, each kind in entry order: a
+    grade of the wrong rank (zero entries included) or a negative value.
     """
     shape = dict.fromkeys(cls.HEADER, int)
     shape["entries"] = [{"i": int, cls.GRADE: cls.GRADE_SHAPE, "value": None}]
@@ -362,33 +337,16 @@ def table_from_obj(obj, cls=BettiTable):
         if m < 1:
             raise ValidationError(f"table.{key} must be >= 1, got {m}")
     rank = head[0] if head else None
-    table = cls._trusted({}, *head)
-    checked, seen, fault = table._entries, set(), None
-    match = _RATIONAL_RE.match
-    for entry in entries:
-        i, grade, text = entry.values()
-        key = (i, grade)
-        if key in seen:
-            raise ParseError(f"table: duplicate entry for {key}")
-        seen.add(key)
-        found = isinstance(text, str) and match(text.strip())
-        if not found:
-            parse_rational(text, f"entry {key}")  # raises its own message
-        if fault is not None:
-            continue
-        num, den = found.groups()
-        num = int(num)
-        if rank is not None and len(grade) != rank:
-            fault = ValidationError(
-                f"grade {grade} has rank {len(grade)}, expected {rank}")
-        elif num > 0:
-            checked[key] = Fraction(num, int(den)) if den else Fraction(num)
-        elif num:
-            fault = ValidationError(
-                f"negative entry {parse_rational(text)} at {key}")
-    if fault is not None:
-        raise fault
-    return table
+    checked = {}
+    for key, value in _read_entries(entries, "table").items():
+        if rank is not None and len(key[1]) != rank:
+            raise ValidationError(
+                f"grade {key[1]} has rank {len(key[1])}, expected {rank}")
+        if value < 0:
+            raise ValidationError(f"negative entry {value} at {key}")
+        if value:
+            checked[key] = value
+    return cls._trusted(checked, *head)
 
 
 def table_to_obj(table):

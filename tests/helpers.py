@@ -30,9 +30,10 @@ name the same twists.
 reference_table_from_obj is the three-pass table reader: the shape check
 of _reference_read with one call per entry, then _reference_read_entries
 (duplicates and rationals), then the rank and sign checks on the nonzero
-entries; the library's one-pass table_from_obj must return the same table
-or raise the same error, except that it also checks the rank m and the
-grades of zero entries.
+entries; the library's table_from_obj, which reads shapes by _read and
+keys and rationals by _read_entries, the reader of windows too, must
+return the same table or raise the same error, except that it also checks
+the rank m and the grades of zero entries.
 
 total rebuilds the table a Decomposition stands for, apiece_table is
 the table of a one-variable block, and apiece_degree_sequence reads a

@@ -345,7 +345,8 @@ def test_exact_bytes(capsys, name):
 
 
 # A negative ambient dimension is malformed input: there is no projective
-# space to split a monad or decompose a table over.
+# space to split a monad or decompose a table over, nor to read a window's
+# cohomology on.
 ONE = serialize_table(T({(0, 0): 1}))
 NEGATIVE_N = {
     "monad": ["monad", "--table", serialize_table(T({(0, 0): 1, (1, 2): 1})),
@@ -353,6 +354,9 @@ NEGATIVE_N = {
     "infinite": ["infinite", "--table", ONE, "--e", "3", "--n", "-1"],
     "decompose": ["decompose", "--table", ONE, "--codim",
                   '{"n":-1,"left":0,"right":0}', "--n", "-1"],
+    "pair-window": ["pair", "--table", ONE, "--sheaf",
+                    '{"kind":"window","dim":-1,"jmin":-5,"jmax":5,'
+                    '"entries":[]}'],
 }
 
 

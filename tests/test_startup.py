@@ -252,7 +252,7 @@ def test_no_module_binds_an_unread_import():
 
 
 # public API that src/ does not use yet, with the reason it stays
-UNCALLED = {"pure_pair_support": "ROADMAP item 5 may generate candidate "
+UNCALLED = {"pure_pair_support": "ROADMAP item 12 may generate candidate "
                                  "roots with it"}
 
 

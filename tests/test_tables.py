@@ -9,7 +9,7 @@ import pytest
 from bsfan import (BettiTable, MultiBettiTable, ParseError, ValidationError,
                    dual, linear_combine, pretty_render, shift, table_from_obj,
                    tables)
-from bsfan.tables import WorkingTable, _read, _read_entries, parse_rational
+from bsfan.tables import WorkingTable, _read, _read_entries
 from helpers import (F, INTRO_TABLE, MONAD_TABLE, T, parse_table,
                      random_table, reference_table_from_obj, rng,
                      serialize_table)
@@ -249,32 +249,6 @@ class TestOnePassReader:
             with pytest.raises(ValidationError,
                                match=rf"^table\.m must be >= 1, got {obj['m']}$"):
                 table_from_obj(obj, MultiBettiTable)
-
-    @pytest.mark.parametrize("m", [None, 3])
-    def test_entries_are_read_in_one_call(self, monkeypatch, m):
-        # one _read for the table object and one for its whole entries
-        # list, whatever the number of entries: none per entry or grade
-        values = self.VALUES
-        entries = [{"i": k % 5, "value": values[k % len(values)]}
-                   for k in range(300)]
-        for k, entry in enumerate(entries):
-            if m is None:
-                entry["j"] = k
-            else:
-                entry["alpha"] = [k, -k, k % 7]
-        obj = {"entries": entries} if m is None else {"m": m, "entries": entries}
-        calls = []
-        read = tables._read
-
-        def counted(value, shape, where):
-            calls.append(where)
-            return read(value, shape, where)
-
-        monkeypatch.setattr(tables, "_read", counted)
-        cls = BettiTable if m is None else MultiBettiTable
-        assert len(table_from_obj(obj, cls)) == sum(
-            parse_rational(e["value"]) != 0 for e in entries)
-        assert calls == ["table", "table.entries"]
 
 
 def test_round_trip_random():

@@ -11,7 +11,7 @@ import pytest
 
 from bsfan.cone_a import APiece, AVerdict, Violation
 from bsfan.cone_s import Decomposition, MonadSplit
-from bsfan.diagrams import SupernaturalSheaf
+from bsfan.diagrams import SupernaturalSheaf, WindowEvaluator
 from bsfan.errors import ValidationError
 from bsfan.multigraded import GradedOrder, ProductSpace
 from bsfan.sequences import CodimensionSequence, DegreeSequence
@@ -147,6 +147,8 @@ def test_default_remainders_are_not_shared():
      "2 roots need ambient dimension >= 2, got 1"),
     (lambda: SupernaturalSheaf((0,), 0, 1), ValidationError,
      "rank scale must be positive, got 0"),
+    (lambda: WindowEvaluator(-3, -5, 5, {}), ValidationError,
+     "ambient dimension must be >= 0, got -3"),
     (lambda: GradedOrder(()), ValidationError,
      "order needs at least one weight"),
     (lambda: GradedOrder((1, 0)), ValidationError,
