@@ -342,10 +342,10 @@ def table_from_obj(obj, cls=BettiTable):
         if rank is not None and len(key[1]) != rank:
             raise ValidationError(
                 f"grade {key[1]} has rank {len(key[1])}, expected {rank}")
-        if value < 0:
-            raise ValidationError(f"negative entry {value} at {key}")
-        if value:
+        if value.numerator > 0:
             checked[key] = value
+        elif value:
+            raise ValidationError(f"negative entry {value} at {key}")
     return cls._trusted(checked, *head)
 
 

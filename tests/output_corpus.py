@@ -54,10 +54,7 @@ def digest(argv):
     """SHA-256 of the exit code, stdout and stderr of main(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(argv)
     text = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -13,8 +13,7 @@ def test_outputs_match_the_corpus(workload):
             if key[0] == workload}
     got = {key: (label, digest(argv)) for key, label, argv in runs(workload)}
     assert got.keys() == want.keys()
-    changed = [f"{label} (seed {seed}, round {r}, job {k}, {way})"
-               for (_, seed, r, k, way), (label, value) in got.items()
-               if value != want[_, seed, r, k, way][1]]
+    changed = ["{} (seed {}, round {}, job {}, {})".format(label, *key[1:])
+               for key, (label, value) in got.items() if value != want[key][1]]
     assert not changed, f"{len(changed)} outputs changed: " + "; ".join(
         changed[:10])
