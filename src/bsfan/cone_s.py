@@ -26,7 +26,8 @@ Monad splitting runs the decomposition once on the table (free constraint
 in nonpositive positions, full codimension above) and once on its dual, and
 reassembles the central column; prefixes of infinite resolutions come from
 decomposing a dualized truncation once and keeping its full-codimension
-leading pieces.
+leading pieces.  A run on a dual that gets stuck is reported dualized
+back, so every certificate names entries of the input.
 """
 
 from collections import namedtuple
@@ -97,6 +98,19 @@ def decompose_s(table, c, n):
     raise AssertionError("decomposition exceeded its step budget")
 
 
+def _decompose_dual(table, c, n):
+    """decompose_s on dual(table), its failure certificate turned back to
+    the input's orientation, so that it names the input's entries."""
+    try:
+        return decompose_s(dual(table), c, n)
+    except NotInCone as exc:
+        strand = exc.blocking_strand.dual()
+        raise NotInCone(
+            f"strand {strand} admits no compatible trim",
+            [Piece(coeff, d.dual()) for coeff, d in exc.partial_pieces],
+            blocking_strand=strand) from None
+
+
 class MonadSplit(namedtuple("MonadSplit", "lambda1 table_f1 lambda2 table_f2 "
                             "e_column front_pieces back_pieces")):
     """Split of a free monad table into a resolution part, the dual of a
@@ -135,7 +149,7 @@ def monad_split(table, n):
     constraint = CodimensionSequence(n, 0, 1, (), n + 1)
     front = _prefix(decompose_s(table, constraint, n).pieces,
                     lambda codim: codim > 0)
-    back = _prefix(decompose_s(dual(table), constraint, n).pieces,
+    back = _prefix(_decompose_dual(table, constraint, n).pieces,
                    lambda codim: codim > 0)
     d_front = linear_combine([(c, pure_diagram(d)) for c, d in front])
     d_back = linear_combine([(c, pure_diagram(d)) for c, d in back])
@@ -183,7 +197,7 @@ def infinite_prefix(table, e, n):
         raise ValidationError(
             f"table has support in column {high[0]} past the truncation at {e}")
     constraint = CodimensionSequence(n, 0, -e + 1, (), n + 1)
-    kept = _prefix(decompose_s(dual(table), constraint, n).pieces,
+    kept = _prefix(_decompose_dual(table, constraint, n).pieces,
                    lambda codim: codim == n + 1)
     stable = [Piece(coeff, d.dual()) for coeff, d in kept]
     remainder = linear_combine(

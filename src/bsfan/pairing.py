@@ -18,7 +18,7 @@ the chi functionals.
 from fractions import Fraction
 
 from .diagrams import SupernaturalSheaf
-from .errors import EvaluatorRangeError
+from .errors import EvaluatorRangeError, ValidationError
 from .tables import ZERO
 
 
@@ -75,7 +75,7 @@ def es_functional(table, roots, rank_scale, n, tau, kappa):
 
     s = len(roots)
     if not 1 <= tau <= s:
-        raise ValueError(f"tau must be in 1..{s}, got {tau}")
+        raise ValidationError(f"tau must be in 1..{s}, got {tau}")
     nu = max(kappa, -roots[tau - 1] - 1)
     if tau < s:
         nu = min(nu, -roots[tau] - 1)
@@ -96,7 +96,7 @@ def pair_check(table, evaluators, n):
 
     for ev in evaluators:
         if getattr(ev, "n", n) != n:
-            raise ValueError(
+            raise ValidationError(
                 f"evaluator ambient {ev.n} does not match n = {n}")
     all_one = CodimensionSequence.constant(1, 0)
     return [membership_a(pair(table, ev), all_one) for ev in evaluators]

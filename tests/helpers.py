@@ -1,5 +1,14 @@
 """Shared test data and independent oracles.
 
+The plain sums are the bench's (bench/oracles.py imports nothing from
+bsfan): reference_membership_a, reference_pure_diagram,
+compare_degree_sequences and reference_gamma's supernatural values read
+them on plain(table), a dict {(i, grade): Fraction}, and on a
+CodimensionSequence's _asdict().  The twist and product references stay
+here: they take a supernatural class's Hilbert polynomial, not Bott's
+binomials as the library and the bench's kunneth do; and the greedy,
+pairing and reader references have no bench counterpart of their shape.
+
 The golden tables here are small worked examples: a length-3 complex over
 two variables, a tensor product of two monomial resolutions, a monomial
 quotient resolution, a two-strand table whose homology cannot have finite
@@ -14,13 +23,13 @@ reference_compatible, which checks every position of the run; the
 library's trim search walks integer ranks and must pick the same trim.
 reference_infinite_prefix decomposes the dualized truncation at e and at
 e - 1 and keeps the prefix on which the two runs agree; the library's
-infinite_prefix, which runs once at e, must give the same pieces.
-reference_membership_a calls chi afresh at every cell of the chi window;
-the library's one-sweep membership_a must give the same verdict.
+infinite_prefix, which runs once at e, must give the same pieces, and a
+stuck run's certificate in the input's orientation.
+reference_membership_a calls the bench's chi afresh at every cell of the
+chi window; the library's one-sweep membership_a must give the same
+verdict.
 reference_kunneth_gamma walks every split of q over the factors of a
 product space; the library's closed form must give the same value.
-reference_pure_diagram scales the Fractions 1/p_i to integers; the
-library's pure_diagram, which stays on integers, must give the same table.
 reference_pair asks reference_gamma, the closed form of each evaluator
 kind, at every q = 0..dimension of every entry, after _reference_missing
 has walked the windows of the evaluator for the twists they lack; the
@@ -41,9 +50,9 @@ block as a degree sequence; positions and trimmed read a degree
 sequence's run, and gamma(ev, q, j) reads one value off an evaluator's
 column;
 compare_degree_sequences is the termwise partial order on degree
-sequences that the greedy chains must follow; FormalEvaluator is a signed
-combination of evaluators for the bilinearity and range tests, its column
-the sum of its terms' columns;
+sequences that the greedy chains must follow, named by Comparison;
+FormalEvaluator is a signed combination of evaluators for the bilinearity
+and range tests, its column the sum of its terms' columns;
 box is the box product of two tables, the Künneth oracle of multi_pair;
 multi_chi_box is the heuristic column range and grade box of a multigraded
 chi scan; parse_table and serialize_table read and write a table as the
@@ -57,23 +66,34 @@ import enum
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
-from math import comb, factorial, gcd, inf, lcm
+from math import comb
+from pathlib import Path
 
-from bsfan import (EMPTY, INF, APiece, AVerdict, BettiTable,
-                   CodimensionSequence, CohomologyEvaluator, Decomposition,
-                   DegreeSequence, EvaluatorRangeError, MultiBettiTable,
-                   NotInCone, ParseError, Piece, ProductSpace,
-                   SupernaturalSheaf, TwistSheaf, ValidationError, Violation,
-                   WindowEvaluator, chi, decompose_s, dual, euler,
-                   linear_combine, pure_diagram, table_from_obj, table_to_obj)
+from bsfan import (EMPTY, APiece, AVerdict, BettiTable, CodimensionSequence,
+                   CohomologyEvaluator, Decomposition, DegreeSequence,
+                   EvaluatorRangeError, MultiBettiTable, NotInCone,
+                   ParseError, Piece, ProductSpace, SupernaturalSheaf,
+                   TwistSheaf, ValidationError, Violation, WindowEvaluator,
+                   decompose_s, dual, linear_combine, pure_diagram,
+                   table_from_obj, table_to_obj)
 from bsfan.cli import _load_obj
 from bsfan.multigraded import _Capped
 from bsfan.tables import parse_rational
 
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "bench")]
+
+import oracles  # noqa: E402
+
 
 def T(entries):
     return BettiTable(entries)
+
+
+def plain(table):
+    """A table as the bench oracles read it: {(i, grade): Fraction}."""
+    return dict(table.items())
 
 
 def F(*args):
@@ -319,23 +339,8 @@ def _reference_trim(strand, c):
 
 
 def reference_pure_diagram(d):
-    """Pure diagram from the Fractions 1/p_i, p_i = prod_{k != i} |d_k - d_i|,
-    scaled by the lcm of their denominators and divided by the gcd."""
-    degs = d.degrees
-    values = []
-    for i, di in enumerate(degs):
-        prod = 1
-        for k, dk in enumerate(degs):
-            if k != i:
-                prod *= abs(dk - di)
-        values.append(Fraction(1, prod))
-    scale = lcm(*(v.denominator for v in values))
-    ints = [int(v * scale) for v in values]
-    g = gcd(*ints)
-    return BettiTable({
-        (pos, deg): Fraction(value, g)
-        for pos, deg, value in zip(positions(d), degs, ints)
-    })
+    """Pure diagram by the bench's gap-product vector."""
+    return BettiTable(oracles.pure_vector(d.start, d.degrees))
 
 
 def reference_decompose_s(table, c, n):
@@ -375,9 +380,17 @@ def reference_decompose_s(table, c, n):
 
 def _reference_prefix_run(table, e, n):
     """The leading full-codimension pieces of the dualized truncation at e,
-    decomposed free at positions <= -e and at full codimension above."""
+    decomposed free at positions <= -e and at full codimension above.  A
+    stuck run's strand and partial pieces are dualized back."""
     c = CodimensionSequence(n, 0, -e + 1, (), n + 1)
-    pieces = decompose_s(dual(table), c, n).pieces
+    try:
+        pieces = decompose_s(dual(table), c, n).pieces
+    except NotInCone as exc:
+        strand = exc.blocking_strand.dual()
+        raise NotInCone(
+            f"strand {strand} admits no compatible trim",
+            [Piece(coeff, d.dual()) for coeff, d in exc.partial_pieces],
+            blocking_strand=strand) from None
     return list(itertools.takewhile(lambda p: p[1].codim == n + 1, pieces))
 
 
@@ -459,30 +472,32 @@ def chi_window(table):
 
 
 def reference_membership_a(table, c):
-    """Half-space test that recomputes chi from scratch at every window cell.
-    An entry in column i where c(i - 1) = inf is a support_inf violation:
-    no block can cover it."""
+    """Half-space test by the bench's plain sums: chi afresh at every window
+    cell, and the constraint read as the bench's codim dict.  An entry in
+    column i where c(i - 1) = inf is a support_inf violation: no block can
+    cover it."""
     if c.n != 0:
         raise ValidationError(
             f"membership over the one-variable ring needs n = 0, got n = {c.n}")
+    entries, codim = plain(table), c._asdict()
     violations = []
-    for (i, j), value in table.items():
-        if c.value(i) == EMPTY:
+    for (i, j), value in entries.items():
+        if oracles.codim_value(codim, i) == "empty":
             violations.append(Violation("support_empty", i, j, value))
-        elif c.value(i - 1) == INF:
+        elif oracles.codim_value(codim, i - 1) == "inf":
             violations.append(Violation("support_inf", i, j, value))
-    for (i, j) in table.negative_entries():
-        violations.append(Violation("negative_entry", i, j, table[(i, j)]))
+    violations += [Violation("negative_entry", i, j, value)
+                   for (i, j), value in entries.items() if value < 0]
     cols, degs = chi_window(table)
     for i in cols:
-        if c.rank(i) < 1:
+        if oracles.rank(oracles.codim_value(codim, i)) < 1:
             continue
         for j in degs:
-            value = chi(table, i, j)
+            value = oracles.chi(entries, i, j)
             if value < 0:
                 violations.append(Violation("chi_negative", i, j, value))
-    if not c.occurs(0):
-        total = euler(table)
+    if 0 not in (codim["left"], codim["right"], *codim["window"]):
+        total = oracles.euler(entries)
         if total != 0:
             violations.append(Violation("euler_nonzero", value=total))
     return AVerdict(not violations, violations)
@@ -526,13 +541,7 @@ def reference_gamma(ev, q, j):
     twist; the split enumeration above for a product space; the stored
     value of a window; the definitions of the signed sum and the cap."""
     if isinstance(ev, SupernaturalSheaf):
-        roots = ev.roots
-        if j in roots or q != sum(1 for f in roots if f > j):
-            return Fraction(0)
-        value = ev.rank_scale / factorial(len(roots))
-        for f in roots:
-            value *= abs(j - f)
-        return value
+        return oracles.supernatural(ev.roots, ev.rank_scale, q, j)
     if isinstance(ev, TwistSheaf):
         return reference_gamma(reference_twist(ev.n, ev.a), q, j)
     if isinstance(ev, WindowEvaluator):
@@ -657,33 +666,17 @@ def serialize_table(table):
 
 
 class Comparison(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
-def _padded_degree(d, i):
-    """Degree at position i, with -inf / +inf padding outside the run."""
-    if i < d.start:
-        return -inf
-    if i > d.end:
-        return inf
-    return d.degrees[i - d.start]
+    """The bench's compare values as names."""
+    LESS = -1
+    EQUAL = 0
+    GREATER = 1
+    INCOMPARABLE = None
 
 
 def compare_degree_sequences(d1, d2):
-    """Termwise comparison over all positions, with infinite padding."""
-    span = range(min(d1.start, d2.start), max(d1.end, d2.end) + 1)
-    le = all(_padded_degree(d1, i) <= _padded_degree(d2, i) for i in span)
-    ge = all(_padded_degree(d1, i) >= _padded_degree(d2, i) for i in span)
-    if le and ge:
-        return Comparison.EQUAL
-    if le:
-        return Comparison.LESS
-    if ge:
-        return Comparison.GREATER
-    return Comparison.INCOMPARABLE
+    """Termwise comparison over all positions, with infinite padding: the
+    bench's compare, which reads a DegreeSequence as its (start, degrees)."""
+    return Comparison(oracles.compare(d1, d2))
 
 
 class FormalEvaluator(CohomologyEvaluator):

@@ -10,6 +10,11 @@ one line per run: workload, seed, round, job index, way, stratum label and
 digest.  A change that moves an output on purpose regenerates the file:
 
     PYTHONPATH=src python tests/output_corpus.py
+
+and --check compares without pytest, so any installed interpreter can
+run it; it names each changed run and exits 1 if there is one:
+
+    PYTHONPATH=src python tests/output_corpus.py --check
 """
 
 import contextlib
@@ -68,7 +73,29 @@ def read_corpus():
     return corpus
 
 
+def changed_runs(workload, corpus):
+    """The workload's runs whose digest differs from the corpus's, or that
+    only one of the two has, each named by its label and key."""
+    want = {key: value for key, value in corpus.items() if key[0] == workload}
+    changed = []
+    for key, label, argv in runs(workload):
+        if want.pop(key, (None, None))[1] != digest(argv):
+            changed.append("{} (seed {}, round {}, job {}, {})".format(
+                label, *key[1:]))
+    return changed + ["{} (seed {}, round {}, job {}, {}) not run".format(
+        label, *key[1:]) for key, (label, _) in want.items()]
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        corpus = read_corpus()
+        changed = [line for workload in workloads.WORKLOADS
+                   for line in changed_runs(workload, corpus)]
+        for line in changed:
+            print(line)
+        print(f"{len(changed)} of {len(corpus)} runs changed under Python "
+              f"{sys.version.split()[0]}")
+        sys.exit(1 if changed else 0)
     CORPUS.write_text("".join(
         " ".join(map(str, (*key, label, digest(argv)))) + "\n"
         for workload in workloads.WORKLOADS

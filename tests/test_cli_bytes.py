@@ -81,6 +81,10 @@ ARGV = {
     "infinite_fail": ["infinite", "--table",
                       serialize_table(T({(0, 0): 1, (4, 1): 1})),
                       "--e", "4", "--n", "1"],
+    # the run on the dual names a strand of the input, not of the dual
+    "infinite_fail_oriented": ["infinite", "--table",
+                               serialize_table(T({(-1, 2): 1, (0, 3): 2})),
+                               "--e", "3", "--n", "1"],
     # the one-variable pieces are listed under "degree_sequence" too
     "decompose_a_fail": ["decompose-a", "--table",
                          serialize_table(T({(0, 0): 1, (1, 2): 1,
@@ -137,6 +141,9 @@ ARGV = {
                     "--n", "4"],
     "monad_violation": ["monad", "--table", serialize_table(SQUEEZED),
                         "--n", "4"],
+    # the dual run gets stuck; its certificate names the input's entry
+    "monad_fail": ["monad", "--table", serialize_table(T({(-3, 6): 2})),
+                   "--n", "1"],
     "pair": ["pair", "--table", serialize_table(TWO_STRAND_TABLE),
              "--sheaf", compact({"kind": "supernatural", "roots": [0, -8],
                                  "rank_scale": "8", "n": 2})],
@@ -193,6 +200,10 @@ EXPECTED = {
         '{"status":"fail","message":"strand (0)@0 admits no compatible tr'
         'im","partial_pieces":[],"blocking_strand":{"start":0,"degrees":['
         '0]}}\n')),
+    "infinite_fail_oriented": (1, (
+        '{"status":"fail","message":"strand (2,3)@-1 admits no compatible'
+        ' trim","partial_pieces":[],"blocking_strand":{"start":-1,"degree'
+        's":[2,3]}}\n')),
     "decompose_a_fail": (1, (
         '{"status":"fail","message":"no generator below degree 0 to pair '
         'with (0, 0)","partial_pieces":[{"coeff":"1","degree_sequence":{"'
@@ -285,6 +296,10 @@ EXPECTED = {
     "monad_violation": (1, (
         '{"status":"fail","message":"central column would be negative at '
         '(0, 3)","e_column":{"entries":[{"i":0,"j":3,"value":"-1"}]}}\n')),
+    "monad_fail": (1, (
+        '{"status":"fail","message":"strand (6)@-3 admits no compatible t'
+        'rim","partial_pieces":[],"blocking_strand":{"start":-3,"degrees"'
+        ':[6]}}\n')),
     "pair": (0, (
         '{"entries":[{"i":0,"j":3,"value":"240"},{"i":0,"j":4,"value":"25'
         '6"},{"i":1,"j":4,"value":"256"},{"i":1,"j":5,"value":"240"}]}\n')),

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from bsfan import (EMPTY, INF, BettiTable, CodimensionSequence,
@@ -7,7 +9,8 @@ from bsfan import (EMPTY, INF, BettiTable, CodimensionSequence,
 from helpers import (F, MONAD_TABLE, MONOMIAL_RES_TABLE, T, TENSOR_TABLE,
                      TRUNCATION_TABLE, TWO_STRAND_TABLE, Comparison,
                      chain_combination, compare_degree_sequences,
-                     koszul_table, one_sided_chain, random_chain,
+                     koszul_table, one_sided_chain, oracles, plain,
+                     positions, random_chain, random_table,
                      reference_infinite_prefix, rng, solve_chain_coefficients,
                      total)
 
@@ -378,3 +381,80 @@ class TestInfinitePrefix:
         from bsfan import ValidationError
         with pytest.raises(ValidationError, match="nonnegative"):
             infinite_prefix(BettiTable({(0, 0): -1}), 3, 1)
+
+
+def stuck(run):
+    """The NotInCone that run() raises, or None when it succeeds."""
+    try:
+        run()
+    except NotInCone as exc:
+        return exc
+    return None
+
+
+def certificate_problems(table, exc):
+    """What a failure certificate names that the input does not have: the
+    blocking strand's keys off the input's support, and the entries where
+    the partial pieces' pure diagrams sum to more than the input."""
+    entries, strand = plain(table), exc.blocking_strand
+    left = oracles.combine([(1, entries)] + [
+        (-c, oracles.pure_vector(*d)) for c, d in exc.partial_pieces])
+    return ([key for key in zip(positions(strand), strand.degrees)
+             if key not in entries],
+            [key for key, v in left.items() if v < 0])
+
+
+def stuck_run(r, kind):
+    """(table, call) for one seeded run of kind on a small random table or,
+    for monad and infinite half the time, on a perturbed one-sided chain,
+    whose run gets stuck after some pieces."""
+    if kind == "infinite":
+        table, e, n = truncation(r)
+        table = (perturbed(r, table, (-2, e)) if r.random() < 0.5
+                 else random_table(r, max_entries=6, cols=(-3, e)))
+        return table, partial(infinite_prefix, table, e, n)
+    n = r.randint(1, 3)
+    if kind == "decompose":
+        c = CodimensionSequence.constant(r.randint(0, n + 1), n)
+        table = random_table(r, max_entries=6)
+        return table, partial(decompose_s, table, c, n)
+    if r.random() < 0.5:
+        chain = one_sided_chain(r, n, 0, r.randint(n + 1, n + 3),
+                                r.randint(1, n + 4))
+        table = dual(perturbed(
+            r, chain_combination(chain, random_coeffs(r, chain)), (-2, 4)))
+    else:
+        table = random_table(r, max_entries=6)
+    return table, partial(monad_split, table, n)
+
+
+class TestCertificates:
+    """Every NotInCone of decompose_s, monad_split and infinite_prefix can
+    be checked against the input, also when the run on the dual got
+    stuck."""
+
+    def test_stuck_dual_runs_name_the_input(self):
+        for table, call in [
+                (T({(-3, 6): 2}), partial(monad_split, n=1)),
+                (T({(-1, 2): 1, (0, 3): 2}),
+                 partial(infinite_prefix, e=3, n=1))]:
+            exc = stuck(partial(call, table))
+            assert exc is not None
+            assert certificate_problems(table, exc) == ([], [])
+
+    def test_random_failures_name_the_input(self):
+        r = rng(1901)
+        seen = {"decompose": 0, "monad": 0, "infinite": 0, "partial": 0}
+        for _ in range(600):
+            kind = r.choice(["decompose", "monad", "infinite"])
+            table, call = stuck_run(r, kind)
+            try:
+                exc = stuck(call)
+            except MonadViolation:
+                continue
+            if exc is not None:
+                assert certificate_problems(table, exc) == ([], []), \
+                    (kind, table)
+                seen[kind] += 1
+                seen["partial"] += bool(exc.partial_pieces)
+        assert min(seen.values()) >= 100

@@ -3,20 +3,20 @@
 membership_a gets its chi cells from one sweep over each column's
 breakpoints, run from the right: it jumps over column gaps where chi is
 zero and stops at the first column where the constraint is below 1;
-reference_membership_a in helpers.py calls chi afresh at each window cell.
-Both must return equal verdicts: the same violations, in the same order,
-with the same exact values.  The inputs are small random signed tables
-under four constraints, one of them with its gate drawn per table (so the
-gate falls inside column gaps), among them tables spread over 80 columns
-whose gaps have zero and nonzero tails, and pairings of pure-diagram chains
-with supernatural classes and sums of torsion blocks of 60-120 entries, in
-and out of the cone.
+reference_membership_a in helpers.py calls the bench's plain chi sum
+afresh at each window cell.  Both must return equal verdicts: the same
+violations, in the same order, with the same exact values.  The inputs
+are small random signed tables under four constraints, one of them with
+its gate drawn per table (so the gate falls inside column gaps), among
+them tables spread over 80 columns whose gaps have zero and nonzero
+tails, and pairings of pure-diagram chains with supernatural classes and
+sums of torsion blocks of 60-120 entries, in and out of the cone.
 """
 
-from bsfan import (EMPTY, INF, CodimensionSequence, SupernaturalSheaf, chi,
+from bsfan import (EMPTY, INF, CodimensionSequence, SupernaturalSheaf,
                    linear_combine, membership_a, pair)
-from helpers import (F, T, chain_combination, random_chain, random_roots,
-                     random_table, reference_membership_a, rng)
+from helpers import (F, T, chain_combination, oracles, plain, random_chain,
+                     random_roots, random_table, reference_membership_a, rng)
 
 ALL_ONE = CodimensionSequence.constant(1, 0)
 # forbidden below -2, free homology at -2..0, torsion required above
@@ -87,8 +87,8 @@ def with_torsion_partners(table):
 def gap_tails(table):
     """chi over each gap of two or more empty columns, where it is the
     alternating sum of the column sums above the gap's first column."""
-    cols = table.columns()
-    return [chi(table, low + 1, 0)
+    cols, entries = table.columns(), plain(table)
+    return [oracles.chi(entries, low + 1, 0)
             for low, high in zip(cols, cols[1:]) if high - low > 2]
 
 

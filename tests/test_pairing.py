@@ -4,11 +4,11 @@ from math import inf
 
 import pytest
 
-from bsfan import (BettiTable, CohomologyEvaluator, DegreeSequence,
-                   EvaluatorRangeError, MultiBettiTable, ProductSpace,
-                   SupernaturalSheaf, TwistSheaf, WindowEvaluator, chi,
-                   es_functional, linear_combine, pair, pair_check,
-                   pure_diagram, pure_pair_support, shift)
+from bsfan import (BettiTable, BsfanError, CohomologyEvaluator,
+                   DegreeSequence, EvaluatorRangeError, MultiBettiTable,
+                   ProductSpace, SupernaturalSheaf, TwistSheaf,
+                   WindowEvaluator, chi, es_functional, linear_combine, pair,
+                   pair_check, pure_diagram, pure_pair_support, shift)
 from bsfan.cli import main
 from bsfan.multigraded import _Capped
 from helpers import (F, T, TWO_STRAND_TABLE, FormalEvaluator, chi_window,
@@ -414,6 +414,19 @@ class TestPairCheck:
             pair_check(BettiTable(), [TwistSheaf(3, 0)], 2)
         window = WindowEvaluator(1, 0, 0, {})
         assert [v.ok for v in pair_check(BettiTable(), [window], 2)] == [True]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: es_functional(T({(0, 0): 1}), (1, -3), F(2), 2, 3, 0),
+     r"tau must be in 1\.\.2, got 3"),
+    (lambda: pair_check(BettiTable(), [supernatural((1,), 1, 3)], 2),
+     "evaluator ambient 3 does not match n = 2"),
+    (lambda: pair_check(BettiTable(), [TwistSheaf(3, 0)], 2),
+     "evaluator ambient 3 does not match n = 2"),
+], ids=["tau", "supernatural_ambient", "twist_ambient"])
+def test_bad_arguments_raise_the_package_error(call, message):
+    with pytest.raises(BsfanError, match=message):
+        call()
 
 
 def test_paired_chi_nonnegativity_sample():
