@@ -7,18 +7,18 @@ structure, so the library's records carry no serializers.  A row holds
 the help line, the output flags, the options, the call (load the
 arguments, run the library function) and the emitter (write the result,
 return the exit code).  main reads a well-formed command line straight
-from the row's options (_parse) and loads argparse only for help and usage
-errors; the call imports only the layer modules it reaches, so a process
-pays for its own subcommand and nothing else.  run is the process entry
-(the bsfan script and python -m bsfan.cli); main(argv) is the in-process
-call and has no process-wide side effect.  Exit codes: 0 for success /
-in-cone, 1 for a non-membership verdict (the machine-readable certificate
-goes to stdout), 2 for malformed input or usage errors (diagnostics go to
-stderr).
+from the row's options (_parse) and loads argparse only for help and
+usage errors, building options only for the subcommands argv names; json
+loads at the first read or write, and the call imports only the layer
+modules it reaches, so a process pays for its own subcommand and nothing
+else.  run is the process entry (the bsfan script and python -m
+bsfan.cli); main(argv) is the in-process call and has no process-wide
+side effect.  Exit codes: 0 for success / in-cone, 1 for a non-membership
+verdict (the machine-readable certificate goes to stdout), 2 for
+malformed input or usage errors (diagnostics go to stderr).
 """
 
 import gc
-import json
 import re
 import sys
 from collections import namedtuple
@@ -44,6 +44,7 @@ def _unique_keys(pairs):
 
 
 def _load_obj(arg):
+    import json
     text = arg.strip()
     inline = text.startswith("{") or text.startswith("[")
     if not inline:
@@ -134,6 +135,7 @@ def _json(value):
 
 
 def _emit(value):
+    import json
     sys.stdout.write(json.dumps(_json(value), separators=(",", ":")) + "\n")
 
 
@@ -379,9 +381,11 @@ def _parse(argv):
     return None if given else SimpleNamespace(**args)
 
 
-def build_parser():
-    """The parser of every subcommand with its options, which prints help
-    and usage errors."""
+def build_parser(argv=None):
+    """The parser that prints help and usage errors.  It names every
+    subcommand with its help line, and gives options only to those that
+    argv names (all of them when argv is None): argparse picks a
+    subcommand by its exact name, so no other one can parse argv."""
     import argparse
 
     class Store(argparse.Action):
@@ -400,8 +404,12 @@ def build_parser():
                     "cohomology pairings, cone membership and chain "
                     "decompositions.")
     sub = parser.add_subparsers(dest="command", required=True)
+    named = set(COMMANDS if argv is None else argv)
     for name, command in COMMANDS.items():
-        subparser = sub.add_parser(name, help=command.help)
+        subparser = sub.add_parser(name, help=command.help,
+                                   add_help=name in named)
+        if name not in named:
+            continue
         subparser._negative_number_matcher = NEGATIVE_VALUE
         if "format" in command.flags:
             subparser.add_argument("--format", choices=("json", "pretty"),
@@ -423,7 +431,7 @@ def main(argv=None):
     repeated option) goes to argparse, which prints help and usage errors
     and exits."""
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse(argv) or build_parser().parse_args(argv)
+    args = _parse(argv) or build_parser(argv).parse_args(argv)
     command = COMMANDS[args.command]
     try:
         return command.emit(command.call(args), args)

@@ -58,6 +58,12 @@ class Decomposition(namedtuple("Decomposition", "pieces remainder")):
             cls, pieces, BettiTable() if remainder is None else remainder)
 
 
+def _stuck(strand, pieces):
+    """The certificate of a run stuck at strand after pieces."""
+    return NotInCone(f"strand {strand} admits no compatible trim", pieces,
+                     blocking_strand=strand)
+
+
 def decompose_s(table, c, n):
     """Greedy chain decomposition of a nonnegative table under constraint c.
 
@@ -86,10 +92,7 @@ def decompose_s(table, c, n):
         if k is not None:
             start, degrees = work.top_strand(k)
         if k is None or start != k:
-            strand = DegreeSequence._make(work.top_strand())
-            raise NotInCone(
-                f"strand {strand} admits no compatible trim", pieces,
-                blocking_strand=strand)
+            raise _stuck(DegreeSequence._make(work.top_strand()), pieces)
         piece = DegreeSequence._make((k, degrees))
         diagram = pure_diagram(piece).items()
         coeff = work.largest_multiple(diagram)
@@ -104,11 +107,9 @@ def _decompose_dual(table, c, n):
     try:
         return decompose_s(dual(table), c, n)
     except NotInCone as exc:
-        strand = exc.blocking_strand.dual()
-        raise NotInCone(
-            f"strand {strand} admits no compatible trim",
-            [Piece(coeff, d.dual()) for coeff, d in exc.partial_pieces],
-            blocking_strand=strand) from None
+        raise _stuck(exc.blocking_strand.dual(),
+                     [Piece(coeff, d.dual())
+                      for coeff, d in exc.partial_pieces]) from None
 
 
 class MonadSplit(namedtuple("MonadSplit", "lambda1 table_f1 lambda2 table_f2 "

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 from bsfan.cli import COMMANDS, _options, _parse, build_parser, main
 from helpers import (MONAD_TABLE, TENSOR_TABLE, TRUNCATION_TABLE,
                      TWO_STRAND_TABLE, rng, serialize_table)
+from test_cli_bytes import HELP, USAGE_ARGV
 
 STAIRCASE_JSON = json.dumps({"n": 2, "left": "empty", "window_start": 0,
                              "window": [2, 2], "right": "inf"})
@@ -442,17 +444,26 @@ class TestDeterminism:
         assert json.loads(proc.stdout)["entries"][1]["value"] == "5"
 
 
-PARSER = build_parser()  # it does not depend on argv, so one serves all
+# built for no argv, the parser gives every subcommand its options, so one
+# serves every argv
+PARSER = build_parser()
+
+
+def parsed(parser, argv):
+    """vars of parser's namespace for argv, or where it exits, the exit
+    code and what it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as done:
+            return done.code, out.getvalue(), err.getvalue()
 
 
 def argparse_vars(argv):
     """vars of argparse's namespace for argv, or None where it exits."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return vars(PARSER.parse_args(argv))
-        except SystemExit:
-            return None
+    result = parsed(PARSER, argv)
+    return result if isinstance(result, dict) else None
 
 
 # values every option takes in both spellings, --name value and
@@ -532,6 +543,14 @@ def draw(r, name):
     return argv, fault is None
 
 
+def draws(seed):
+    """150 seeded draws of each subcommand's argv."""
+    r = rng(seed)
+    for name in COMMANDS:
+        for _ in range(150):
+            yield draw(r, name)
+
+
 def typed(namespace):
     return {key: (type(value), value) for key, value in namespace.items()}
 
@@ -542,18 +561,15 @@ class TestParse:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_matches_argparse(self, seed):
-        r = rng(seed)
         accepted = 0
-        for name in COMMANDS:
-            for _ in range(150):
-                argv, plain = draw(r, name)
-                expected, got = argparse_vars(argv), _parse(argv)
-                if plain:
-                    assert got is not None, argv
-                    accepted += 1
-                if got is not None:
-                    assert expected is not None, argv
-                    assert typed(vars(got)) == typed(expected), argv
+        for argv, plain in draws(seed):
+            expected, got = argparse_vars(argv), _parse(argv)
+            if plain:
+                assert got is not None, argv
+                accepted += 1
+            if got is not None:
+                assert expected is not None, argv
+                assert typed(vars(got)) == typed(expected), argv
         assert accepted > 1000
 
     @pytest.mark.parametrize("argv", [
@@ -589,6 +605,40 @@ class TestParse:
     def test_reads_defaults_and_int_spellings(self, argv, namespace):
         assert typed(vars(_parse(argv))) == typed(namespace)
         assert typed(argparse_vars(argv)) == typed(namespace)
+
+
+def options_of(parser):
+    """Each subcommand of parser and the dests of the options it has."""
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: [action.dest for action in subparser._actions]
+            for name, subparser in sub.choices.items()}
+
+
+class TestParserScope:
+    """main builds options only for the subcommands its argv names, and
+    its parser reads every argv as the parser of every subcommand does."""
+
+    def test_only_named_subcommands_get_options(self):
+        bare = dict.fromkeys(COMMANDS, [])
+        assert options_of(build_parser(["--help"])) == bare
+        decompose = ["help", "format", "mark_origin", "table", "codim", "n"]
+        assert options_of(build_parser(["decompose", "--help"])) == {
+            **bare, "decompose": decompose}
+        assert options_of(PARSER)["decompose"] == decompose
+        assert all(options_of(PARSER).values())
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_draws_alike(self, seed):
+        for argv, _ in draws(seed):
+            assert parsed(build_parser(argv), argv) == parsed(PARSER, argv), \
+                argv
+
+    @pytest.mark.parametrize("argv", [
+        [name, "--help"] if name else ["--help"] for name in sorted(HELP)
+    ] + [USAGE_ARGV[name] for name in sorted(USAGE_ARGV)])
+    def test_help_and_usage_errors_alike(self, argv):
+        assert parsed(build_parser(argv), argv) == parsed(PARSER, argv)
 
 
 @pytest.fixture(scope="module")

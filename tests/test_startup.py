@@ -4,14 +4,14 @@ Each subcommand runs on a tiny valid input under `python -X importtime`,
 whose stderr names every module imported by its dotted name (the CLI and
 the package load layers that way).  A subcommand loads exactly the layer
 modules its call reaches and never `dataclasses` or `inspect`, a
-well-formed run never loads argparse (help and usage errors do), and
-`import bsfan` loads no layer module.  Two lints read the sources: no
-import goes unread, and every public name has a caller in src/.  The
-process entry cli.run freezes the start-up heap (gc.freeze) so that the
-collection at shutdown skips it; the guards below check that a process
-reaches exit frozen and with main's bytes, and that main itself, which
-tests and the benchmark call in process, freezes nothing.  Nothing here
-asserts a time.
+well-formed run never loads argparse (help and usage errors do, and they
+load neither json nor fractions), and `import bsfan` loads no layer
+module.  Two lints read the sources: no import goes unread, and every
+public name has a caller in src/.  The process entry cli.run freezes the
+start-up heap (gc.freeze) so that the collection at shutdown skips it;
+the guards below check that a process reaches exit frozen and with
+main's bytes, and that main itself, which tests and the benchmark call
+in process, freezes nothing.  Nothing here asserts a time.
 """
 
 import ast
@@ -149,11 +149,26 @@ def test_failure_certificate_imports_only_its_layers(name):
     assert not names & UNNEEDED
 
 
+# Help and usage errors print argparse's text and read no input: they load
+# neither json nor fractions, and no layer module but errors, which cli
+# imports.
+NO_INPUT = {"json", "fractions"}
+HELP_ARGV = {"top": ["--help"], "decompose": ["decompose", "--help"]}
+
+
 @pytest.mark.parametrize("name", sorted(USAGE_ARGV))
 def test_usage_error_loads_argparse(name):
     code, names = imported("-m", "bsfan.cli", *USAGE_ARGV[name])
     assert code == 2
     assert "argparse" in names
+    assert not names & NO_INPUT and layers(names) == {"errors"}
+
+
+@pytest.mark.parametrize("name", sorted(HELP_ARGV))
+def test_help_loads_no_json(name):
+    code, names = imported("-m", "bsfan.cli", *HELP_ARGV[name])
+    assert code == 0 and "argparse" in names
+    assert not names & NO_INPUT and layers(names) == {"errors"}
 
 
 def test_import_bsfan_loads_no_layer():
