@@ -429,12 +429,18 @@ def main(argv=None):
     """Run one subcommand and return its exit code.  A well-formed argv is
     read by _parse; any other (help, a usage error, an abbreviated or
     repeated option) goes to argparse, which prints help and usage errors
-    and exits."""
+    and exits.  The input is read under the interpreter's int digit limit;
+    the answer or certificate is written with none, then the limit returns."""
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv) or build_parser(argv).parse_args(argv)
     command = COMMANDS[args.command]
+    limit = sys.get_int_max_str_digits()
     try:
-        return command.emit(command.call(args), args)
+        try:
+            value = command.call(args)
+        finally:
+            sys.set_int_max_str_digits(0)
+        return command.emit(value, args)
     except (NotInCone, MonadViolation) as exc:  # its failure certificate
         _emit(exc)
         return 1
@@ -444,6 +450,8 @@ def main(argv=None):
     except MemoryError:  # each emitter builds its output before writing it
         sys.stderr.write("error: out of memory\n")
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run():

@@ -9,18 +9,17 @@ multiple of the corresponding pure diagram that keeps every entry
 nonnegative.  The diagram's keys are positive entries and the multiple is
 the smallest ratio over them, so each step clears an entry, drives none
 negative, and touches only those at most n + 2 keys of one WorkingTable:
-an N-entry table costs O(N * n) table updates.  A step computes on Python
-integers.  The trim start depends on the constraint and the rightmost
-column alone, so it is searched again (at most n + 3 rank lookups, none
-left of the input's first column, where no strand starts) only when that
-column changes; the strand walk reads just the trim's columns; the
-multiple is found by cross-multiplying the diagram's integer values; and
-each touched entry stays a (numerator, denominator) pair reduced by one
-gcd.  A step builds one DegreeSequence, the piece, its pure diagram
-(one table of at most n + 2 integral Fractions from O(n^2) gap products)
-and one Fraction, the multiple; no candidate trim.  When a strand admits
-no compatible trim, the input is outside the cone and the stuck strand,
-walked in full, is the certificate.
+an N-entry table costs O(N * n) table updates.  The trim start depends on
+the constraint and the rightmost column alone, so it is searched again (at
+most n + 3 rank lookups, none left of the input's first column, where no
+strand starts) only when that column changes; the strand walk reads just
+the trim's columns; and one call, WorkingTable.subtract_largest, finds the
+multiple and subtracts it on Python integers.  A step builds one
+DegreeSequence, the piece, its pure diagram (one table of at most n + 2
+integral Fractions from O(n^2) gap products) and one Fraction, the
+multiple; no candidate trim.  When a strand admits no compatible trim, the
+input is outside the cone and the stuck strand, walked in full, is the
+certificate.
 
 Monad splitting runs the decomposition once on the table (free constraint
 in nonpositive positions, full codimension above) and once on its dual, and
@@ -85,19 +84,14 @@ def decompose_s(table, c, n):
         last = work.last_column()
         if last is None:
             return Decomposition(pieces)
-        # the trim start depends on c and the rightmost column alone; the
-        # strand is walked down to it, its degrees strictly increasing
+        # k depends on c and the rightmost column alone; the strand, strictly
+        # increasing, is walked down to k or, if it stops short, in full
         if last != end:
             end, k = last, _trim_start(c, last, floor)
-        if k is not None:
-            start, degrees = work.top_strand(k)
-        if k is None or start != k:
-            raise _stuck(DegreeSequence._make(work.top_strand()), pieces)
-        piece = DegreeSequence._make((k, degrees))
-        diagram = pure_diagram(piece).items()
-        coeff = work.largest_multiple(diagram)
-        pieces.append(Piece(coeff, piece))
-        work.subtract(coeff, diagram)
+        piece = DegreeSequence._make(work.top_strand(k))
+        if piece.start != k:
+            raise _stuck(piece, pieces)
+        pieces.append(Piece(work.subtract_largest(pure_diagram(piece)), piece))
     raise AssertionError("decomposition exceeded its step budget")
 
 

@@ -95,12 +95,9 @@ class CodimensionSequence(namedtuple(
             raise ValidationError(f"ambient dimension must be >= 0, got {n}")
         left = _check_value(left, n, "left fill")
         right = _check_value(right, n, "right fill")
-        window = tuple(
-            _check_value(v, n, f"position {window_start + idx}")
-            for idx, v in enumerate(window)
-        )
         run = [(f"position {window_start + idx}", v)
                for idx, v in enumerate(window)]
+        window = tuple(_check_value(v, n, where) for where, v in run)
         run = [("left fill", left)] + run + [("right fill", right)]
         for (wa, a), (wb, b) in zip(run, run[1:]):
             if value_rank(a, n) > value_rank(b, n):
@@ -135,31 +132,26 @@ class CodimensionSequence(namedtuple(
             "codimension sequence").values())
 
 
-def _fits(codim, here, above, n):
-    """The compatibility rule on integers: a run of codimension codim whose
-    first position has rank here, and the next position rank above, can
-    index a piece under a constraint over n when here <= codim <= above,
-    codim <= n + 1 (a pure resolution can realize it) and no position of
-    the run is empty.  A constraint never decreases, so no position is
-    empty exactly when the first is not: here >= 0."""
-    return 0 <= here <= codim <= above and codim <= n + 1
-
-
 def _trim_start(c, end, floor):
     """Start of the minimal compatible run ending at position end under the
     constraint c: the largest k >= floor whose run k..end is compatible
-    (more -inf entries make a smaller degree sequence), or None.  Walks k
-    leftward from end while end - k <= n + 1 and k >= floor, one rank
-    lookup per position, and stops at the first empty position, which every
-    longer run contains.  A strand on start..end, with floor <= start, has
-    a compatible trim exactly when k >= start."""
-    n, rank = c.n, c.rank
+    (more -inf entries make a smaller degree sequence), or None.
+
+    A run of codimension end - k whose first position has rank here, and
+    the next position rank above, is compatible when here <= end - k <=
+    above, end - k <= n + 1 (a pure resolution can realize it) and no
+    position of the run is empty; a constraint never decreases, so that is
+    here >= 0.  So k walks leftward from end while end - k <= n + 1 and
+    k >= floor, one rank lookup per position, and stops at the first empty
+    position, which every longer run contains.  A strand on start..end,
+    with floor <= start, has a compatible trim exactly when k >= start."""
+    rank = c.rank
     above = rank(end + 1)
-    for k in range(end, max(end - n - 2, floor - 1), -1):
+    for k in range(end, max(end - c.n - 2, floor - 1), -1):
         here = rank(k)
         if here < 0:
             return None
-        if _fits(end - k, here, above, n):
+        if here <= end - k <= above:
             return k
         above = here
     return None

@@ -125,10 +125,11 @@ class BettiTable:
         return sorted({i for i, _ in self._entries})
 
     def is_nonnegative(self):
-        return all(v > 0 for v in self._entries.values())
+        return all(v.numerator > 0 for v in self._entries.values())
 
     def negative_entries(self):
-        return sorted(key for key, v in self._entries.items() if v < 0)
+        return sorted(key for key, v in self._entries.items()
+                      if v.numerator < 0)
 
 
 class WorkingTable:
@@ -136,13 +137,12 @@ class WorkingTable:
 
     Holds each entry as a normalised (numerator, denominator) pair of ints
     and keeps each column's degrees in descending order, so a column's
-    lowest degree is its last.  A piece is given as (key, value) pairs with
-    positive integer values, such as a pure diagram's items();
-    largest_multiple() and subtract() read and touch only those keys and
-    compute on integers, building no Fraction but the multiple.  Columns
-    only ever empty, so the columns are kept in ascending order and the
-    emptied ones at the end are popped: the rightmost column is the last,
-    found with no scan of all columns.
+    lowest degree is its last.  A greedy step makes one call,
+    subtract_largest(diagram), which reads and touches only the pure
+    diagram's keys and computes on integers, building no Fraction but the
+    multiple.  Columns only ever empty, so the columns are kept in
+    ascending order and the emptied ones at the end are popped: the
+    rightmost column is the last, found with no scan of all columns.
     """
 
     __slots__ = ("_entries", "_degrees", "_columns")
@@ -173,53 +173,42 @@ class WorkingTable:
             i -= 1
         return i, tuple(reversed(degrees))
 
-    def largest_multiple(self, piece):
-        """Largest c with c * piece <= self: the minimum over the piece's
-        (key, value) pairs of self[key] / value, as a Fraction.
+    def subtract_largest(self, diagram):
+        """Subtract the largest multiple c of diagram that keeps every entry
+        nonnegative, drop the entries that reach zero and return c.
 
-        The keys must be present and at least one; the values must be
-        positive integers, as ints or as Fractions of denominator 1 (a
-        pure diagram's are), and only their numerators are read.  An entry
-        a/b gives the candidate a / (b * value), and candidates are
-        compared by cross-multiplying.
-        """
-        entries = self._entries
-        num, den = 1, 0  # infinity: every candidate is smaller
-        for key, value in piece:
-            a, b = entries[key]
-            b *= value.numerator
-            if a * den < num * b:
-                num, den = a, b
-        return Fraction(num, den)
-
-    def subtract(self, coeff, piece):
-        """Subtract coeff * piece over its (key, value) pairs, valued as in
-        largest_multiple(), dropping the entries that reach zero.  Each key
-        must be the lowest of its column, as every greedy step's keys are,
-        and must not go negative.
-
-        Each entry a/b becomes (a*q - p*value*b) / (b*q) for coeff p/q,
-        reduced by its gcd.
-        """
+        diagram is a nonempty table of positive integral Fractions, such as
+        a pure diagram; each key must be present here and the lowest of its
+        column, as every greedy step's keys are.  An entry a/b gives the
+        candidate a / (b * value), c = p/q is their least (compared by
+        cross-multiplying), and a/b becomes (a*q - p*value*b) / (b*q),
+        reduced by its gcd."""
         entries, degrees = self._entries, self._degrees
+        terms = [(key, *entries[key], value.numerator)
+                 for key, value in diagram._entries.items()]
+        p, q = 1, 0  # infinity: every candidate is smaller
+        for _, a, b, value in terms:
+            b *= value
+            if a * q < p * b:
+                p, q = a, b
+        coeff = Fraction(p, q)
         p, q = coeff.numerator, coeff.denominator
-        for key, value in piece:
-            a, b = entries[key]
-            top = a * q - p * value.numerator * b
+        for key, a, b, value in terms:
+            top = a * q - p * value * b
             if top:
                 b *= q
                 g = gcd(top, b)
                 entries[key] = (top // g, b // g)
                 continue
             del entries[key]
-            i = key[0]
-            column = degrees[i]
+            column = degrees[key[0]]
             column.pop()
             if not column:
-                del degrees[i]
+                del degrees[key[0]]
                 columns = self._columns
                 while columns and columns[-1] not in degrees:
                     columns.pop()
+        return coeff
 
 
 def linear_combine(terms):

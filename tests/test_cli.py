@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -383,7 +384,67 @@ class TestExitCodes:
         assert err.value.code == 2
 
 
-MULTI3 = ('{"m":3,"entries":[{"i":0,"alpha":[0,0,0],"value":"1"},'
+B = 10 ** 2200  # (B^2 - 1) / 6 has 4400 digits, past the default limit
+
+
+def unlimited_str(value):
+    """str(value) with no limit on the digits of an int, the old limit
+    restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestLongNumbers:
+    """Exact answers are written however long they are; inputs are read
+    under the interpreter's digit limit; main leaves that limit as it was."""
+
+    def run(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        result = run(capsys, argv)
+        assert sys.get_int_max_str_digits() == limit
+        return result
+
+    def test_supernatural_value_past_the_digit_limit(self, capsys):
+        # at twist 1 one root lies above: h^1 = |(1 - B)(1 - 0)(1 + B)| / 3!
+        code, out, err = self.run(capsys, [
+            "supernatural", f"--roots={B},0,-{B}", "--n", "3",
+            "--jmin", "1", "--jmax", "1"])
+        assert code == 0 and err == ""
+        assert out == ('{"entries":[{"q":1,"j":1,"value":"%s"}]}\n'
+                       % unlimited_str(Fraction(B * B - 1, 6)))
+
+    def test_pair_value_past_the_digit_limit(self, capsys):
+        # beta_{0,1} meets h^2 at twist -1 (roots B and 0 lie above), at
+        # (0 - 2, 1) with value |(-1 - B)(-1 - 0)(-1 + B)| / 3!
+        sheaf = json.dumps({"kind": "supernatural", "roots": [B, 0, -B],
+                            "rank_scale": 1, "n": 3})
+        code, out, err = self.run(capsys, [
+            "pair", "--table", '{"entries":[{"i":0,"j":1,"value":"1"}]}',
+            "--sheaf", sheaf])
+        assert code == 0 and err == ""
+        assert out == ('{"entries":[{"i":-2,"j":1,"value":"%s"}]}\n'
+                       % unlimited_str(Fraction(B * B - 1, 6)))
+
+    def test_input_past_the_digit_limit_exits_two(self, capsys):
+        value = "1" + "0" * 4300
+        code, out, err = self.run(capsys, [
+            "euler", "--table",
+            '{"entries":[{"i":0,"j":0,"value":"%s"}]}' % value])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_certificate_keeps_the_limit(self, capsys):
+        code, out, _ = self.run(capsys, [
+            "decompose", "--table", '{"entries":[{"i":1,"j":0,"value":"1"}]}',
+            "--codim", '{"n":1,"left":2,"right":2}', "--n", "1"])
+        assert code == 1 and json.loads(out)["status"] == "fail"
+
+
+MULTI3 =('{"m":3,"entries":[{"i":0,"alpha":[0,0,0],"value":"1"},'
           '{"i":1,"alpha":[-2,-3,4],"value":"2"}]}')
 
 

@@ -11,8 +11,9 @@ from bsfan import (BettiTable, BsfanError, CohomologyEvaluator,
                    pair_check, pure_diagram, pure_pair_support, shift)
 from bsfan.cli import main
 from bsfan.multigraded import _Capped
-from helpers import (F, T, TWO_STRAND_TABLE, FormalEvaluator, chi_window,
-                     gamma, koszul_table, random_degree_sequence,
+from helpers import (F, T, TWO_STRAND_TABLE, FormalEvaluator,
+                     chain_combination, chi_window, gamma, koszul_table,
+                     random_chain, random_degree_sequence,
                      random_fraction, random_roots, random_table,
                      reference_gamma, reference_pair, rng)
 
@@ -442,3 +443,25 @@ def test_paired_chi_nonnegativity_sample():
         for i in cols:
             for j in degs:
                 assert chi(paired, i, j) >= 0
+
+
+def test_pairing_positivity_needs_fewer_roots_than_the_codimension():
+    # A nonnegative combination of a chain of codimension-k pure diagrams
+    # paired with a supernatural class of s roots lies in the generically
+    # exact cone when s < k: pair_check passes.  With s >= k the hypothesis
+    # fails, and so, on nearly every draw, does pair_check: the negative
+    # control that shows the check can fail here at all.
+    r = rng(77)
+    below, at_or_above = [], []
+    for _ in range(1000):
+        n = r.randint(1, 4)
+        k = r.randint(1, n + 1)
+        chain = random_chain(r, k, r.randint(1, 4))
+        table = chain_combination(
+            chain, [F(r.randint(1, 9), r.randint(1, 9)) for _ in chain])
+        s = r.randint(0, n)
+        ev = supernatural(random_roots(r, s), r.randint(1, 3), n)
+        verdict, = pair_check(table, [ev], n)
+        (below if s < k else at_or_above).append(verdict.ok)
+    assert len(below) == 656 and all(below)
+    assert len(at_or_above) == 344 and at_or_above.count(False) == 341

@@ -336,26 +336,26 @@ def test_working_table_tracks_column_minima():
     assert work.last_column() == 2
     assert work.top_strand() == (0, (0, 2, 4))
     assert work.top_strand(1) == (1, (2, 4))
-    work.subtract(F(1), (((1, 2), 3), ((2, 4), F(1))))
+    assert work.subtract_largest(T({(1, 2): 3, (2, 4): 1})) == 1
     fresh = WorkingTable(T({(0, 0): 1, (1, 5): 2}))
     assert work.top_strand() == fresh.top_strand() == (0, (0, 5))
     assert work.top_strand(1) == fresh.top_strand(1) == (1, (5,))
     assert work.last_column() == 1
-    work.subtract(F(1, 2), (((1, 5), 4),))
+    assert work.subtract_largest(T({(1, 5): 4})) == F(1, 2)
     assert work.last_column() == 0
     assert work.top_strand() == (0, (0,))
-    work.subtract(F(1), (((0, 0), 1),))
+    assert work.subtract_largest(T({(0, 0): 1})) == 1
     assert work.last_column() is None
 
 
 def random_piece(r, expected):
-    """Positive integer values on a sample of the column minima, the only
-    keys a greedy step subtracts at."""
+    """A table of positive integer values on a sample of the column minima,
+    the only keys a greedy step subtracts at."""
     lowest = {}
     for i, j in sorted(expected, reverse=True):
         lowest[i] = j
     keys = r.sample(sorted(lowest.items()), r.randint(1, min(len(lowest), 6)))
-    return [(key, r.randint(1, 40)) for key in keys]
+    return T({key: r.randint(1, 40) for key in keys})
 
 
 def test_working_table_arithmetic_matches_fraction_operators():
@@ -367,12 +367,9 @@ def test_working_table_arithmetic_matches_fraction_operators():
         work, expected = WorkingTable(T(entries)), dict(entries)
         while expected:
             piece = random_piece(r, expected)
-            coeff = work.largest_multiple(piece)
-            assert coeff == min(expected[k] / v for k, v in piece)
-            if r.random() < 0.3:   # a smaller multiple clears nothing
-                coeff = coeff * F(r.randint(1, 4), 5)
-            work.subtract(coeff, piece)
-            for key, value in piece:
+            coeff = work.subtract_largest(piece)
+            assert coeff == min(expected[k] / v for k, v in piece.items())
+            for key, value in piece.items():
                 left = expected.pop(key) - coeff * value
                 if left:
                     expected[key] = left
