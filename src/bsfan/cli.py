@@ -2,20 +2,21 @@
 
 Every subcommand reads JSON (inline or from files), runs one library
 operation, and writes either canonical JSON or a pretty rendering.  One
-writer, _json, builds every JSON result and certificate from the value's
-structure, so the library's records carry no serializers.  A row holds
-the help line, the output flags, the options, the call (load the
-arguments, run the library function) and the emitter (write the result,
-return the exit code).  main reads a well-formed command line straight
-from the row's options (_parse) and loads argparse only for help and
-usage errors, building options only for the subcommands argv names; json
-loads at the first read or write, and the call imports only the layer
-modules it reaches, so a process pays for its own subcommand and nothing
-else.  run is the process entry (the bsfan script and python -m
-bsfan.cli); main(argv) is the in-process call and has no process-wide
-side effect.  Exit codes: 0 for success / in-cone, 1 for a non-membership
-verdict (the machine-readable certificate goes to stdout), 2 for
-malformed input or usage errors (diagnostics go to stderr).
+writer, _emit_json, writes every JSON result and certificate as one line,
+built by _json from the value's structure, so the library's records carry
+no serializers.  A row holds the help line, the output flags, the
+options, the call (load the arguments, run the library function) and the
+emitter (write the result, return the exit code).  main reads a
+well-formed command line straight from the row's options (_parse) and
+loads argparse only for help and usage errors, building options only for
+the subcommands argv names; json loads at the first read or write, and
+the call reaches each layer as bsfan.<layer>, which the package imports
+on first use, so a process pays for its own subcommand and nothing else.
+run is the process entry (the bsfan script and python -m bsfan.cli);
+main(argv) is the in-process call and has no process-wide side effect.
+Exit codes: 0 for success / in-cone, 1 for a non-membership verdict (the
+machine-readable certificate goes to stdout), 2 for malformed input or
+usage errors (diagnostics go to stderr).
 """
 
 import gc
@@ -24,13 +25,8 @@ import sys
 from collections import namedtuple
 from types import SimpleNamespace
 
+import bsfan
 from .errors import BsfanError, MonadViolation, NotInCone, ParseError
-
-
-def _layer(name):
-    """The layer module name, imported on first use (by __import__ of the
-    dotted name, which -X importtime lists, as import_module is not)."""
-    return getattr(__import__(f"{__package__}.{name}"), name)
 
 
 def _unique_keys(pairs):
@@ -63,32 +59,32 @@ def _load_obj(arg):
 def _ints(text):
     """Comma-separated integers, each in parse_rational's grammar."""
     parts = text.split(",")
-    if not all(re.fullmatch(_layer("tables")._INTEGER, part.strip())
+    if not all(re.fullmatch(bsfan.tables._INTEGER, part.strip())
                for part in parts):
         raise ParseError(f"expected comma-separated integers: {text!r}")
     return tuple(map(int, parts))
 
 
 def _table(args):
-    return _layer("tables").table_from_obj(_load_obj(args.table))
+    return bsfan.tables.table_from_obj(_load_obj(args.table))
 
 
 def _multi_table(args):
-    return _layer("tables").table_from_obj(
-        _load_obj(args.table), _layer("multigraded").MultiBettiTable)
+    return bsfan.tables.table_from_obj(
+        _load_obj(args.table), bsfan.multigraded.MultiBettiTable)
 
 
 def _codim(args):
-    return _layer("sequences").CodimensionSequence.from_obj(
+    return bsfan.sequences.CodimensionSequence.from_obj(
         _load_obj(args.codim))
 
 
 def _rank_scale(args):
-    return _layer("tables").parse_rational(args.rank_scale, "rank scale")
+    return bsfan.tables.parse_rational(args.rank_scale, "rank scale")
 
 
 def _sheaf(args):
-    evaluator = _layer("diagrams").evaluator_from_obj(_load_obj(args.sheaf))
+    evaluator = bsfan.diagrams.evaluator_from_obj(_load_obj(args.sheaf))
     if args.n is not None and getattr(evaluator, "n", args.n) != args.n:
         raise ParseError(
             f"evaluator ambient {evaluator.n} does not match --n {args.n}")
@@ -96,15 +92,14 @@ def _sheaf(args):
 
 
 def _sheaves(args):
-    sheaves = _layer("tables")._read(_load_obj(args.sheaves), [None], "--sheaves")
-    return [_layer("diagrams").evaluator_from_obj(obj) for obj in sheaves]
+    sheaves = bsfan.tables._read(_load_obj(args.sheaves), [None], "--sheaves")
+    return [bsfan.diagrams.evaluator_from_obj(obj) for obj in sheaves]
 
 
 def _multi_chi(args):
-    multigraded = _layer("multigraded")
     table = _multi_table(args)
-    order = multigraded.GradedOrder(_ints(args.weights))
-    return multigraded.multi_chi(table, args.i, _ints(args.alpha), order)
+    order = bsfan.multigraded.GradedOrder(_ints(args.weights))
+    return bsfan.multigraded.multi_chi(table, args.i, _ints(args.alpha), order)
 
 
 def _json(value):
@@ -127,20 +122,16 @@ def _json(value):
         pairs = [("status", "fail"), ("message", str(value)),
                  *vars(value).items()]
     elif hasattr(kind, "HEADER"):
-        return _layer("tables").table_to_obj(value)
+        return bsfan.tables.table_to_obj(value)
     else:
         return str(value)
     return {key: v if type(v) is int else _json(v)
             for key, v in pairs if v is not None}
 
 
-def _emit(value):
+def _emit_json(value, args=None):
     import json
     sys.stdout.write(json.dumps(_json(value), separators=(",", ":")) + "\n")
-
-
-def _emit_json(obj, args):
-    _emit(obj)
     return 0
 
 
@@ -148,11 +139,11 @@ def _emit_value(value, args):
     if args.format == "pretty":
         sys.stdout.write(f"{value}\n")
         return 0
-    return _emit_json({"value": str(value)}, args)
+    return _emit_json({"value": str(value)})
 
 
 def _emit_pretty(table, args):
-    sys.stdout.write(_layer("tables").pretty_render(
+    sys.stdout.write(bsfan.tables.pretty_render(
         table, mark_origin=args.mark_origin) + "\n")
     return 0
 
@@ -160,7 +151,7 @@ def _emit_pretty(table, args):
 def _emit_table(table, args):
     if args.format == "pretty":
         return _emit_pretty(table, args)
-    return _emit_json(table, args)
+    return _emit_json(table)
 
 
 def _verdict(verdict):
@@ -171,24 +162,19 @@ def _verdict(verdict):
 
 
 def _emit_verdict(verdict, args):
-    _emit(_verdict(verdict))
+    _emit_json(_verdict(verdict))
     return 0 if verdict.ok else 1
 
 
 def _emit_verdicts(verdicts, args):
-    _emit({"verdicts": [_verdict(v) for v in verdicts]})
+    _emit_json({"verdicts": [_verdict(v) for v in verdicts]})
     return 0 if all(v.ok for v in verdicts) else 1
-
-
-def _emit_blocks(pieces, args):
-    return _emit_json({"pieces": [{"coeff": c, "piece": p}
-                                  for c, p in pieces]}, args)
 
 
 def _emit_decomposition(dec, args):
     if args.format != "pretty":
-        return _emit_json(dec, args)
-    tables, diagrams = _layer("tables"), _layer("diagrams")
+        return _emit_json(dec)
+    tables, diagrams = bsfan.tables, bsfan.diagrams
     lines = []
     for idx, (coeff, d) in enumerate(dec.pieces, 1):
         lines.append(f"piece {idx}: coeff {coeff} along {d}")
@@ -209,7 +195,7 @@ def _emit_window(sheaf, args):
     column per twist: JSON lists the nonzero cells, pretty fills a grid.
     The time taken follows the number of twists (and of grid cells), so
     more of them than a list can hold are refused."""
-    check = _layer("tables")._check_writable
+    check = bsfan.tables._check_writable
     twists = args.jmax - args.jmin + 1
     check(twists, f"window of {twists} twists")
     if args.format == "pretty":
@@ -219,7 +205,7 @@ def _emit_window(sheaf, args):
     cells = sorted((q, j, v) for j in js for q, v in sheaf.column(j))
     if args.format != "pretty":
         return _emit_json({"entries": [{"q": q, "j": j, "value": str(v)}
-                                       for q, j, v in cells]}, args)
+                                       for q, j, v in cells]})
     grid = {(q, j): str(v) for q, j, v in cells}
     lines = [" ".join(["j:".rjust(5)] + [str(j).rjust(6) for j in js])]
     lines += [" ".join([f"q={q}".rjust(5)]
@@ -242,69 +228,70 @@ COMMANDS = {
     "pure": Command(
         "pure diagram of a degree sequence", TABLE_OUT,
         "--start:int=0 --degrees",
-        lambda a: _layer("diagrams").pure_diagram(
-            _layer("sequences").DegreeSequence(a.start, _ints(a.degrees))),
+        lambda a: bsfan.diagrams.pure_diagram(
+            bsfan.sequences.DegreeSequence(a.start, _ints(a.degrees))),
         _emit_table),
     "supernatural": Command(
         "cohomology window of a supernatural class", VALUE_OUT,
         "--roots --rank-scale=1 --n:int --jmin:int --jmax:int",
-        lambda a: _layer("diagrams").SupernaturalSheaf(
+        lambda a: bsfan.diagrams.SupernaturalSheaf(
             _ints(a.roots), _rank_scale(a), a.n),
         _emit_window),
     "pair": Command(
         "pair a table with a cohomology evaluator", TABLE_OUT,
         "--table --sheaf --n:int=",
-        lambda a: _layer("pairing").pair(_table(a), _sheaf(a)), _emit_table),
+        lambda a: bsfan.pairing.pair(_table(a), _sheaf(a)), _emit_table),
     "chi": Command(
         "partial Euler characteristic chi_{i,j}", VALUE_OUT,
         "--table --i:int --j:int",
-        lambda a: _layer("cone_a").chi(_table(a), a.i, a.j), _emit_value),
+        lambda a: bsfan.cone_a.chi(_table(a), a.i, a.j), _emit_value),
     "euler": Command(
         "total Euler characteristic", VALUE_OUT, "--table",
-        lambda a: _layer("cone_a").euler(_table(a)), _emit_value),
+        lambda a: bsfan.cone_a.euler(_table(a)), _emit_value),
     "check-a": Command(
         "cone membership over the one-variable ring", (), "--table --codim",
-        lambda a: _layer("cone_a").membership_a(_table(a), _codim(a)),
+        lambda a: bsfan.cone_a.membership_a(_table(a), _codim(a)),
         _emit_verdict),
     "decompose-a": Command(
         "block decomposition over the one-variable ring", (),
         "--table --codim",
-        lambda a: _layer("cone_a").decompose_a(_table(a), _codim(a)),
-        _emit_blocks),
+        lambda a: {"pieces": [{"coeff": c, "piece": p} for c, p in
+                              bsfan.cone_a.decompose_a(_table(a), _codim(a))]},
+        _emit_json),
     "decompose": Command(
         "greedy chain decomposition", TABLE_OUT, "--table --codim --n:int",
-        lambda a: _layer("cone_s").decompose_s(_table(a), _codim(a), a.n),
+        lambda a: bsfan.cone_s.decompose_s(_table(a), _codim(a), a.n),
         _emit_decomposition),
     "check": Command(
         "cone membership with certificate", (), "--table --codim --n:int",
         lambda a: {"status": "pass", "decomposition":
-                   _layer("cone_s").decompose_s(_table(a), _codim(a), a.n)},
+                   bsfan.cone_s.decompose_s(_table(a), _codim(a), a.n)},
         _emit_json),
     "monad": Command(
         "split a free monad table", (), "--table --n:int",
-        lambda a: _layer("cone_s").monad_split(_table(a), a.n), _emit_json),
+        lambda a: bsfan.cone_s.monad_split(_table(a), a.n), _emit_json),
     "infinite": Command(
         "stable prefix decomposition of a truncated resolution", TABLE_OUT,
         "--table --e:int --n:int",
-        lambda a: _layer("cone_s").infinite_prefix(_table(a), a.e, a.n),
+        lambda a: bsfan.cone_s.infinite_prefix(_table(a), a.e, a.n),
         _emit_decomposition),
     "es": Command(
         "separating functional value", VALUE_OUT,
         "--table --roots --rank-scale=1 --n:int --tau:int --kappa:int",
-        lambda a: _layer("pairing").es_functional(
+        lambda a: bsfan.pairing.es_functional(
             _table(a), _ints(a.roots), _rank_scale(a), a.n, a.tau, a.kappa),
         _emit_value),
     "pair-check": Command(
         "pair against evaluators and check the target cone", (),
         "--table --sheaves --n:int",
-        lambda a: _layer("pairing").pair_check(_table(a), _sheaves(a), a.n),
+        lambda a: bsfan.pairing.pair_check(_table(a), _sheaves(a), a.n),
         _emit_verdicts),
     "dual": Command(
         "move (i, j) entries to (-i, -j)", TABLE_OUT, "--table",
-        lambda a: _layer("tables").dual(_table(a)), _emit_table),
+        lambda a: bsfan.tables.dual(_table(a)), _emit_table),
     "shift": Command(
         "homological shift by k", TABLE_OUT, "--table --k:int",
-        lambda a: _layer("tables").shift(_table(a), a.k), _emit_table),
+        lambda a: bsfan.tables.shift(_table(a), a.k), _emit_table),
     "render": Command(
         "pretty-print a table", ("mark-origin",), "--table", _table,
         _emit_pretty),
@@ -314,8 +301,8 @@ COMMANDS = {
     "multi-pair": Command(
         "pair a multigraded table with line bundles on a product of "
         "projective spaces", (), "--table --space --qmax:int=",
-        lambda a: _layer("multigraded").multi_pair(
-            _multi_table(a), _layer("multigraded").ProductSpace.from_obj(
+        lambda a: bsfan.multigraded.multi_pair(
+            _multi_table(a), bsfan.multigraded.ProductSpace.from_obj(
                 _load_obj(a.space)), a.qmax),
         _emit_json),
 }
@@ -442,7 +429,7 @@ def main(argv=None):
             sys.set_int_max_str_digits(0)
         return command.emit(value, args)
     except (NotInCone, MonadViolation) as exc:  # its failure certificate
-        _emit(exc)
+        _emit_json(exc)
         return 1
     except (BsfanError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

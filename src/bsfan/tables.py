@@ -261,17 +261,15 @@ def _partial_euler(table, i, anchor, key):
 
 def _read(value, shape, where):
     """Decoded JSON checked against shape: int (a JSON integer, not true),
-    None (any value), [s] (a list of s, read as a tuple) or {key: s} (an
-    object, read as a dict in shape order; a key of shape (s, default) may
-    be absent).  A mismatch is one ParseError that names the field.  A
-    JSON integer read as int, and any value read as None, is taken without
-    a call of its own."""
+    [s] (a list of s, read as a tuple) or {key: s} (an object, read as a
+    dict in shape order; a key of shape (s, default) may be absent).  A
+    list item or field of shape None is any value.  A mismatch is one
+    ParseError that names the field.  A JSON integer read as int, and any
+    value read as None, is taken without a call of its own."""
     if shape is int:
         if type(value) is int:
             return value
         kind = "a JSON integer"
-    elif shape is None:
-        return value
     elif type(shape) is list:
         if type(value) is list:
             item = shape[0]

@@ -1,17 +1,18 @@
 """What a bsfan process imports, and the lazy package namespace.
 
 Each subcommand runs on a tiny valid input under `python -X importtime`,
-whose stderr names every module imported by its dotted name (the CLI and
-the package load layers that way).  A subcommand loads exactly the layer
-modules its call reaches and never `dataclasses` or `inspect`, a
-well-formed run never loads argparse (help and usage errors do, and they
-load neither json nor fractions), and `import bsfan` loads no layer
-module.  Two lints read the sources: no import goes unread, and every
-public name has a caller in src/.  The process entry cli.run freezes the
-start-up heap (gc.freeze) so that the collection at shutdown skips it;
-the guards below check that a process reaches exit frozen and with
-main's bytes, and that main itself, which tests and the benchmark call
-in process, freezes nothing.  Nothing here asserts a time.
+whose stderr names every module imported by its dotted name (the package
+loads layers that way, and the CLI reaches them as bsfan.<layer>).  A
+subcommand loads exactly the layer modules its call reaches and never
+`dataclasses` or `inspect`, a well-formed run never loads argparse (help
+and usage errors do, and they load neither json nor fractions), and
+`import bsfan` loads no layer module.  Three lints read the sources: no
+import goes unread, every public name has a caller in src/, and only
+bsfan.__getattr__ imports a module by name.  The process entry cli.run
+freezes the start-up heap (gc.freeze) so that the collection at shutdown
+skips it; the guards below check that a process reaches exit frozen and
+with main's bytes, and that main itself, which tests and the benchmark
+call in process, freezes nothing.  Nothing here asserts a time.
 """
 
 import ast
@@ -384,4 +385,23 @@ def test_one_freeze_in_src_inside_run():
                             and ast.unparse(node.func) == "gc.freeze"]
     assert freezes == [("cli.py", "run")]
     assert sum(path.read_text(encoding="utf-8").count("freeze(")
+               for path in Path(SRC, "bsfan").glob("*.py")) == 1
+
+
+def test_one_lazy_loader_in_src():
+    # the package's __getattr__ imports each layer on first use, and the CLI
+    # reaches its layers through it as bsfan.<layer>, with no loader of its
+    # own: neither __import__ nor importlib occurs anywhere else in src/
+    loaders = []
+    for path in sorted(Path(SRC, "bsfan").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                loaders += [(path.name, function.name)
+                            for node in ast.walk(function)
+                            if isinstance(node, ast.Name)
+                            and node.id == "__import__"]
+    assert loaders == [("__init__.py", "__getattr__")]
+    assert sum(len(re.findall(r"__import__|importlib",
+                              path.read_text(encoding="utf-8")))
                for path in Path(SRC, "bsfan").glob("*.py")) == 1
