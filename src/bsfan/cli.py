@@ -26,7 +26,8 @@ from collections import namedtuple
 from types import SimpleNamespace
 
 import bsfan
-from .errors import BsfanError, MonadViolation, NotInCone, ParseError
+from .errors import (BsfanError, MonadViolation, NotInCone, ParseError,
+                     ValidationError)
 
 
 def _unique_keys(pairs):
@@ -197,6 +198,8 @@ def _emit_window(sheaf, args):
     more of them than a list can hold are refused."""
     check = bsfan.tables._check_writable
     twists = args.jmax - args.jmin + 1
+    if twists < 1:  # as a window with this range is refused
+        raise ValidationError(f"empty declared range [{args.jmin}, {args.jmax}]")
     check(twists, f"window of {twists} twists")
     if args.format == "pretty":
         check((args.n + 1) * twists,

@@ -46,7 +46,6 @@ class CohomologyEvaluator:
     answer makes column raise EvaluatorRangeError."""
 
     __slots__ = ()  # no instance dict: the tuple evaluators stay frozen
-    dimension = 0
 
     def column(self, j):
         raise NotImplementedError

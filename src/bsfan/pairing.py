@@ -10,9 +10,9 @@ walks only those q, whatever the declared dimension n.  A column is the
 whole evaluator protocol: a twist outside a window's range is found by
 asking for its column.
 
-Everything downstream (support predicates, separating functionals, cone
-checks through the one-variable side) is a composition of this formula with
-the chi functionals.
+Everything downstream (separating functionals, cone checks through the
+one-variable side) is a composition of this formula with the chi
+functionals.
 """
 
 from fractions import Fraction
@@ -45,23 +45,6 @@ def pair(table, evaluator):
             key = (p - q, grade)
             acc[key] = acc.get(key, ZERO) + value * gamma
     return table.like({key: v for key, v in acc.items() if v})
-
-
-def pure_pair_support(d, roots, i, j):
-    """Whether the pure diagram of d pairs with the supernatural class of
-    the given roots to a nonzero entry at (i, j).
-
-    True exactly when some run position l0 has degree j and the twist -j
-    lands strictly between roots number m = l0 - i and m + 1, where no
-    root bounds -j from above when m = 0 or from below when m = s.
-    """
-    if j not in d.degrees:
-        return False
-    m = d.start + d.degrees.index(j) - i
-    if not 0 <= m <= len(roots):
-        return False
-    return ((m == 0 or roots[m - 1] > -j)
-            and (m == len(roots) or -j > roots[m]))
 
 
 def es_functional(table, roots, rank_scale, n, tau, kappa):

@@ -320,9 +320,7 @@ def table_from_obj(obj, cls=BettiTable):
     shape = dict.fromkeys(cls.HEADER, int)
     shape["entries"] = [{"i": int, cls.GRADE: cls.GRADE_SHAPE, "value": None}]
     *head, entries = _read(obj, shape, "table").values()
-    for key, m in zip(cls.HEADER, head):
-        if m < 1:
-            raise ValidationError(f"table.{key} must be >= 1, got {m}")
+    table = cls(*head)  # the class checks its HEADER fields
     rank = head[0] if head else None
     checked = {}
     for key, value in _read_entries(entries, "table").items():
@@ -333,7 +331,8 @@ def table_from_obj(obj, cls=BettiTable):
             checked[key] = value
         elif value:
             raise ValidationError(f"negative entry {value} at {key}")
-    return cls._trusted(checked, *head)
+    table._entries = checked
+    return table
 
 
 def table_to_obj(table):

@@ -36,6 +36,9 @@ has walked the windows of the evaluator for the twists they lack; the
 library's pair, which reads one evaluator column per distinct grade and
 collects the twists whose column raised, must give the same table or
 name the same twists.
+pure_pair_support says where a pure diagram paired with a supernatural
+class is nonzero, from the degrees and the roots alone; the library's
+pair must be nonzero exactly there.
 reference_table_from_obj is the three-pass table reader: the shape check
 of _reference_read with one call per entry, then _reference_read_entries
 (duplicates and rationals), then the rank and sign checks on the nonzero
@@ -58,6 +61,8 @@ multi_chi_box is the heuristic column range and grade box of a multigraded
 chi scan; parse_table and serialize_table read and write a table as the
 command line does; long_chain_table and bump build the seeded long chains,
 in the cone and bumped out of it, of the greedy and byte tests;
+random_constraint draws a nonconstant codimension sequence with empty
+and inf among its values;
 one_sided_chain builds the chains a monad run or a dualized truncation
 decomposes into.
 """
@@ -71,13 +76,13 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
-from bsfan import (EMPTY, APiece, AVerdict, BettiTable, CodimensionSequence,
-                   CohomologyEvaluator, Decomposition, DegreeSequence,
-                   EvaluatorRangeError, MultiBettiTable, NotInCone,
-                   ParseError, Piece, ProductSpace, SupernaturalSheaf,
-                   TwistSheaf, ValidationError, Violation, WindowEvaluator,
-                   decompose_s, dual, linear_combine, pure_diagram,
-                   table_from_obj, table_to_obj)
+from bsfan import (EMPTY, INF, APiece, AVerdict, BettiTable,
+                   CodimensionSequence, CohomologyEvaluator, Decomposition,
+                   DegreeSequence, EvaluatorRangeError, MultiBettiTable,
+                   NotInCone, ParseError, Piece, ProductSpace,
+                   SupernaturalSheaf, TwistSheaf, ValidationError, Violation,
+                   WindowEvaluator, decompose_s, dual, linear_combine,
+                   pure_diagram, table_from_obj, table_to_obj)
 from bsfan.cli import _load_obj
 from bsfan.multigraded import _Capped
 from bsfan.tables import parse_rational
@@ -146,6 +151,19 @@ def random_degree_sequence(r, codim=None, max_codim=3, starts=(-3, 3),
 
 def random_roots(r, s, lo=-8, hi=8):
     return tuple(sorted(r.sample(range(lo, hi + 1), s), reverse=True))
+
+
+def random_constraint(r, n=0):
+    """Codimension sequence over n, nondecreasing over empty < 0 < ... <
+    n+1 < inf, with different fills on the two sides and a window of up to
+    four positions starting at -2..1."""
+    while True:
+        run = sorted(r.choices(range(-1, n + 3), k=r.randint(2, 6)))
+        if run[0] != run[-1]:
+            break
+    values = [EMPTY if v < 0 else INF if v > n + 1 else v for v in run]
+    return CodimensionSequence(n, values[0], r.randint(-2, 1),
+                               tuple(values[1:-1]), values[-1])
 
 
 def random_chain(r, k, length, starts=(-2, 2), deg_lo=-5, deg_hi=6):
@@ -588,6 +606,23 @@ def reference_pair(table, ev):
                 key = (p - q, grade)
                 acc[key] = acc.get(key, Fraction(0)) + value * gamma
     return table.like({key: v for key, v in acc.items() if v})
+
+
+def pure_pair_support(d, roots, i, j):
+    """Whether the pure diagram of d pairs with the supernatural class of
+    the given roots to a nonzero entry at (i, j).
+
+    True exactly when some run position l0 has degree j and the twist -j
+    lands strictly between roots number m = l0 - i and m + 1, where no
+    root bounds -j from above when m = 0 or from below when m = s.
+    """
+    if j not in d.degrees:
+        return False
+    m = d.start + d.degrees.index(j) - i
+    if not 0 <= m <= len(roots):
+        return False
+    return ((m == 0 or roots[m - 1] > -j)
+            and (m == len(roots) or -j > roots[m]))
 
 
 def _reference_read(value, shape, where):

@@ -227,6 +227,23 @@ class TestExitCodes:
         assert run(capsys, ["infinite", "--table", '{"entries":[]}',
                             "--e", "1", "--n", "1"])[0] == 2
 
+    @pytest.mark.parametrize("form", ["json", "pretty"])
+    def test_supernatural_refuses_an_empty_twist_range(self, capsys, form):
+        # the message a window over the same range gives, and no output
+        window = ('{"kind":"window","dim":2,"jmin":3,"jmax":1,'
+                  '"entries":[]}')
+        refused = run(capsys, ["pair", "--table", '{"entries":[]}',
+                               "--sheaf", window])
+        assert refused == (2, "", "error: empty declared range [3, 1]\n")
+        assert run(capsys, ["supernatural", "--roots", "1,0", "--n", "2",
+                            "--jmin", "3", "--jmax", "1",
+                            "--format", form]) == refused
+        # one twist is the smallest range
+        code, out, _ = run(capsys, ["supernatural", "--roots", "1,0",
+                                    "--n", "2", "--jmin", "1", "--jmax", "1",
+                                    "--format", form])
+        assert code == 0 and out
+
     def test_euler_negative_columns_prints_exact_zero(self, capsys):
         table = ('{"entries":[{"i":-1,"j":0,"value":"1"},'
                  '{"i":-2,"j":1,"value":"1"}]}')

@@ -12,24 +12,11 @@ case below passes membership_a though no block split exists.
 
 import pytest
 
-from bsfan import (EMPTY, INF, CodimensionSequence, NotInCone, decompose_a,
-                   decompose_s, linear_combine, membership_a)
+from bsfan import (NotInCone, decompose_a, decompose_s, linear_combine,
+                   membership_a)
 from bsfan.cli import main
-from helpers import F, T, apiece_degree_sequence, apiece_table, rng
-
-VALUES = (EMPTY, 0, 1, INF)
-
-
-def random_constraint(r):
-    """Nondecreasing over empty < 0 < 1 < inf around columns -1..2, with
-    different fills on the two sides."""
-    while True:
-        run = sorted(r.choices(range(len(VALUES)), k=r.randint(2, 6)))
-        if run[0] != run[-1]:
-            break
-    values = [VALUES[k] for k in run]
-    return CodimensionSequence(0, values[0], r.randint(-2, 1),
-                               tuple(values[1:-1]), values[-1])
+from helpers import (F, T, apiece_degree_sequence, apiece_table,
+                     random_constraint, rng)
 
 
 def random_small_table(r):

@@ -4,18 +4,20 @@ from math import inf
 
 import pytest
 
-from bsfan import (BettiTable, BsfanError, CohomologyEvaluator,
-                   DegreeSequence, EvaluatorRangeError, MultiBettiTable,
-                   ProductSpace, SupernaturalSheaf, TwistSheaf,
-                   WindowEvaluator, chi, es_functional, linear_combine, pair,
-                   pair_check, pure_diagram, pure_pair_support, shift)
+from bsfan import (BettiTable, BsfanError, CodimensionSequence,
+                   CohomologyEvaluator, DegreeSequence, EvaluatorRangeError,
+                   MultiBettiTable, ProductSpace, SupernaturalSheaf,
+                   TwistSheaf, WindowEvaluator, chi, decompose_s,
+                   es_functional, linear_combine, pair, pair_check,
+                   pure_diagram, shift)
 from bsfan.cli import main
 from bsfan.multigraded import _Capped
 from helpers import (F, T, TWO_STRAND_TABLE, FormalEvaluator,
                      chain_combination, chi_window, gamma, koszul_table,
-                     random_chain, random_degree_sequence,
-                     random_fraction, random_roots, random_table,
-                     reference_gamma, reference_pair, rng)
+                     pure_pair_support, random_chain, random_degree_sequence,
+                     random_constraint, random_fraction, random_roots,
+                     random_table, reference_compatible, reference_gamma,
+                     reference_pair, rng)
 
 
 def supernatural(roots, scale, n):
@@ -465,3 +467,54 @@ def test_pairing_positivity_needs_fewer_roots_than_the_codimension():
         (below if s < k else at_or_above).append(verdict.ok)
     assert len(below) == 656 and all(below)
     assert len(at_or_above) == 344 and at_or_above.count(False) == 341
+
+
+def compatible_diagrams(r, c):
+    """1-3 degree sequences compatible with c, drawn independently, so
+    rarely a chain; fewer, or none, when 30 draws find fewer."""
+    want, found = r.randint(1, 3), []
+    for _ in range(30):
+        d = random_degree_sequence(r, codim=r.randint(0, c.n + 1))
+        if reference_compatible(d, c):
+            found.append(d)
+            if len(found) == want:
+                break
+    return found
+
+
+@pytest.mark.parametrize("kind, seed, counts", [
+    ("constant", 78, {"none": 2, "below": 679, "above": 319,
+                      "above_fails": 317}),
+    ("windowed", 79, {"none": 34, "below": 331, "above": 635,
+                      "above_fails": 485}),
+], ids=["constant", "windowed"])
+def test_pairing_positivity_for_unchained_sums(kind, seed, counts):
+    # Every nonnegative combination of pure diagrams compatible with c lies
+    # in c's cone, chained or not, so decompose_s accepts it.  Each piece
+    # starts at or right of the table's leftmost column p0, so its
+    # codimension is at least c(p0): paired with a supernatural class of
+    # s < c(p0) roots, the table passes pair_check.  With s >= c(p0) the
+    # hypothesis fails, and so, on most draws, does pair_check.
+    r = rng(seed)
+    seen = dict.fromkeys(counts, 0)
+    for _ in range(1000):
+        n = r.randint(1, 3)
+        c = (CodimensionSequence.constant(r.randint(1, n + 1), n)
+             if kind == "constant" else random_constraint(r, n))
+        pieces = compatible_diagrams(r, c)
+        if not pieces:
+            seen["none"] += 1
+            continue
+        table = linear_combine([(F(r.randint(1, 9), r.randint(1, 9)),
+                                 pure_diagram(d)) for d in pieces])
+        decompose_s(table, c, n)  # raises NotInCone if it rejects
+        s = r.randint(0, n)
+        ev = supernatural(random_roots(r, s), r.randint(1, 3), n)
+        verdict, = pair_check(table, [ev], n)
+        if s < c.rank(table.columns()[0]):
+            assert verdict.ok, (c, pieces, ev)
+            seen["below"] += 1
+        else:
+            seen["above"] += 1
+            seen["above_fails"] += not verdict.ok
+    assert seen == counts

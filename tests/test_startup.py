@@ -193,8 +193,7 @@ ALL = [
     "infinite_prefix", "linear_combine", "membership_a",
     "monad_split", "multi_chi", "multi_pair", "multigraded", "pair",
     "pair_check", "pairing", "pretty_render", "pure_diagram",
-    "pure_pair_support", "sequences", "shift", "table_from_obj",
-    "table_to_obj", "tables",
+    "sequences", "shift", "table_from_obj", "table_to_obj", "tables",
 ]
 LAYERS = ["cone_a", "cone_s", "diagrams", "errors", "multigraded",
           "pairing", "sequences", "tables"]
@@ -267,11 +266,6 @@ def test_no_module_binds_an_unread_import():
             path.name
 
 
-# public API that src/ does not use yet, with the reason it stays
-UNCALLED = {"pure_pair_support": "ROADMAP item 12 may generate candidate "
-                                 "roots with it"}
-
-
 def uncalled(trees):
     """The names of bsfan.__all__, module names aside, that the sources
     read neither as a name nor as an attribute, and the public methods and
@@ -306,7 +300,7 @@ def test_uncalled_methods_are_found():
 def test_every_public_name_has_a_caller_in_src():
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(SRC, "bsfan").glob("*.py"))]
-    assert uncalled(trees) == set(UNCALLED)
+    assert uncalled(trees) == set()
 
 
 # The process entry.  A job, help and a usage error each leave main by a
