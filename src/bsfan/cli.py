@@ -1,12 +1,13 @@
 """Command-line front end, one row of COMMANDS per subcommand.
 
 Every subcommand reads JSON (inline or from files), runs one library
-operation, and writes either canonical JSON or a pretty rendering.  One
-writer, _emit_json, writes every JSON result and certificate as one line,
-built by _json from the value's structure, so the library's records carry
-no serializers.  A row holds the help line, the output flags, the
-options, the call (load the arguments, run the library function) and the
-emitter (write the result, return the exit code).  main reads a
+operation, and writes either canonical JSON or a pretty rendering.  A row
+holds the help line, the output flags, the options, the call (load the
+arguments, run the library function) and the renderer of its result, if
+it has one.  main writes the rendered text under --format pretty (always,
+for a row without --format); every other result and certificate goes to
+the one writer, _emit_json, as one line built by _json from the value's
+structure, so the library's records carry no serializers.  main reads a
 well-formed command line straight from the row's options (_parse) and
 loads argparse only for help and usage errors, building options only for
 the subcommands argv names; json loads at the first read or write, and
@@ -14,9 +15,9 @@ the call reaches each layer as bsfan.<layer>, which the package imports
 on first use, so a process pays for its own subcommand and nothing else.
 run is the process entry (the bsfan script and python -m bsfan.cli);
 main(argv) is the in-process call and has no process-wide side effect.
-Exit codes: 0 for success / in-cone, 1 for a non-membership verdict (the
-machine-readable certificate goes to stdout), 2 for malformed input or
-usage errors (diagnostics go to stderr).
+Exit codes: 0 for success / in-cone, 1 when _emit_json wrote a failure
+certificate, 2 for malformed input or usage errors (diagnostics go to
+stderr).
 """
 
 import gc
@@ -100,7 +101,8 @@ def _sheaves(args):
 def _multi_chi(args):
     table = _multi_table(args)
     order = bsfan.multigraded.GradedOrder(_ints(args.weights))
-    return bsfan.multigraded.multi_chi(table, args.i, _ints(args.alpha), order)
+    return {"value": bsfan.multigraded.multi_chi(
+        table, args.i, _ints(args.alpha), order)}
 
 
 def _json(value):
@@ -130,29 +132,15 @@ def _json(value):
             for key, v in pairs if v is not None}
 
 
-def _emit_json(value, args=None):
+def _emit_json(value):
+    """Write the canonical JSON line of value and return the exit code: 1
+    when the object written is a failure certificate, an object with
+    "status": "fail" or with a "verdicts" list that holds one, else 0."""
     import json
-    sys.stdout.write(json.dumps(_json(value), separators=(",", ":")) + "\n")
-    return 0
-
-
-def _emit_value(value, args):
-    if args.format == "pretty":
-        sys.stdout.write(f"{value}\n")
-        return 0
-    return _emit_json({"value": str(value)})
-
-
-def _emit_pretty(table, args):
-    sys.stdout.write(bsfan.tables.pretty_render(
-        table, mark_origin=args.mark_origin) + "\n")
-    return 0
-
-
-def _emit_table(table, args):
-    if args.format == "pretty":
-        return _emit_pretty(table, args)
-    return _emit_json(table)
+    obj = _json(value)
+    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    verdicts = [obj, *obj.get("verdicts", ())] if type(obj) is dict else ()
+    return int(any(v.get("status") == "fail" for v in verdicts))
 
 
 def _verdict(verdict):
@@ -162,68 +150,65 @@ def _verdict(verdict):
     return {"status": "fail", "violations": verdict.violations}
 
 
-def _emit_verdict(verdict, args):
-    _emit_json(_verdict(verdict))
-    return 0 if verdict.ok else 1
-
-
-def _emit_verdicts(verdicts, args):
-    _emit_json({"verdicts": [_verdict(v) for v in verdicts]})
-    return 0 if all(v.ok for v in verdicts) else 1
-
-
-def _emit_decomposition(dec, args):
-    if args.format != "pretty":
-        return _emit_json(dec)
-    tables, diagrams = bsfan.tables, bsfan.diagrams
-    lines = []
-    for idx, (coeff, d) in enumerate(dec.pieces, 1):
-        lines.append(f"piece {idx}: coeff {coeff} along {d}")
-        piece = tables.linear_combine([(coeff, diagrams.pure_diagram(d))])
-        lines.append(tables.pretty_render(piece, mark_origin=args.mark_origin))
-    if dec.remainder:
-        lines.append("remainder:")
-        lines.append(tables.pretty_render(dec.remainder,
-                                          mark_origin=args.mark_origin))
-    elif not dec.pieces:
-        lines.append("(empty decomposition)")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
-
-
-def _emit_window(sheaf, args):
-    """The class's cohomology at q = 0..n and j = jmin..jmax, read one
-    column per twist: JSON lists the nonzero cells, pretty fills a grid.
-    The time taken follows the number of twists (and of grid cells), so
-    more of them than a list can hold are refused."""
+def _window(args):
+    """The supernatural class's cohomology at q = 0..n and j = jmin..jmax,
+    read one column per twist: its nonzero cells in (q, j) order.  The
+    time taken follows the number of twists (and of the pretty grid's
+    cells), so more of them than a list can hold are refused."""
+    sheaf = bsfan.diagrams.SupernaturalSheaf(_ints(args.roots),
+                                             _rank_scale(args), args.n)
     check = bsfan.tables._check_writable
     twists = args.jmax - args.jmin + 1
     if twists < 1:  # as a window with this range is refused
         raise ValidationError(f"empty declared range [{args.jmin}, {args.jmax}]")
-    check(twists, f"window of {twists} twists")
+    check(twists, "window of {} twists", twists)
     if args.format == "pretty":
-        check((args.n + 1) * twists,
-              f"pretty grid of {args.n + 1} rows by {twists} columns")
+        check((args.n + 1) * twists, "pretty grid of {} rows by {} columns",
+              args.n + 1, twists)
+    cells = sorted((q, j, v) for j in range(args.jmin, args.jmax + 1)
+                   for q, v in sheaf.column(j))
+    return {"entries": [{"q": q, "j": j, "value": v} for q, j, v in cells]}
+
+
+def _pretty_window(window, args):
+    """The window's grid: q = n down to 0 by j = jmin..jmax, "-" for 0."""
     js = range(args.jmin, args.jmax + 1)
-    cells = sorted((q, j, v) for j in js for q, v in sheaf.column(j))
-    if args.format != "pretty":
-        return _emit_json({"entries": [{"q": q, "j": j, "value": str(v)}
-                                       for q, j, v in cells]})
-    grid = {(q, j): str(v) for q, j, v in cells}
+    grid = {(e["q"], e["j"]): str(e["value"]) for e in window["entries"]}
     lines = [" ".join(["j:".rjust(5)] + [str(j).rjust(6) for j in js])]
     lines += [" ".join([f"q={q}".rjust(5)]
                        + [grid.get((q, j), "-").rjust(6) for j in js])
               for q in range(args.n, -1, -1)]
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines)
 
 
-# A subcommand: its help line; flags, the output options its emitter
-# reads; options, "--name" for a required string, with ":int" for an
-# integer and "=default" for an optional one (an empty default is None);
-# call, from the parsed namespace to the library's result; and emit, which
-# writes the result and returns the exit code.
-Command = namedtuple("Command", "help flags options call emit")
+def _pretty_table(table, args):
+    return bsfan.tables.pretty_render(table, mark_origin=args.mark_origin)
+
+
+def _pretty_value(result, args):
+    return str(result["value"])
+
+
+def _pretty_decomposition(dec, args):
+    lines = []
+    for idx, (coeff, d) in enumerate(dec.pieces, 1):
+        lines.append(f"piece {idx}: coeff {coeff} along {d}")
+        lines.append(_pretty_table(bsfan.tables.linear_combine(
+            [(coeff, bsfan.diagrams.pure_diagram(d))]), args))
+    if dec.remainder:
+        lines += ["remainder:", _pretty_table(dec.remainder, args)]
+    elif not dec.pieces:
+        lines.append("(empty decomposition)")
+    return "\n".join(lines)
+
+
+# A subcommand: its help line; flags, the output options it reads;
+# options, "--name" for a required string, with ":int" for an integer and
+# "=default" for an optional one (an empty default is None); call, from
+# the parsed namespace to the result; and pretty, the renderer of that
+# result, (result, args) -> text, used under --format pretty and by a row
+# without --format, or None for a row that writes JSON only.
+Command = namedtuple("Command", "help flags options call pretty")
 TABLE_OUT = ("format", "mark-origin")
 VALUE_OUT = ("format",)
 
@@ -233,81 +218,81 @@ COMMANDS = {
         "--start:int=0 --degrees",
         lambda a: bsfan.diagrams.pure_diagram(
             bsfan.sequences.DegreeSequence(a.start, _ints(a.degrees))),
-        _emit_table),
+        _pretty_table),
     "supernatural": Command(
         "cohomology window of a supernatural class", VALUE_OUT,
         "--roots --rank-scale=1 --n:int --jmin:int --jmax:int",
-        lambda a: bsfan.diagrams.SupernaturalSheaf(
-            _ints(a.roots), _rank_scale(a), a.n),
-        _emit_window),
+        _window, _pretty_window),
     "pair": Command(
         "pair a table with a cohomology evaluator", TABLE_OUT,
         "--table --sheaf --n:int=",
-        lambda a: bsfan.pairing.pair(_table(a), _sheaf(a)), _emit_table),
+        lambda a: bsfan.pairing.pair(_table(a), _sheaf(a)), _pretty_table),
     "chi": Command(
         "partial Euler characteristic chi_{i,j}", VALUE_OUT,
         "--table --i:int --j:int",
-        lambda a: bsfan.cone_a.chi(_table(a), a.i, a.j), _emit_value),
+        lambda a: {"value": bsfan.cone_a.chi(_table(a), a.i, a.j)},
+        _pretty_value),
     "euler": Command(
         "total Euler characteristic", VALUE_OUT, "--table",
-        lambda a: bsfan.cone_a.euler(_table(a)), _emit_value),
+        lambda a: {"value": bsfan.cone_a.euler(_table(a))}, _pretty_value),
     "check-a": Command(
         "cone membership over the one-variable ring", (), "--table --codim",
-        lambda a: bsfan.cone_a.membership_a(_table(a), _codim(a)),
-        _emit_verdict),
+        lambda a: _verdict(bsfan.cone_a.membership_a(_table(a), _codim(a))),
+        None),
     "decompose-a": Command(
         "block decomposition over the one-variable ring", (),
         "--table --codim",
         lambda a: {"pieces": [{"coeff": c, "piece": p} for c, p in
                               bsfan.cone_a.decompose_a(_table(a), _codim(a))]},
-        _emit_json),
+        None),
     "decompose": Command(
         "greedy chain decomposition", TABLE_OUT, "--table --codim --n:int",
         lambda a: bsfan.cone_s.decompose_s(_table(a), _codim(a), a.n),
-        _emit_decomposition),
+        _pretty_decomposition),
     "check": Command(
         "cone membership with certificate", (), "--table --codim --n:int",
         lambda a: {"status": "pass", "decomposition":
                    bsfan.cone_s.decompose_s(_table(a), _codim(a), a.n)},
-        _emit_json),
+        None),
     "monad": Command(
         "split a free monad table", (), "--table --n:int",
-        lambda a: bsfan.cone_s.monad_split(_table(a), a.n), _emit_json),
+        lambda a: bsfan.cone_s.monad_split(_table(a), a.n), None),
     "infinite": Command(
         "stable prefix decomposition of a truncated resolution", TABLE_OUT,
         "--table --e:int --n:int",
         lambda a: bsfan.cone_s.infinite_prefix(_table(a), a.e, a.n),
-        _emit_decomposition),
+        _pretty_decomposition),
     "es": Command(
         "separating functional value", VALUE_OUT,
         "--table --roots --rank-scale=1 --n:int --tau:int --kappa:int",
-        lambda a: bsfan.pairing.es_functional(
-            _table(a), _ints(a.roots), _rank_scale(a), a.n, a.tau, a.kappa),
-        _emit_value),
+        lambda a: {"value": bsfan.pairing.es_functional(
+            _table(a), _ints(a.roots), _rank_scale(a), a.n, a.tau, a.kappa)},
+        _pretty_value),
     "pair-check": Command(
         "pair against evaluators and check the target cone", (),
         "--table --sheaves --n:int",
-        lambda a: bsfan.pairing.pair_check(_table(a), _sheaves(a), a.n),
-        _emit_verdicts),
+        lambda a: {"verdicts": [_verdict(v) for v in bsfan.pairing.pair_check(
+            _table(a), _sheaves(a), a.n)]},
+        None),
     "dual": Command(
         "move (i, j) entries to (-i, -j)", TABLE_OUT, "--table",
-        lambda a: bsfan.tables.dual(_table(a)), _emit_table),
+        lambda a: bsfan.tables.dual(_table(a)), _pretty_table),
     "shift": Command(
         "homological shift by k", TABLE_OUT, "--table --k:int",
-        lambda a: bsfan.tables.shift(_table(a), a.k), _emit_table),
+        lambda a: bsfan.tables.shift(_table(a), a.k), _pretty_table),
     "render": Command(
         "pretty-print a table", ("mark-origin",), "--table", _table,
-        _emit_pretty),
+        _pretty_table),
     "multi-chi": Command(
         "multigraded partial Euler characteristic", VALUE_OUT,
-        "--table --i:int --alpha --weights", _multi_chi, _emit_value),
+        "--table --i:int --alpha --weights", _multi_chi, _pretty_value),
     "multi-pair": Command(
         "pair a multigraded table with line bundles on a product of "
         "projective spaces", (), "--table --space --qmax:int=",
         lambda a: bsfan.multigraded.multi_pair(
             _multi_table(a), bsfan.multigraded.ProductSpace.from_obj(
                 _load_obj(a.space)), a.qmax),
-        _emit_json),
+        None),
 }
 
 # argparse's own negative-number pattern, widened to comma lists such as
@@ -420,7 +405,8 @@ def main(argv=None):
     read by _parse; any other (help, a usage error, an abbreviated or
     repeated option) goes to argparse, which prints help and usage errors
     and exits.  The input is read under the interpreter's int digit limit;
-    the answer or certificate is written with none, then the limit returns."""
+    the answer or certificate is written with none, then the limit
+    returns."""
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv) or build_parser(argv).parse_args(argv)
     command = COMMANDS[args.command]
@@ -428,16 +414,19 @@ def main(argv=None):
     try:
         try:
             value = command.call(args)
+            pretty = getattr(args, "format", "pretty") == "pretty"
+        except (NotInCone, MonadViolation) as exc:  # its failure certificate
+            value, pretty = exc, False
         finally:
             sys.set_int_max_str_digits(0)
-        return command.emit(value, args)
-    except (NotInCone, MonadViolation) as exc:  # its failure certificate
-        _emit_json(exc)
-        return 1
+        if not (pretty and command.pretty):
+            return _emit_json(value)
+        sys.stdout.write(command.pretty(value, args) + "\n")
+        return 0
     except (BsfanError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except MemoryError:  # each emitter builds its output before writing it
+    except MemoryError:  # each output is built before it is written
         sys.stderr.write("error: out of memory\n")
         return 2
     finally:

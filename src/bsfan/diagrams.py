@@ -14,9 +14,10 @@ explicit window raises EvaluatorRangeError for a twist it does not hold.
 import math
 from collections import namedtuple
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import EvaluatorRangeError, ParseError, ValidationError
-from .tables import BettiTable, _read, _read_entries, parse_rational
+from .tables import BettiTable, _int, _read, _read_entries, parse_rational
 
 
 def pure_diagram(d):
@@ -70,7 +71,7 @@ class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n"),
     __slots__ = ()
 
     def __new__(cls, roots, rank_scale, n):
-        roots = tuple(int(f) for f in roots)
+        roots = tuple(map(_int, roots))
         for a, b in zip(roots, roots[1:]):
             if a <= b:
                 raise ValidationError(f"roots must strictly decrease: {a} !> {b}")
@@ -81,7 +82,7 @@ class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n"),
         scale = Fraction(rank_scale)
         if scale <= 0:
             raise ValidationError(f"rank scale must be positive, got {scale}")
-        return super().__new__(cls, roots, scale, int(n))
+        return super().__new__(cls, roots, scale, _int(n))
 
     @property
     def dimension(self):
@@ -108,7 +109,7 @@ class TwistSheaf(namedtuple("TwistSheaf", "n a"), CohomologyEvaluator):
     def __new__(cls, n, a):
         if n < 1:
             raise ValidationError(f"ambient dimension must be >= 1, got {n}")
-        return super().__new__(cls, int(n), int(a))
+        return super().__new__(cls, _int(n), _int(a))
 
     @property
     def dimension(self):
@@ -119,24 +120,28 @@ class TwistSheaf(namedtuple("TwistSheaf", "n a"), CohomologyEvaluator):
         return ((q, Fraction(value)),) if value else ()
 
 
-class WindowEvaluator(CohomologyEvaluator):
+class WindowEvaluator(namedtuple("WindowEvaluator",
+                                 "dimension jmin jmax columns"),
+                      CohomologyEvaluator):
     """Finite explicit cohomology window over a declared twist range.
 
     Queries outside [jmin, jmax] raise instead of silently returning zero;
     inside the range an absent (q, j) is an honest zero.  The values are
-    grouped by twist once, so a column is one lookup.
+    grouped by twist once: columns maps each twist with a nonzero value to
+    its (q, value) pairs in q order, read-only, so a column is one lookup
+    and equal windows compare equal (a window is not hashable).
     """
 
-    def __init__(self, dimension, jmin, jmax, values):
+    __slots__ = ()
+
+    def __new__(cls, dimension, jmin, jmax, values):
         if dimension < 0:
             raise ValidationError(
                 f"ambient dimension must be >= 0, got {dimension}")
         if jmin > jmax:
             raise ValidationError(f"empty declared range [{jmin}, {jmax}]")
-        self.dimension = int(dimension)
-        self.jmin = int(jmin)
-        self.jmax = int(jmax)
-        self.columns = {}
+        dimension, jmin, jmax = _int(dimension), _int(jmin), _int(jmax)
+        columns = {}
         for (q, j), value in values.items():
             v = Fraction(value)
             if v < 0:
@@ -145,11 +150,14 @@ class WindowEvaluator(CohomologyEvaluator):
                 raise ValidationError(
                     f"entry at twist {j} outside declared range [{jmin}, {jmax}]"
                 )
-            if not 0 <= q <= self.dimension:
+            if not 0 <= q <= dimension:
                 raise ValidationError(
-                    f"entry at index q = {q} outside 0..{self.dimension}")
+                    f"entry at index q = {q} outside 0..{dimension}")
+            q, j = _int(q), _int(j)
             if v:
-                self.columns.setdefault(int(j), []).append((int(q), v))
+                columns.setdefault(j, []).append((q, v))
+        return super().__new__(cls, dimension, jmin, jmax, MappingProxyType(
+            {j: tuple(sorted(pairs)) for j, pairs in columns.items()}))
 
     def column(self, j):
         if not self.jmin <= j <= self.jmax:

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from .diagrams import CohomologyEvaluator, _bott
 from .errors import ParseError, ValidationError
-from .tables import BettiTable, _partial_euler, _read
+from .tables import BettiTable, _int, _partial_euler, _read
 
 
 class GradedOrder(namedtuple("GradedOrder", "weights")):
@@ -24,7 +24,7 @@ class GradedOrder(namedtuple("GradedOrder", "weights")):
     __slots__ = ()
 
     def __new__(cls, weights):
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(map(_int, weights))
         if not weights:
             raise ValidationError("order needs at least one weight")
         bad = [w for w in weights if w <= 0]
@@ -52,13 +52,13 @@ class MultiBettiTable(BettiTable):
     GRADE_SHAPE = [int]
 
     def __init__(self, m, entries=None):
-        self.m = int(m)
+        self.m = _int(m)
         if self.m < 1:
             raise ValidationError(f"table.m must be >= 1, got {self.m}")
         super().__init__(entries)
 
     def normalize_grade(self, alpha):
-        alpha = tuple(int(a) for a in alpha)
+        alpha = tuple(map(_int, alpha))
         if len(alpha) != self.m:
             raise ValidationError(
                 f"grade {alpha} has rank {len(alpha)}, expected {self.m}")
@@ -114,18 +114,19 @@ class ProductSpace(namedtuple("ProductSpace", "factor_dims summands"),
     __slots__ = ()
 
     def __new__(cls, factor_dims, summands):
-        dims = tuple(int(n) for n in factor_dims)
+        dims = tuple(map(_int, factor_dims))
         if not dims or any(n < 1 for n in dims):
             raise ValidationError(f"factor dimensions must be >= 1: {dims}")
         checked = []
         for twist, mult in summands:
-            twist = tuple(int(c) for c in twist)
+            twist = tuple(map(_int, twist))
             if len(twist) != len(dims):
                 raise ValidationError(
                     f"twist {twist} has rank {len(twist)}, expected {len(dims)}")
-            if int(mult) < 1:
+            count = _int(mult)
+            if count < 1:
                 raise ValidationError(f"multiplicity must be >= 1: {mult}")
-            checked.append((twist, int(mult)))
+            checked.append((twist, count))
         return super().__new__(cls, dims, tuple(checked))
 
     @property

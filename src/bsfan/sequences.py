@@ -11,7 +11,7 @@ homology of a complex must be in each homological position.
 from collections import namedtuple
 
 from .errors import ValidationError
-from .tables import _read
+from .tables import _int, _read
 
 EMPTY = "empty"
 INF = "inf"
@@ -33,13 +33,13 @@ class DegreeSequence(namedtuple("DegreeSequence", "start degrees")):
     __slots__ = ()
 
     def __new__(cls, start, degrees):
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(map(_int, degrees))
         if not degrees:
             raise ValidationError("degree sequence needs at least one finite entry")
         for a, b in zip(degrees, degrees[1:]):
             if a >= b:
                 raise ValidationError(f"degrees must strictly increase: {a} !< {b}")
-        return super().__new__(cls, int(start), degrees)
+        return super().__new__(cls, _int(start), degrees)
 
     @property
     def codim(self):

@@ -35,6 +35,18 @@ def parse_rational(text, where="value"):
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
+def _int(value):
+    """value as an int, as int() reads it (so "3" and 3.0 are 3); a
+    value other than a string that int() would change, such as 1.5, is
+    refused rather than truncated."""
+    if type(value) is int:
+        return value
+    n = int(value)
+    if n != value and not isinstance(value, str):
+        raise ValidationError(f"not an integer: {value}")
+    return n
+
+
 class BettiTable:
     """Immutable sparse table; an absent key means a zero entry.
 
@@ -58,7 +70,7 @@ class BettiTable:
         for (i, grade), value in (entries or {}).items():
             q = value if isinstance(value, Fraction) else Fraction(value)
             if q:
-                cleaned[(int(i), self.normalize_grade(grade))] = q
+                cleaned[(_int(i), self.normalize_grade(grade))] = q
         self._entries = cleaned
 
     @classmethod
@@ -73,7 +85,7 @@ class BettiTable:
         return table
 
     def normalize_grade(self, j):
-        return int(j)
+        return _int(j)
 
     @staticmethod
     def negate(j):
@@ -347,10 +359,20 @@ def table_to_obj(table):
     return obj
 
 
-def _check_writable(count, what):
-    """Refuse to write more cells than a str or a list can hold."""
+class _TooLarge(ValidationError):
+    """An output too large to write, its message formatted when read: the
+    counts may pass the int-to-str limit that holds while input is read."""
+
+    def __str__(self):
+        what, *counts = self.args
+        return what.format(*counts) + " is too large to write"
+
+
+def _check_writable(count, what, *counts):
+    """Refuse to write more cells than a str or a list can hold; what names
+    the output, a str.format template of the counts."""
     if count > sys.maxsize:
-        raise ValidationError(f"{what} is too large to write")
+        raise _TooLarge(what, *counts)
 
 
 def pretty_render(table, mark_origin=False):
@@ -367,8 +389,8 @@ def pretty_render(table, mark_origin=False):
     cols = table.columns()
     rows = sorted({j - i for i, j in table.support()})
     height, width = rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1
-    _check_writable(height * width,
-                    f"pretty grid of {height} rows by {width} columns")
+    _check_writable(height * width, "pretty grid of {} rows by {} columns",
+                    height, width)
     col_range = range(cols[0], cols[-1] + 1)
     row_range = range(rows[0], rows[-1] + 1)
 

@@ -59,8 +59,10 @@ and range tests, its column the sum of its terms' columns;
 box is the box product of two tables, the Künneth oracle of multi_pair;
 multi_chi_box is the heuristic column range and grade box of a multigraded
 chi scan; parse_table and serialize_table read and write a table as the
-command line does; long_chain_table and bump build the seeded long chains,
-in the cone and bumped out of it, of the greedy and byte tests;
+command line does, and is_failure_certificate says whether its stdout is
+the one line of a failure certificate; long_chain_table and bump build
+the seeded long chains, in the cone and bumped out of it, of the greedy
+and byte tests;
 random_constraint draws a nonconstant codimension sequence with empty
 and inf among its values;
 one_sided_chain builds the chains a monad run or a dualized truncation
@@ -698,6 +700,21 @@ def parse_table(text):
 
 def serialize_table(table):
     return json.dumps(table_to_obj(table), separators=(",", ":"))
+
+
+def is_failure_certificate(out):
+    """Whether out is exactly one JSON line of a failure: an object with
+    "status": "fail", or with a "verdicts" list that holds one."""
+    if out.count("\n") != 1 or not out.endswith("\n"):
+        return False
+    try:
+        obj = json.loads(out)
+    except ValueError:
+        return False
+    if type(obj) is not dict:
+        return False
+    return any(type(v) is dict and v.get("status") == "fail"
+               for v in [obj, *obj.get("verdicts", ())])
 
 
 class Comparison(enum.Enum):

@@ -8,11 +8,15 @@ empty string, "-1", a huge integer, a non-ASCII string, or the path of
 a missing file, a directory, a file of malformed JSON or a file that is
 not UTF-8.  Every mutation is tried on every subcommand; the seed picks the
 tokens.  Whatever the argv, main returns or exits with 0, 1 or 2 and no
-other exception escapes; exit 1 writes one JSON object with "status":
-"fail" and nothing to stderr, and exit 2 writes nothing to stdout and a
-diagnostic to stderr.  An argv byte that is not UTF-8 reaches Python as
-a lone surrogate, which only a process's own stderr can write (with
-backslashes), so those runs are spawned.
+other exception escapes; exit 1 writes one JSON line of a failure
+certificate (an object with "status": "fail", or with a "verdicts" list
+that holds one) and nothing to stderr, and exit 2 writes nothing to stdout
+and a diagnostic to stderr.  The same contract holds both ways on every
+subcommand's valid argv, in each output format it takes, on a failing
+argv of each subcommand that can fail, and on a bare subcommand: exit 1
+exactly when stdout is a failure certificate.  An argv byte that is not
+UTF-8 reaches Python as a lone surrogate, which only a process's own
+stderr can write (with backslashes), so those runs are spawned.
 
 A huge integer may replace a value that sizes the output itself (the
 supernatural window's --jmin, --jmax and --n): an output of more cells
@@ -29,7 +33,8 @@ from pathlib import Path
 import pytest
 
 from bsfan.cli import COMMANDS, main
-from helpers import MONAD_TABLE, TENSOR_TABLE, T, serialize_table
+from helpers import (MONAD_TABLE, TENSOR_TABLE, TWO_STRAND_TABLE, T,
+                     is_failure_certificate, serialize_table)
 
 TABLE = serialize_table(TENSOR_TABLE)
 MULTI = json.dumps({"m": 2, "entries": [
@@ -84,6 +89,32 @@ VALID = {
                   "--alpha=1,1", "--weights", "1,2", "--format", "json"],
     "multi-pair": ["multi-pair", "--table=" + MULTI, "--space", SPACE,
                    "--qmax", "1"],
+}
+
+CONST3 = json.dumps({"n": 2, "left": 3, "window_start": 0, "right": 3})
+ALL_ONE = json.dumps({"n": 0, "left": 1, "window_start": 0, "right": 1})
+SQUEEZED = serialize_table(T({(-2, 1): 2, (-1, 2): 11, (0, 3): 18,
+                              (1, 4): 10}))
+STUCK_TRUNCATION = serialize_table(T({(0, 0): 1, (4, 1): 1}))
+# an argv of each subcommand that can exit 1, which does
+FAILING = {
+    "check-a": ["check-a", "--table", serialize_table(T({(0, 0): 1,
+                                                         (1, 2): 2})),
+                "--codim", ALL_ONE],
+    "decompose-a": ["decompose-a", "--table", serialize_table(T({(1, 0): 1})),
+                    "--codim", ALL_ONE],
+    "decompose": ["decompose", "--table", serialize_table(TWO_STRAND_TABLE),
+                  "--codim", CONST3, "--n", "2"],
+    "check": ["check", "--table", serialize_table(TWO_STRAND_TABLE),
+              "--codim", CONST3, "--n", "2"],
+    "monad": ["monad", "--table", SQUEEZED, "--n", "4"],
+    "infinite": ["infinite", "--table", STUCK_TRUNCATION, "--e", "4",
+                 "--n", "1"],
+    "pair-check": ["pair-check", "--table", serialize_table(TWO_STRAND_TABLE),
+                   "--sheaves", json.dumps([
+                       {"kind": "twist", "n": 2, "a": 0},
+                       {"kind": "supernatural", "roots": [0, -8],
+                        "rank_scale": "8", "n": 2}]), "--n", "2"],
 }
 
 HUGE = str(10 ** 30)
@@ -145,6 +176,46 @@ def mutate(r, argv, mutation, paths):
     return argv
 
 
+def assert_contract(argv, code, out, err):
+    """Exit 0, 1 or 2; exit 1 exactly when stdout is a failure
+    certificate, with nothing on stderr; exit 2 with nothing on stdout and
+    a diagnostic on stderr."""
+    assert code in (0, 1, 2), (argv, code)
+    assert (code == 1) == is_failure_certificate(out), (argv, code, out)
+    if code in (0, 1):
+        assert err == "", argv
+    else:
+        assert out == "" and err != "", argv
+
+
+def in_formats(argv):
+    """argv as given, and without its --format under each output format
+    the subcommand takes."""
+    bare, tokens = [], iter(argv)
+    for token in tokens:
+        if token == "--format":
+            next(tokens)
+        elif not token.startswith("--format="):
+            bare.append(token)
+    return [argv] + [bare + [f"--format={fmt}"] for fmt in ("json", "pretty")
+                     if "format" in COMMANDS[argv[0]].flags]
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_exit_code_follows_the_output(capsys, name):
+    runs = [(argv, 0) for argv in in_formats(VALID[name])] + [([name], 2)]
+    if name in FAILING:
+        runs += [(argv, 1) for argv in in_formats(FAILING[name])]
+    for argv, expected in runs:
+        try:
+            code = main(argv)
+        except SystemExit as done:
+            code = done.code
+        out, err = capsys.readouterr()
+        assert code == expected, (argv, code, out, err)
+        assert_contract(argv, code, out, err)
+
+
 def test_every_subcommand_has_a_valid_argv(capsys):
     assert set(VALID) == set(COMMANDS)
     for name, argv in VALID.items():
@@ -163,12 +234,7 @@ def test_one_mutation_keeps_the_contract(capsys, paths, name):
             except SystemExit as done:
                 code = done.code
             out, err = capsys.readouterr()
-            assert code in (0, 1, 2), (argv, code)
-            if code == 1:
-                assert json.loads(out)["status"] == "fail", argv
-                assert out.count("\n") == 1 and err == "", argv
-            if code == 2:
-                assert out == "" and err != "", argv
+            assert_contract(argv, code, out, err)
 
 
 @pytest.mark.parametrize("argv", [

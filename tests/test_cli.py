@@ -13,7 +13,8 @@ import pytest
 
 from bsfan.cli import COMMANDS, _options, _parse, build_parser, main
 from helpers import (MONAD_TABLE, TENSOR_TABLE, TRUNCATION_TABLE,
-                     TWO_STRAND_TABLE, rng, serialize_table)
+                     TWO_STRAND_TABLE, is_failure_certificate, rng,
+                     serialize_table)
 from test_cli_bytes import HELP, USAGE_ARGV
 
 STAIRCASE_JSON = json.dumps({"n": 2, "left": "empty", "window_start": 0,
@@ -454,6 +455,20 @@ class TestLongNumbers:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, what", [
+        (["--n", "1", "--jmin", "0", "--jmax", str(10 ** 4300 - 1)],
+         "window of %s twists"),
+        (["--n", str(10 ** 4300 - 1), "--jmin", "0", "--jmax", "0",
+          "--format", "pretty"], "pretty grid of %s rows by 1 columns"),
+    ], ids=["window", "window-grid"])
+    def test_too_large_output_past_the_digit_limit(self, capsys, argv, what):
+        # a 4300-digit bound, read under the limit, makes a count of 4301
+        code, out, err = self.run(capsys, ["supernatural", "--roots", "0",
+                                           *argv])
+        assert (code, out) == (2, "")
+        assert err == ("error: %s is too large to write\n"
+                       % what % unlimited_str(10 ** 4300))
+
     def test_certificate_keeps_the_limit(self, capsys):
         code, out, _ = self.run(capsys, [
             "decompose", "--table", '{"entries":[{"i":1,"j":0,"value":"1"}]}',
@@ -755,6 +770,6 @@ def test_every_option_survives_edge_values(capsys, edge_paths, name):
             if tokens == [f"{flag}=--"]:
                 assert code == 2, rest + tokens
             if code == 1:
-                assert json.loads(out)["status"] == "fail" and err == ""
+                assert is_failure_certificate(out) and err == ""
             if code == 2:
                 assert out == "" and err != "", rest + tokens

@@ -11,9 +11,9 @@ import pytest
 
 from bsfan.cone_a import APiece, AVerdict, Violation
 from bsfan.cone_s import Decomposition, MonadSplit
-from bsfan.diagrams import SupernaturalSheaf, WindowEvaluator
+from bsfan.diagrams import SupernaturalSheaf, TwistSheaf, WindowEvaluator
 from bsfan.errors import ValidationError
-from bsfan.multigraded import GradedOrder, ProductSpace
+from bsfan.multigraded import GradedOrder, MultiBettiTable, ProductSpace
 from bsfan.sequences import CodimensionSequence, DegreeSequence
 from bsfan.tables import BettiTable
 
@@ -64,6 +64,11 @@ RECORDS = {
                       lambda: Decomposition(pieces=[(1, D)], remainder=T),
                       lambda: Decomposition([(Fraction(1), D)], U)),
     "MonadSplit": (monad, monad, lambda: monad(Fraction(0))),
+    "WindowEvaluator": (
+        lambda: WindowEvaluator(1, 0, 2, {(0, 1): Fraction(2), (1, 1): 3}),
+        lambda: WindowEvaluator(1.0, 0, 2, {(1, 1): Fraction(3), (0, 1): 2,
+                                            (0, 2): 0}),
+        lambda: WindowEvaluator(1, 0, 3, {(0, 1): Fraction(2), (1, 1): 3})),
 }
 FROZEN = ["DegreeSequence", "CodimensionSequence", "APiece",
           "SupernaturalSheaf", "GradedOrder", "ProductSpace"]
@@ -92,6 +97,42 @@ def test_fields_cannot_be_assigned(name):
         setattr(record, field, None)
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+def test_window_is_read_only_and_unhashable():
+    window = RECORDS["WindowEvaluator"][0]()
+    assert window.columns == {1: ((0, 2), (1, 3))}
+    with pytest.raises(TypeError):
+        hash(window)
+    with pytest.raises(TypeError):
+        window.columns[0] = ()
+    assert 0 not in window.columns
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DegreeSequence(0, (0, 1.5)),
+    lambda: DegreeSequence(0.5, (0, 1)),
+    lambda: SupernaturalSheaf((1.5,), 1, 1),
+    lambda: SupernaturalSheaf((0,), 1, 1.5),
+    lambda: TwistSheaf(1.5, 0),
+    lambda: TwistSheaf(1, Fraction(1, 2)),
+    lambda: WindowEvaluator(1.5, 0, 1, {}),
+    lambda: WindowEvaluator(1, 0, 1.5, {}),
+    lambda: WindowEvaluator(1, 0, 1, {(0.5, 0): 1}),
+    lambda: WindowEvaluator(1, 0, 1, {(0, 0.5): 0}),
+    lambda: GradedOrder((1.5, 2)),
+    lambda: ProductSpace((1.5,), ()),
+    lambda: ProductSpace((1,), (((1.5,), 1),)),
+    lambda: ProductSpace((1,), (((0,), 1.5),)),
+    lambda: BettiTable({(1.5, 0): 1}),
+    lambda: BettiTable({(0, 1.5): 1}),
+    lambda: MultiBettiTable(1.5),
+    lambda: MultiBettiTable(1, {(0, (1.5,)): 1}),
+])
+def test_non_integers_are_refused_not_truncated(build):
+    with pytest.raises(ValidationError,
+                       match=r"^not an integer: (1\.5|0\.5|1/2)$"):
+        build()
 
 
 def test_repr_names_the_fields():
