@@ -139,7 +139,7 @@ def _emit_json(value):
     import json
     obj = _json(value)
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    verdicts = [obj, *obj.get("verdicts", ())] if type(obj) is dict else ()
+    verdicts = [obj, *obj.get("verdicts", ())]
     return int(any(v.get("status") == "fail" for v in verdicts))
 
 
@@ -311,7 +311,7 @@ def _options(command):
 
 
 def _parse(argv):
-    """The namespace build_parser().parse_args(argv) returns, read
+    """The namespace build_parser(argv).parse_args(argv) returns, read
     without argparse; None unless argv is a subcommand followed by each of
     its options at most once, as --name value or --name=value (a flag
     alone), with every value valid and every required option present.  A
@@ -356,11 +356,11 @@ def _parse(argv):
     return None if given else SimpleNamespace(**args)
 
 
-def build_parser(argv=None):
+def build_parser(argv):
     """The parser that prints help and usage errors.  It names every
     subcommand with its help line, and gives options only to those that
-    argv names (all of them when argv is None): argparse picks a
-    subcommand by its exact name, so no other one can parse argv."""
+    argv names: argparse picks a subcommand by its exact name, so no
+    other one can parse argv."""
     import argparse
 
     class Store(argparse.Action):
@@ -379,7 +379,7 @@ def build_parser(argv=None):
                     "cohomology pairings, cone membership and chain "
                     "decompositions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    named = set(COMMANDS if argv is None else argv)
+    named = set(argv)
     for name, command in COMMANDS.items():
         subparser = sub.add_parser(name, help=command.help,
                                    add_help=name in named)

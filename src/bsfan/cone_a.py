@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from .errors import NotInCone, ValidationError
 from .sequences import EMPTY, INF, Piece
-from .tables import ZERO, _partial_euler
+from .tables import ZERO, _int, _partial_euler
 
 
 def chi(table, i, j):
@@ -36,11 +36,13 @@ class APiece(namedtuple("APiece", "kind position gen_degree socle_degree")):
     def __new__(cls, kind, position, gen_degree, socle_degree=None):
         if kind not in ("free", "torsion"):
             raise ValidationError(f"unknown piece kind {kind!r}")
-        if kind == "torsion" and socle_degree <= gen_degree:
-            raise ValidationError(
-                f"torsion piece needs socle degree > {gen_degree}, "
-                f"got {socle_degree}"
-            )
+        position, gen_degree = _int(position), _int(gen_degree)
+        if kind == "torsion":
+            socle_degree = _int(socle_degree)
+            if socle_degree <= gen_degree:
+                raise ValidationError(
+                    f"torsion piece needs socle degree > {gen_degree}, "
+                    f"got {socle_degree}")
         return super().__new__(cls, kind, position, gen_degree, socle_degree)
 
 

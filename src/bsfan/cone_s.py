@@ -138,8 +138,6 @@ def monad_split(table, n):
     left.  So D' lies in columns >= 0 and table - D' in columns <= 0, the
     dual run mirrors this, and E is zero off column 0.
     """
-    if not table.is_nonnegative():
-        raise ValidationError("monad splitting needs a nonnegative table")
     # Free homology allowed in nonpositive positions, full codimension above.
     constraint = CodimensionSequence(n, 0, 1, (), n + 1)
     front = _prefix(decompose_s(table, constraint, n).pieces,

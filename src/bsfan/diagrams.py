@@ -71,7 +71,7 @@ class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n"),
     __slots__ = ()
 
     def __new__(cls, roots, rank_scale, n):
-        roots = tuple(map(_int, roots))
+        roots, n = tuple(map(_int, roots)), _int(n)
         for a, b in zip(roots, roots[1:]):
             if a <= b:
                 raise ValidationError(f"roots must strictly decrease: {a} !> {b}")
@@ -82,7 +82,7 @@ class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n"),
         scale = Fraction(rank_scale)
         if scale <= 0:
             raise ValidationError(f"rank scale must be positive, got {scale}")
-        return super().__new__(cls, roots, scale, _int(n))
+        return super().__new__(cls, roots, scale, n)
 
     @property
     def dimension(self):
@@ -107,9 +107,10 @@ class TwistSheaf(namedtuple("TwistSheaf", "n a"), CohomologyEvaluator):
     __slots__ = ()
 
     def __new__(cls, n, a):
+        n, a = _int(n), _int(a)
         if n < 1:
             raise ValidationError(f"ambient dimension must be >= 1, got {n}")
-        return super().__new__(cls, _int(n), _int(a))
+        return super().__new__(cls, n, a)
 
     @property
     def dimension(self):
@@ -135,15 +136,15 @@ class WindowEvaluator(namedtuple("WindowEvaluator",
     __slots__ = ()
 
     def __new__(cls, dimension, jmin, jmax, values):
+        dimension, jmin, jmax = _int(dimension), _int(jmin), _int(jmax)
         if dimension < 0:
             raise ValidationError(
                 f"ambient dimension must be >= 0, got {dimension}")
         if jmin > jmax:
             raise ValidationError(f"empty declared range [{jmin}, {jmax}]")
-        dimension, jmin, jmax = _int(dimension), _int(jmin), _int(jmax)
         columns = {}
         for (q, j), value in values.items():
-            v = Fraction(value)
+            q, j, v = _int(q), _int(j), Fraction(value)
             if v < 0:
                 raise ValidationError(f"negative cohomology value at ({q}, {j})")
             if not jmin <= j <= jmax:
@@ -153,7 +154,6 @@ class WindowEvaluator(namedtuple("WindowEvaluator",
             if not 0 <= q <= dimension:
                 raise ValidationError(
                     f"entry at index q = {q} outside 0..{dimension}")
-            q, j = _int(q), _int(j)
             if v:
                 columns.setdefault(j, []).append((q, v))
         return super().__new__(cls, dimension, jmin, jmax, MappingProxyType(

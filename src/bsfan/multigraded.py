@@ -79,9 +79,12 @@ def multi_chi(table, i, alpha, order):
 
 
 class _Capped(CohomologyEvaluator):
-    """A product space with its cohomology above index qmax dropped."""
+    """A product space with its cohomology above index qmax >= 0 dropped."""
 
     def __init__(self, space, qmax):
+        qmax = _int(qmax)
+        if qmax < 0:
+            raise ValidationError(f"qmax must be >= 0, got {qmax}")
         self.space, self.dimension = space, min(qmax, space.dimension)
 
     def column(self, alpha):
@@ -96,8 +99,6 @@ def multi_pair(table, space, qmax=None):
     if table.m != space.rank:
         raise ValidationError(
             f"table has rank {table.m}, the space has rank {space.rank}")
-    if qmax is not None and qmax < 0:
-        raise ValidationError(f"qmax must be >= 0, got {qmax}")
     from .pairing import pair
 
     return pair(table, space if qmax is None else _Capped(space, qmax))

@@ -15,8 +15,6 @@ one-variable side) is a composition of this formula with the chi
 functionals.
 """
 
-from fractions import Fraction
-
 from .diagrams import SupernaturalSheaf
 from .errors import EvaluatorRangeError, ValidationError
 from .tables import ZERO
@@ -59,10 +57,10 @@ def es_functional(table, roots, rank_scale, n, tau, kappa):
     s = len(roots)
     if not 1 <= tau <= s:
         raise ValidationError(f"tau must be in 1..{s}, got {tau}")
-    nu = max(kappa, -roots[tau - 1] - 1)
+    sheaf = SupernaturalSheaf(roots, rank_scale, n)
+    nu = max(kappa, -sheaf.roots[tau - 1] - 1)
     if tau < s:
-        nu = min(nu, -roots[tau] - 1)
-    sheaf = SupernaturalSheaf(tuple(roots), Fraction(rank_scale), n)
+        nu = min(nu, -sheaf.roots[tau] - 1)
     return chi(pair(table, sheaf), 0, nu)
 
 

@@ -87,10 +87,7 @@ class CodimensionSequence(namedtuple(
     __slots__ = ()
 
     def __new__(cls, n, left, window_start, window, right):
-        if type(n) is not int or type(window_start) is not int:
-            # rejects true from library callers (from_obj's reader, in JSON)
-            raise TypeError(f"n and window_start must be integers, got "
-                            f"{n!r} and {window_start!r}")
+        n, window_start = _int(n), _int(window_start)
         if n < 0:
             raise ValidationError(f"ambient dimension must be >= 0, got {n}")
         left = _check_value(left, n, "left fill")

@@ -36,13 +36,13 @@ def parse_rational(text, where="value"):
 
 
 def _int(value):
-    """value as an int, as int() reads it (so "3" and 3.0 are 3); a
-    value other than a string that int() would change, such as 1.5, is
-    refused rather than truncated."""
+    """value as an int, as int() reads it (so "3" and 3.0 are 3); a bool,
+    or a value other than a string that int() would change (1.5), is
+    refused: every integer a value stores is read here before checks."""
     if type(value) is int:
         return value
     n = int(value)
-    if n != value and not isinstance(value, str):
+    if type(value) is bool or n != value and not isinstance(value, str):
         raise ValidationError(f"not an integer: {value}")
     return n
 
@@ -250,6 +250,7 @@ def dual(table):
 
 def shift(table, k):
     """Move the entry at (i, j) to (i + k, j); degrees are unchanged."""
+    k = _int(k)
     return table.like({(i + k, j): v for (i, j), v in table._entries.items()})
 
 

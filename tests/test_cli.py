@@ -537,9 +537,9 @@ class TestDeterminism:
         assert json.loads(proc.stdout)["entries"][1]["value"] == "5"
 
 
-# built for no argv, the parser gives every subcommand its options, so one
-# serves every argv
-PARSER = build_parser()
+# built for an argv that names every subcommand, the parser gives each its
+# options, so one serves every argv
+PARSER = build_parser(list(COMMANDS))
 
 
 def parsed(parser, argv):

@@ -6,13 +6,14 @@ loads layers that way, and the CLI reaches them as bsfan.<layer>).  A
 subcommand loads exactly the layer modules its call reaches and never
 `dataclasses` or `inspect`, a well-formed run never loads argparse (help
 and usage errors do, and they load neither json nor fractions), and
-`import bsfan` loads no layer module.  Three lints read the sources: no
-import goes unread, every public name has a caller in src/, and only
-bsfan.__getattr__ imports a module by name.  The process entry cli.run
-freezes the start-up heap (gc.freeze) so that the collection at shutdown
-skips it; the guards below check that a process reaches exit frozen and
-with main's bytes, and that main itself, which tests and the benchmark
-call in process, freezes nothing.  Nothing here asserts a time.
+`import bsfan` loads no layer module.  Four lints read the sources: no
+import goes unread, every public name has a caller in src/, only
+bsfan.__getattr__ imports a module by name, and no module raises
+TypeError.  The process entry cli.run freezes the start-up heap
+(gc.freeze) so that the collection at shutdown skips it; the guards below
+check that a process reaches exit frozen and with main's bytes, and that
+main itself, which tests and the benchmark call in process, freezes
+nothing.  Nothing here asserts a time.
 """
 
 import ast
@@ -239,6 +240,28 @@ def test_no_module_holds_a_float():
         floats = [attr for attr, value in vars(module).items()
                   if isinstance(value, float)]
         assert floats == [], name
+
+
+def raised_by_name(source):
+    """Names of the exception classes a raise statement in source names."""
+    raised = [getattr(node.exc, "func", node.exc)
+              for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Raise)]
+    return sorted({exc.id for exc in raised if isinstance(exc, ast.Name)})
+
+
+def test_raised_names_are_found():
+    assert raised_by_name("raise TypeError('x')\nraise KeyError\n"
+                          "raise\nraise self.error") == ["KeyError",
+                                                          "TypeError"]
+
+
+def test_no_module_raises_a_type_error():
+    # a value that a constructor refuses is a ValidationError; an integer
+    # is read by tables._int before any check compares it
+    for path in sorted(Path(SRC, "bsfan").glob("*.py")):
+        assert "TypeError" not in raised_by_name(
+            path.read_text(encoding="utf-8")), path.name
 
 
 def unread_imports(source):

@@ -1,10 +1,12 @@
 """Value semantics of the record classes: equality, hashing, immutability,
-repr, validation messages and the keyword constructions the code uses.
+repr, validation messages, the one rule by which every stored integer is
+read, and the keyword constructions the code uses.
 
 The records are collections.namedtuple subclasses, so an instance also
 compares equal to the plain tuple of its fields.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,13 +15,16 @@ from bsfan.cone_a import APiece, AVerdict, Violation
 from bsfan.cone_s import Decomposition, MonadSplit
 from bsfan.diagrams import SupernaturalSheaf, TwistSheaf, WindowEvaluator
 from bsfan.errors import ValidationError
-from bsfan.multigraded import GradedOrder, MultiBettiTable, ProductSpace
+from bsfan.multigraded import (GradedOrder, MultiBettiTable, ProductSpace,
+                               multi_pair)
 from bsfan.sequences import CodimensionSequence, DegreeSequence
-from bsfan.tables import BettiTable
+from bsfan.tables import BettiTable, shift
 
 T = BettiTable({(0, 0): 1})
 U = BettiTable({(1, 2): 3})
 D = DegreeSequence(0, (0, 2))
+M = MultiBettiTable(1, {(0, (0,)): 1})
+P1 = ProductSpace((1,), (((0,), 1),))
 
 
 def monad(lambda1=Fraction(1)):
@@ -135,6 +140,60 @@ def test_non_integers_are_refused_not_truncated(build):
         build()
 
 
+# Every integer a value stores, as a function of the value given for it;
+# 3 is a valid value in each place.
+INTEGER_FIELDS = {
+    "DegreeSequence.start": lambda x: DegreeSequence(x, (0, 1)),
+    "DegreeSequence.degrees": lambda x: DegreeSequence(0, (0, x)),
+    "CodimensionSequence.n": lambda x: CodimensionSequence(x, 0, 0, (), 0),
+    "CodimensionSequence.window_start":
+        lambda x: CodimensionSequence(1, 0, x, (1,), 1),
+    "APiece.position": lambda x: APiece("free", x, 0),
+    "APiece.gen_degree": lambda x: APiece("torsion", 0, x, 4),
+    "APiece.socle_degree": lambda x: APiece("torsion", 0, 0, x),
+    "SupernaturalSheaf.roots": lambda x: SupernaturalSheaf((x, 0), 1, 2),
+    "SupernaturalSheaf.n": lambda x: SupernaturalSheaf((0,), 1, x),
+    "TwistSheaf.n": lambda x: TwistSheaf(x, 0),
+    "TwistSheaf.a": lambda x: TwistSheaf(1, x),
+    "WindowEvaluator.dimension": lambda x: WindowEvaluator(x, 0, 5, {}),
+    "WindowEvaluator.jmin": lambda x: WindowEvaluator(1, x, 5, {}),
+    "WindowEvaluator.jmax": lambda x: WindowEvaluator(1, 0, x, {}),
+    "WindowEvaluator.q": lambda x: WindowEvaluator(3, 0, 5, {(x, 0): 1}),
+    "WindowEvaluator.j": lambda x: WindowEvaluator(3, 0, 5, {(0, x): 1}),
+    "GradedOrder.weights": lambda x: GradedOrder((1, x)),
+    "ProductSpace.factor_dims": lambda x: ProductSpace((x,), ()),
+    "ProductSpace.twist": lambda x: ProductSpace((1,), (((x,), 1),)),
+    "ProductSpace.mult": lambda x: ProductSpace((1,), (((0,), x),)),
+    "BettiTable.i": lambda x: BettiTable({(x, 0): 1}),
+    "BettiTable.j": lambda x: BettiTable({(0, x): 1}),
+    "MultiBettiTable.m": lambda x: MultiBettiTable(x),
+    "MultiBettiTable.i": lambda x: MultiBettiTable(1, {(x, (0,)): 1}),
+    "MultiBettiTable.alpha": lambda x: MultiBettiTable(1, {(0, (x,)): 1}),
+    "shift.k": lambda x: shift(T, x),
+    "multi_pair.qmax": lambda x: multi_pair(M, P1, x),
+}
+
+
+def stored(value):
+    """What value stores, in a repr that shows the type of each integer."""
+    if isinstance(value, BettiTable):
+        return repr((getattr(value, "m", None), value.items()))
+    return repr(value)
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_one_integer_rule(field):
+    # what int() reads is read; a bool, or what int() would change, is
+    # refused before any check compares it
+    build = INTEGER_FIELDS[field]
+    for given in ("3", 3.0):
+        assert stored(build(given)) == stored(build(3)), given
+    for given in (1.5, True):
+        with pytest.raises(ValidationError,
+                           match=f"^not an integer: {re.escape(str(given))}$"):
+            build(given)
+
+
 def test_repr_names_the_fields():
     assert repr(D) == "DegreeSequence(start=0, degrees=(0, 2))"
     assert repr(GradedOrder((1, 2))) == "GradedOrder(weights=(1, 2))"
@@ -174,14 +233,19 @@ def test_default_remainders_are_not_shared():
      "position 0: bad codimension value 'x'"),
     (lambda: CodimensionSequence(1, 2, 0, (1,), 2), ValidationError,
      "codimension sequence decreases from left fill (2) to position 0 (1)"),
-    (lambda: CodimensionSequence(True, 0, 0, (), 0), TypeError,
-     "n and window_start must be integers, got True and 0"),
+    (lambda: CodimensionSequence(True, 0, 0, (), 0), ValidationError,
+     "not an integer: True"),
     (lambda: CodimensionSequence(-1, 0, 0, (), 0), ValidationError,
      "ambient dimension must be >= 0, got -1"),
     (lambda: APiece("block", 0, 0), ValidationError,
      "unknown piece kind 'block'"),
     (lambda: APiece("torsion", 0, 2, 2), ValidationError,
      "torsion piece needs socle degree > 2, got 2"),
+    (lambda: APiece("torsion", 0, "10", "9"), ValidationError,
+     "torsion piece needs socle degree > 10, got 9"),
+    (lambda: shift(T, 0.5), ValidationError, "not an integer: 0.5"),
+    (lambda: multi_pair(M, P1, 1.5), ValidationError,
+     "not an integer: 1.5"),
     (lambda: SupernaturalSheaf((0, 1), 1, 2), ValidationError,
      "roots must strictly decrease: 0 !> 1"),
     (lambda: SupernaturalSheaf((1, 0), 1, 1), ValidationError,
