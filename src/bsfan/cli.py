@@ -81,10 +81,6 @@ def _codim(args):
         _load_obj(args.codim))
 
 
-def _rank_scale(args):
-    return bsfan.tables.parse_rational(args.rank_scale, "rank scale")
-
-
 def _sheaf(args):
     evaluator = bsfan.diagrams.evaluator_from_obj(_load_obj(args.sheaf))
     if args.n is not None and getattr(evaluator, "n", args.n) != args.n:
@@ -156,7 +152,7 @@ def _window(args):
     time taken follows the number of twists (and of the pretty grid's
     cells), so more of them than a list can hold are refused."""
     sheaf = bsfan.diagrams.SupernaturalSheaf(_ints(args.roots),
-                                             _rank_scale(args), args.n)
+                                             args.rank_scale, args.n)
     check = bsfan.tables._check_writable
     twists = args.jmax - args.jmin + 1
     if twists < 1:  # as a window with this range is refused
@@ -266,7 +262,7 @@ COMMANDS = {
         "separating functional value", VALUE_OUT,
         "--table --roots --rank-scale=1 --n:int --tau:int --kappa:int",
         lambda a: {"value": bsfan.pairing.es_functional(
-            _table(a), _ints(a.roots), _rank_scale(a), a.n, a.tau, a.kappa)},
+            _table(a), _ints(a.roots), a.rank_scale, a.n, a.tau, a.kappa)},
         _pretty_value),
     "pair-check": Command(
         "pair against evaluators and check the target cone", (),

@@ -17,7 +17,8 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import EvaluatorRangeError, ParseError, ValidationError
-from .tables import BettiTable, _int, _read, _read_entries, parse_rational
+from .tables import (BettiTable, _int, _int_tuple, _rational, _read,
+                     _read_entries)
 
 
 def pure_diagram(d):
@@ -71,7 +72,8 @@ class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n"),
     __slots__ = ()
 
     def __new__(cls, roots, rank_scale, n):
-        roots, n = tuple(map(_int, roots)), _int(n)
+        roots, scale, n = (_int_tuple(roots),
+                           _rational(rank_scale, "rank scale"), _int(n))
         for a, b in zip(roots, roots[1:]):
             if a <= b:
                 raise ValidationError(f"roots must strictly decrease: {a} !> {b}")
@@ -79,7 +81,6 @@ class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n"),
             raise ValidationError(
                 f"{len(roots)} roots need ambient dimension >= {len(roots)}, got {n}"
             )
-        scale = Fraction(rank_scale)
         if scale <= 0:
             raise ValidationError(f"rank scale must be positive, got {scale}")
         return super().__new__(cls, roots, scale, n)
@@ -144,7 +145,7 @@ class WindowEvaluator(namedtuple("WindowEvaluator",
             raise ValidationError(f"empty declared range [{jmin}, {jmax}]")
         columns = {}
         for (q, j), value in values.items():
-            q, j, v = _int(q), _int(j), Fraction(value)
+            q, j, v = _int(q), _int(j), _rational(value)
             if v < 0:
                 raise ValidationError(f"negative cohomology value at ({q}, {j})")
             if not jmin <= j <= jmax:
@@ -166,15 +167,12 @@ class WindowEvaluator(namedtuple("WindowEvaluator",
 
 
 def evaluator_from_obj(obj):
-    """Evaluator from its decoded JSON description; rank_scale is a JSON
-    integer or a "p/q" string."""
+    """Evaluator from its decoded JSON description."""
     kind = _read(obj, {"kind": None}, "evaluator")["kind"]
     if kind == "supernatural":
-        roots, scale, n = _read(obj, {"roots": [int], "rank_scale": None,
-                                      "n": int}, "evaluator").values()
-        return SupernaturalSheaf(
-            roots, parse_rational(scale, "rank_scale") if type(scale) is str
-            else _read(scale, int, "evaluator.rank_scale"), n)
+        return SupernaturalSheaf(*_read(obj, {
+            "roots": [int], "rank_scale": None, "n": int},
+            "evaluator").values())
     if kind == "twist":
         return TwistSheaf(*_read(obj, {"n": int, "a": int}, "evaluator").values())
     if kind == "window":

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from .diagrams import CohomologyEvaluator, _bott
 from .errors import ParseError, ValidationError
-from .tables import BettiTable, _int, _partial_euler, _read
+from .tables import BettiTable, _int, _int_tuple, _partial_euler, _read
 
 
 class GradedOrder(namedtuple("GradedOrder", "weights")):
@@ -24,7 +24,7 @@ class GradedOrder(namedtuple("GradedOrder", "weights")):
     __slots__ = ()
 
     def __new__(cls, weights):
-        weights = tuple(map(_int, weights))
+        weights = _int_tuple(weights)
         if not weights:
             raise ValidationError("order needs at least one weight")
         bad = [w for w in weights if w <= 0]
@@ -58,7 +58,7 @@ class MultiBettiTable(BettiTable):
         super().__init__(entries)
 
     def normalize_grade(self, alpha):
-        alpha = tuple(map(_int, alpha))
+        alpha = _int_tuple(alpha)
         if len(alpha) != self.m:
             raise ValidationError(
                 f"grade {alpha} has rank {len(alpha)}, expected {self.m}")
@@ -115,12 +115,12 @@ class ProductSpace(namedtuple("ProductSpace", "factor_dims summands"),
     __slots__ = ()
 
     def __new__(cls, factor_dims, summands):
-        dims = tuple(map(_int, factor_dims))
+        dims = _int_tuple(factor_dims)
         if not dims or any(n < 1 for n in dims):
             raise ValidationError(f"factor dimensions must be >= 1: {dims}")
         checked = []
         for twist, mult in summands:
-            twist = tuple(map(_int, twist))
+            twist = _int_tuple(twist)
             if len(twist) != len(dims):
                 raise ValidationError(
                     f"twist {twist} has rank {len(twist)}, expected {len(dims)}")

@@ -54,10 +54,10 @@ def es_functional(table, roots, rank_scale, n, tau, kappa):
     """
     from .cone_a import chi
 
-    s = len(roots)
+    sheaf = SupernaturalSheaf(roots, rank_scale, n)
+    s = sheaf.dimension
     if not 1 <= tau <= s:
         raise ValidationError(f"tau must be in 1..{s}, got {tau}")
-    sheaf = SupernaturalSheaf(roots, rank_scale, n)
     nu = max(kappa, -sheaf.roots[tau - 1] - 1)
     if tau < s:
         nu = min(nu, -sheaf.roots[tau] - 1)

@@ -11,7 +11,7 @@ homology of a complex must be in each homological position.
 from collections import namedtuple
 
 from .errors import ValidationError
-from .tables import _int, _read
+from .tables import _int, _int_tuple, _read
 
 EMPTY = "empty"
 INF = "inf"
@@ -33,7 +33,7 @@ class DegreeSequence(namedtuple("DegreeSequence", "start degrees")):
     __slots__ = ()
 
     def __new__(cls, start, degrees):
-        degrees = tuple(map(_int, degrees))
+        degrees = _int_tuple(degrees)
         if not degrees:
             raise ValidationError("degree sequence needs at least one finite entry")
         for a, b in zip(degrees, degrees[1:]):

@@ -11,6 +11,10 @@ the origin cell may be decorated with a degree-zero marker "°".
 The partial Euler characteristic loop, _partial_euler, lives here: it is
 cone_a.chi over Z and multigraded.multi_chi over Z^m, so a multi-chi
 process loads neither the one-variable side nor the pairing.
+
+Every number a library value stores is read here, before any check, by one
+rule per kind: _int, _int_tuple (a sequence of integers) or _rational; a
+refusal is a ValidationError, or for a rational parse_rational's ParseError.
 """
 
 import re
@@ -36,15 +40,32 @@ def parse_rational(text, where="value"):
 
 
 def _int(value):
-    """value as an int, as int() reads it (so "3" and 3.0 are 3); a bool,
-    or a value other than a string that int() would change (1.5), is
-    refused: every integer a value stores is read here before checks."""
+    """value as int() reads it ("3" and 3.0 are 3); a bool, or what int()
+    cannot read (None, "x", inf) or would change (1.5), is refused."""
     if type(value) is int:
         return value
-    n = int(value)
-    if type(value) is bool or n != value and not isinstance(value, str):
-        raise ValidationError(f"not an integer: {value}")
-    return n
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if type(value) is not bool and (n == value or isinstance(value, str)):
+            return n
+    raise ValidationError(f"not an integer: {value}")
+
+
+def _int_tuple(values):
+    """values, any iterable but a string, as a tuple of ints read by _int."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise ValidationError(f"not a sequence of integers: {values!r}")
+    return tuple(map(_int, values))
+
+
+def _rational(value, where="value"):
+    """A Fraction, an int but a bool, or a "p/q" string, as a Fraction."""
+    if isinstance(value, (Fraction, int)) and type(value) is not bool:
+        return value if isinstance(value, Fraction) else Fraction(value)
+    return parse_rational(value, where)
 
 
 class BettiTable:
@@ -68,8 +89,7 @@ class BettiTable:
     def __init__(self, entries=None):
         cleaned = {}
         for (i, grade), value in (entries or {}).items():
-            q = value if isinstance(value, Fraction) else Fraction(value)
-            if q:
+            if q := _rational(value):
                 cleaned[(_int(i), self.normalize_grade(grade))] = q
         self._entries = cleaned
 
@@ -233,11 +253,9 @@ def linear_combine(terms):
     acc = {}
     table = BettiTable()
     for coeff, table in terms:
-        c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-        if c == 0:
-            continue
-        for key, value in table._entries.items():
-            acc[key] = acc.get(key, ZERO) + c * value
+        if c := _rational(coeff, "coefficient"):
+            for key, value in table._entries.items():
+                acc[key] = acc.get(key, ZERO) + c * value
     return table.like({key: v for key, v in acc.items() if v})
 
 

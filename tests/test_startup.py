@@ -6,10 +6,10 @@ loads layers that way, and the CLI reaches them as bsfan.<layer>).  A
 subcommand loads exactly the layer modules its call reaches and never
 `dataclasses` or `inspect`, a well-formed run never loads argparse (help
 and usage errors do, and they load neither json nor fractions), and
-`import bsfan` loads no layer module.  Four lints read the sources: no
+`import bsfan` loads no layer module.  Five lints read the sources: no
 import goes unread, every public name has a caller in src/, only
-bsfan.__getattr__ imports a module by name, and no module raises
-TypeError.  The process entry cli.run freezes the start-up heap
+bsfan.__getattr__ imports a module by name, no module raises TypeError,
+and only tables reads a sequence of integers.  The process entry cli.run freezes the start-up heap
 (gc.freeze) so that the collection at shutdown skips it; the guards below
 check that a process reaches exit frozen and with main's bytes, and that
 main itself, which tests and the benchmark call in process, freezes
@@ -422,3 +422,22 @@ def test_one_lazy_loader_in_src():
     assert sum(len(re.findall(r"__import__|importlib",
                               path.read_text(encoding="utf-8")))
                for path in Path(SRC, "bsfan").glob("*.py")) == 1
+
+
+def test_one_sequence_rule_in_src():
+    # tables._int_tuple reads every integer sequence a value stores: no
+    # other code maps _int over a sequence, by map or by a comprehension
+    mappers = []
+    for path in sorted(Path(SRC, "bsfan").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                mappers += [(path.name, function.name)
+                            for node in ast.walk(function)
+                            if isinstance(node, ast.Call)
+                            and ast.unparse(node.func) == "map"
+                            and ast.unparse(node.args[0]) == "_int"
+                            or isinstance(node, (ast.ListComp, ast.SetComp,
+                                                 ast.GeneratorExp))
+                            and ast.unparse(node.elt).startswith("_int(")]
+    assert mappers == [("tables.py", "_int_tuple")]

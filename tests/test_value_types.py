@@ -1,12 +1,14 @@
 """Value semantics of the record classes: equality, hashing, immutability,
-repr, validation messages, the one rule by which every stored integer is
-read, and the keyword constructions the code uses.
+repr, validation messages, the one rule per number kind (integer, integer
+sequence, rational) by which every stored number is read, and the keyword
+constructions the code uses.
 
 The records are collections.namedtuple subclasses, so an instance also
 compares equal to the plain tuple of its fields.
 """
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,11 +16,11 @@ import pytest
 from bsfan.cone_a import APiece, AVerdict, Violation
 from bsfan.cone_s import Decomposition, MonadSplit
 from bsfan.diagrams import SupernaturalSheaf, TwistSheaf, WindowEvaluator
-from bsfan.errors import ValidationError
+from bsfan.errors import ParseError, ValidationError
 from bsfan.multigraded import (GradedOrder, MultiBettiTable, ProductSpace,
                                multi_pair)
 from bsfan.sequences import CodimensionSequence, DegreeSequence
-from bsfan.tables import BettiTable, shift
+from bsfan.tables import BettiTable, linear_combine, shift
 
 T = BettiTable({(0, 0): 1})
 U = BettiTable({(1, 2): 3})
@@ -183,14 +185,68 @@ def stored(value):
 
 @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
 def test_one_integer_rule(field):
-    # what int() reads is read; a bool, or what int() would change, is
-    # refused before any check compares it
+    # what int() reads is read; a bool, what int() would change, or what it
+    # cannot read is refused before any check compares it (a qmax of None
+    # is no cap, so it is not given there)
     build = INTEGER_FIELDS[field]
     for given in ("3", 3.0):
         assert stored(build(given)) == stored(build(3)), given
-    for given in (1.5, True):
+    refused = [1.5, True, "x", "1.5", float("inf"), float("nan")]
+    for given in refused + [None] * (field != "multi_pair.qmax"):
         with pytest.raises(ValidationError,
                            match=f"^not an integer: {re.escape(str(given))}$"):
+            build(given)
+
+
+# Every integer sequence a value stores, as a function of the sequence given
+# for it, and a valid sequence there.
+SEQUENCE_FIELDS = {
+    "DegreeSequence.degrees": (lambda x: DegreeSequence(0, x), (1, 2)),
+    "SupernaturalSheaf.roots": (lambda x: SupernaturalSheaf(x, 1, 2), (2, 1)),
+    "GradedOrder.weights": (lambda x: GradedOrder(x), (1, 2)),
+    "MultiBettiTable.alpha": (MultiBettiTable(2).normalize_grade, (1, 2)),
+    "ProductSpace.factor_dims": (lambda x: ProductSpace(x, ()), (1, 2)),
+    "ProductSpace.twist": (lambda x: ProductSpace((1, 1), ((x, 1),)), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(SEQUENCE_FIELDS))
+def test_one_sequence_rule(field):
+    # any iterable but a string is read item by item by the integer rule;
+    # a string ("12" is not (1, 2)) or a non-iterable is refused
+    build, (first, *rest) = SEQUENCE_FIELDS[field]
+    valid = stored(build((first, *rest)))
+    assert stored(build([str(first), *rest])) == valid
+    assert stored(build(iter([first, *rest]))) == valid
+    for given in ("12", 5):
+        with pytest.raises(ValidationError, match="^not a sequence of "
+                           f"integers: {re.escape(repr(given))}$"):
+            build(given)
+
+
+# Every rational a value stores, as a function of the value given for it.
+RATIONAL_FIELDS = {
+    "BettiTable.value": lambda x: BettiTable({(0, 0): x}),
+    "MultiBettiTable.value": lambda x: MultiBettiTable(1, {(0, (0,)): x}),
+    "linear_combine.coeff": lambda x: linear_combine([(x, T)]),
+    "SupernaturalSheaf.rank_scale": lambda x: SupernaturalSheaf((0,), x, 1),
+    "WindowEvaluator.value": lambda x: WindowEvaluator(1, 0, 1, {(0, 0): x}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(RATIONAL_FIELDS))
+def test_one_rational_rule(field):
+    # a Fraction, an int or a "p" or "p/q" string is read; any other value
+    # is refused as parse_rational refuses it, on every supported Python,
+    # whatever Fraction() itself would read there
+    build = RATIONAL_FIELDS[field]
+    for given in ("3", Fraction(3)):
+        assert stored(build(given)) == stored(build(3)), given
+    assert stored(build("3/4")) == stored(build(Fraction(3, 4)))
+    for given in (0.5, True, Decimal("0.5"), "1.5", "1e3", "+3", "1/0",
+                  None):
+        with pytest.raises(ParseError, match="not a rational of the form p "
+                           f"or p/q: {re.escape(repr(given))}$"):
             build(given)
 
 
