@@ -19,7 +19,7 @@ from .tables import ZERO, _int, _partial_euler
 def chi(table, i, j):
     """Partial Euler characteristic anchored at column i, degree j: column
     i up to degree j, column i+1 up to degree j+1."""
-    return _partial_euler(table, i, j + 1, int)
+    return _partial_euler(table, _int(i), _int(j) + 1, int)
 
 
 def euler(table):

@@ -36,7 +36,7 @@ from itertools import takewhile
 from .diagrams import pure_diagram
 from .errors import MonadViolation, NotInCone, ValidationError
 from .sequences import CodimensionSequence, DegreeSequence, Piece, _trim_start
-from .tables import BettiTable, WorkingTable, dual, linear_combine
+from .tables import BettiTable, WorkingTable, _int, dual, linear_combine
 
 
 class Decomposition(namedtuple("Decomposition", "pieces remainder")):
@@ -70,6 +70,7 @@ def decompose_s(table, c, n):
     strictly increase along the list; raises NotInCone (with the partial
     chain and the stuck strand) when the table is outside the cone.
     """
+    n = _int(n)
     if c.n != n:
         raise ValidationError(
             f"codimension sequence is declared for n = {c.n}, not n = {n}")
@@ -138,6 +139,7 @@ def monad_split(table, n):
     left.  So D' lies in columns >= 0 and table - D' in columns <= 0, the
     dual run mirrors this, and E is zero off column 0.
     """
+    n = _int(n)
     # Free homology allowed in nonpositive positions, full codimension above.
     constraint = CodimensionSequence(n, 0, 1, (), n + 1)
     front = _prefix(decompose_s(table, constraint, n).pieces,
@@ -181,6 +183,7 @@ def infinite_prefix(table, e, n):
     and reads only columns where the two truncations agree, and the first
     step ending further left has codimension below n + 1 in the shorter run.
     """
+    e, n = _int(e), _int(n)
     if e <= n + 1:
         raise ValidationError(f"truncation column e = {e} must exceed n + 1 = {n + 1}")
     if not table.is_nonnegative():

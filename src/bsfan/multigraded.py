@@ -75,7 +75,7 @@ def multi_chi(table, i, alpha, order):
     below alpha and column i+1 grades at most alpha.  The ranks of alpha,
     the order and the table must agree."""
     alpha = table.normalize_grade(alpha)
-    return _partial_euler(table, i, order.key(alpha), order.key)
+    return _partial_euler(table, _int(i), order.key(alpha), order.key)
 
 
 class _Capped(CohomologyEvaluator):

@@ -17,7 +17,7 @@ functionals.
 
 from .diagrams import SupernaturalSheaf
 from .errors import EvaluatorRangeError, ValidationError
-from .tables import ZERO
+from .tables import ZERO, _int
 
 
 def pair(table, evaluator):
@@ -55,7 +55,7 @@ def es_functional(table, roots, rank_scale, n, tau, kappa):
     from .cone_a import chi
 
     sheaf = SupernaturalSheaf(roots, rank_scale, n)
-    s = sheaf.dimension
+    s, tau, kappa = sheaf.dimension, _int(tau), _int(kappa)
     if not 1 <= tau <= s:
         raise ValidationError(f"tau must be in 1..{s}, got {tau}")
     nu = max(kappa, -sheaf.roots[tau - 1] - 1)
@@ -75,6 +75,7 @@ def pair_check(table, evaluators, n):
     from .cone_a import membership_a
     from .sequences import CodimensionSequence
 
+    n = _int(n)
     for ev in evaluators:
         if getattr(ev, "n", n) != n:
             raise ValidationError(

@@ -15,6 +15,7 @@ process loads neither the one-variable side nor the pairing.
 Every number a library value stores is read here, before any check, by one
 rule per kind: _int, _int_tuple (a sequence of integers) or _rational; a
 refusal is a ValidationError, or for a rational parse_rational's ParseError.
+A public function reads each integer argument by _int at its entry.
 """
 
 import re
@@ -296,10 +297,9 @@ def _read(value, shape, where):
     dict in shape order; a key of shape (s, default) may be absent).  A
     list item or field of shape None is any value.  A mismatch is one
     ParseError that names the field.  A JSON integer read as int, and any
-    value read as None, is taken without a call of its own."""
+    value read as None, is taken without a call of its own, by the caller:
+    so a call with shape int is reached only to refuse a value."""
     if shape is int:
-        if type(value) is int:
-            return value
         kind = "a JSON integer"
     elif type(shape) is list:
         if type(value) is list:

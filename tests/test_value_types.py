@@ -1,24 +1,28 @@
 """Value semantics of the record classes: equality, hashing, immutability,
 repr, validation messages, the one rule per number kind (integer, integer
-sequence, rational) by which every stored number is read, and the keyword
-constructions the code uses.
+sequence, rational) by which every stored number and every integer argument
+of a public function is read, and the keyword constructions the code uses.
 
 The records are collections.namedtuple subclasses, so an instance also
 compares equal to the plain tuple of its fields.
 """
 
+import inspect
 import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from bsfan.cone_a import APiece, AVerdict, Violation
-from bsfan.cone_s import Decomposition, MonadSplit
+import bsfan
+from bsfan.cone_a import APiece, AVerdict, Violation, chi
+from bsfan.cone_s import (Decomposition, MonadSplit, decompose_s,
+                          infinite_prefix, monad_split)
 from bsfan.diagrams import SupernaturalSheaf, TwistSheaf, WindowEvaluator
 from bsfan.errors import ParseError, ValidationError
 from bsfan.multigraded import (GradedOrder, MultiBettiTable, ProductSpace,
-                               multi_pair)
+                               multi_chi, multi_pair)
+from bsfan.pairing import es_functional, pair_check
 from bsfan.sequences import CodimensionSequence, DegreeSequence
 from bsfan.tables import BettiTable, linear_combine, shift
 
@@ -27,6 +31,8 @@ U = BettiTable({(1, 2): 3})
 D = DegreeSequence(0, (0, 2))
 M = MultiBettiTable(1, {(0, (0,)): 1})
 P1 = ProductSpace((1,), (((0,), 1),))
+K1 = BettiTable({(0, 0): 1, (1, 1): 2, (2, 2): 1})  # the Koszul complexes
+K3 = BettiTable({(0, 0): 1, (1, 1): 4, (2, 2): 6, (3, 3): 4, (4, 4): 1})
 
 
 def monad(lambda1=Fraction(1)):
@@ -142,8 +148,8 @@ def test_non_integers_are_refused_not_truncated(build):
         build()
 
 
-# Every integer a value stores, as a function of the value given for it;
-# 3 is a valid value in each place.
+# Every integer a value stores or a library function takes, as a function of
+# the value given for it; 3 is a valid value in each place.
 INTEGER_FIELDS = {
     "DegreeSequence.start": lambda x: DegreeSequence(x, (0, 1)),
     "DegreeSequence.degrees": lambda x: DegreeSequence(0, (0, x)),
@@ -173,7 +179,22 @@ INTEGER_FIELDS = {
     "MultiBettiTable.alpha": lambda x: MultiBettiTable(1, {(0, (x,)): 1}),
     "shift.k": lambda x: shift(T, x),
     "multi_pair.qmax": lambda x: multi_pair(M, P1, x),
+    "chi.i": lambda x: chi(shift(T, 3), x, 0),
+    "chi.j": lambda x: chi(T, 0, x),
+    "multi_chi.i":
+        lambda x: multi_chi(shift(M, 3), x, (1,), GradedOrder((1,))),
+    "es_functional.n": lambda x: es_functional(K1, (0,), 1, x, 1, 0),
+    "es_functional.tau": lambda x: es_functional(K1, (2, 1, 0), 1, 3, x, 0),
+    "es_functional.kappa": lambda x: es_functional(K1, (0,), 1, 1, 1, x),
+    "decompose_s.n":
+        lambda x: decompose_s(K3, CodimensionSequence.constant(4, 3), x),
+    "monad_split.n": lambda x: monad_split(K3, x),
+    "infinite_prefix.e": lambda x: infinite_prefix(K1, x, 1),
+    "infinite_prefix.n": lambda x: infinite_prefix(K3, 5, x),
+    "pair_check.n":
+        lambda x: pair_check(K3, [SupernaturalSheaf((0,), 1, 3)], x),
 }
+INTEGER_ARGUMENTS = {"i", "j", "k", "n", "e", "tau", "kappa", "qmax"}
 
 
 def stored(value):
@@ -196,6 +217,16 @@ def test_one_integer_rule(field):
         with pytest.raises(ValidationError,
                            match=f"^not an integer: {re.escape(str(given))}$"):
             build(given)
+
+
+def test_every_integer_argument_has_a_row():
+    # a public function's integer argument is held to the rule by its row
+    missing = [f"{name}.{arg}" for name in bsfan.__all__
+               if inspect.isfunction(function := getattr(bsfan, name))
+               for arg in inspect.signature(function).parameters
+               if arg in INTEGER_ARGUMENTS
+               and f"{name}.{arg}" not in INTEGER_FIELDS]
+    assert missing == []
 
 
 # Every integer sequence a value stores, as a function of the sequence given
