@@ -13,8 +13,8 @@ _EXPORTS = {
     "cone_a": "APiece AVerdict Violation chi decompose_a euler membership_a",
     "cone_s": "Decomposition MonadSplit decompose_s infinite_prefix "
               "monad_split",
-    "diagrams": "CohomologyEvaluator SupernaturalSheaf TwistSheaf "
-                "WindowEvaluator evaluator_from_obj pure_diagram",
+    "diagrams": "SupernaturalSheaf TwistSheaf WindowEvaluator "
+                "evaluator_from_obj pure_diagram",
     "errors": "BsfanError EvaluatorRangeError MonadViolation NotInCone "
               "ParseError ValidationError",
     "multigraded": "GradedOrder MultiBettiTable ProductSpace multi_chi "

@@ -74,6 +74,8 @@ def decompose_s(table, c, n):
     if c.n != n:
         raise ValidationError(
             f"codimension sequence is declared for n = {c.n}, not n = {n}")
+    if table.HEADER:
+        raise ValidationError("decomposition needs a single-graded table")
     if not table.is_nonnegative():
         raise ValidationError(
             f"decomposition needs a nonnegative table; negative at "

@@ -6,9 +6,8 @@ forces entry i proportional to prod_{k != i} 1/|d_k - d_i|.  Supernatural
 sheaves give the cohomology tables on the dual side: at most one
 cohomology index is nonzero per twist, located by the root sequence, with
 magnitude given by the Hilbert polynomial |prod (j - f_k)| * r / s!; the
-twisted structure sheaves follow Bott's formula, _bott.  Every evaluator
-is read through one method, column(j), the cohomology at one twist; an
-explicit window raises EvaluatorRangeError for a twist it does not hold.
+twisted structure sheaves follow Bott's formula, _bott.  The evaluators
+keep the protocol the pairing module states: column(j) and dimension.
 """
 
 import math
@@ -41,18 +40,6 @@ def pure_diagram(d):
                                 in zip(enumerate(degrees, d.start), prods)})
 
 
-class CohomologyEvaluator:
-    """Exact cohomology table with a declared dimension, read one twist at a
-    time: column(j) lists the nonzero (q, gamma(q, j)) pairs, all with
-    q <= dimension, so pair walks only those.  A twist the evaluator cannot
-    answer makes column raise EvaluatorRangeError."""
-
-    __slots__ = ()  # no instance dict: the tuple evaluators stay frozen
-
-    def column(self, j):
-        raise NotImplementedError
-
-
 def _bott(n, a):
     """Bott's formula: O(a) on P^n has one nonzero cohomology group,
     C(n + a, n) in degree 0 when a >= 0, otherwise C(-a - 1, n) in degree n
@@ -60,8 +47,7 @@ def _bott(n, a):
     return (0, math.comb(n + a, n)) if a >= 0 else (n, math.comb(-a - 1, n))
 
 
-class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n"),
-                        CohomologyEvaluator):
+class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n")):
     """Sheaf class with strictly decreasing integer roots f_1 > ... > f_s.
 
     The number of roots is the dimension s; rank_scale rescales the whole
@@ -101,7 +87,7 @@ class SupernaturalSheaf(namedtuple("SupernaturalSheaf", "roots rank_scale n"),
                  / math.factorial(len(roots))),)
 
 
-class TwistSheaf(namedtuple("TwistSheaf", "n a"), CohomologyEvaluator):
+class TwistSheaf(namedtuple("TwistSheaf", "n a")):
     """The twisted structure sheaf O(a) on projective n-space: column j
     is _bott(n, j + a) as a Fraction, in O(1) whatever n."""
 
@@ -123,8 +109,7 @@ class TwistSheaf(namedtuple("TwistSheaf", "n a"), CohomologyEvaluator):
 
 
 class WindowEvaluator(namedtuple("WindowEvaluator",
-                                 "dimension jmin jmax columns"),
-                      CohomologyEvaluator):
+                                 "dimension jmin jmax columns")):
     """Finite explicit cohomology window over a declared twist range.
 
     Queries outside [jmin, jmax] raise instead of silently returning zero;

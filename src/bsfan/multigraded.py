@@ -13,7 +13,7 @@ column and non-strict one column up.
 
 from collections import namedtuple
 
-from .diagrams import CohomologyEvaluator, _bott
+from .diagrams import _bott
 from .errors import ParseError, ValidationError
 from .tables import BettiTable, _int, _int_tuple, _partial_euler, _read
 
@@ -78,7 +78,7 @@ def multi_chi(table, i, alpha, order):
     return _partial_euler(table, _int(i), order.key(alpha), order.key)
 
 
-class _Capped(CohomologyEvaluator):
+class _Capped:
     """A product space with its cohomology above index qmax >= 0 dropped."""
 
     def __init__(self, space, qmax):
@@ -104,8 +104,7 @@ def multi_pair(table, space, qmax=None):
     return pair(table, space if qmax is None else _Capped(space, qmax))
 
 
-class ProductSpace(namedtuple("ProductSpace", "factor_dims summands"),
-                   CohomologyEvaluator):
+class ProductSpace(namedtuple("ProductSpace", "factor_dims summands")):
     """Sum of line bundles on a product of projective spaces.
 
     factor_dims lists the factor dimensions (n_1, ..., n_r); each summand is

@@ -4,11 +4,11 @@ The pairing convolves a Betti table with a cohomology table:
 
     result[i, j] = sum over p - q = i, 0 <= q <= n of  B[p, j] * gamma(q, -j)
 
-Evaluators answer one twist at a time: column(-j) lists the nonzero
-(q, gamma(q, -j)), so pair asks once per distinct grade of the table and
-walks only those q, whatever the declared dimension n.  A column is the
-whole evaluator protocol: a twist outside a window's range is found by
-asking for its column.
+An evaluator is any object with two names: column(j) lists the nonzero
+(q, gamma(q, j)) at one grade j, all with 0 <= q <= dimension, the
+declared n, so pair asks for column(-j) once per distinct grade and walks
+only those q.  Where column cannot answer (outside a window's range) it
+raises EvaluatorRangeError, and pair raises one naming every such twist.
 
 Everything downstream (separating functionals, cone checks through the
 one-variable side) is a composition of this formula with the chi

@@ -345,25 +345,22 @@ def table_from_obj(obj, cls=BettiTable):
     {i, <cls.GRADE>, value} objects.
 
     Faults are reported shapes first (_read), then keys and rationals
-    (_read_entries), then ranks and signs, each kind in entry order: a
-    grade of the wrong rank (zero entries included) or a negative value.
+    (_read_entries), then grades and signs in entry order: each grade, of
+    a zero entry too, is read by the table's normalize_grade (which
+    refuses a Z^m grade of the wrong rank) before its value's sign.
     """
     shape = dict.fromkeys(cls.HEADER, int)
     shape["entries"] = [{"i": int, cls.GRADE: cls.GRADE_SHAPE, "value": None}]
     *head, entries = _read(obj, shape, "table").values()
     table = cls(*head)  # the class checks its HEADER fields
-    rank = head[0] if head else None
     checked = {}
-    for key, value in _read_entries(entries, "table").items():
-        if rank is not None and len(key[1]) != rank:
-            raise ValidationError(
-                f"grade {key[1]} has rank {len(key[1])}, expected {rank}")
+    for (i, grade), value in _read_entries(entries, "table").items():
+        key = (i, table.normalize_grade(grade))
         if value.numerator > 0:
             checked[key] = value
         elif value:
             raise ValidationError(f"negative entry {value} at {key}")
-    table._entries = checked
-    return table
+    return table.like(checked)
 
 
 def table_to_obj(table):

@@ -79,12 +79,12 @@ from math import comb
 from pathlib import Path
 
 from bsfan import (EMPTY, INF, APiece, AVerdict, BettiTable,
-                   CodimensionSequence, CohomologyEvaluator, Decomposition,
-                   DegreeSequence, EvaluatorRangeError, MultiBettiTable,
-                   NotInCone, ParseError, Piece, ProductSpace,
-                   SupernaturalSheaf, TwistSheaf, ValidationError, Violation,
-                   WindowEvaluator, decompose_s, dual, linear_combine,
-                   pure_diagram, table_from_obj, table_to_obj)
+                   CodimensionSequence, Decomposition, DegreeSequence,
+                   EvaluatorRangeError, MultiBettiTable, NotInCone,
+                   ParseError, Piece, ProductSpace, SupernaturalSheaf,
+                   TwistSheaf, ValidationError, Violation, WindowEvaluator,
+                   decompose_s, dual, linear_combine, pure_diagram,
+                   table_from_obj, table_to_obj)
 from bsfan.cli import _load_obj
 from bsfan.multigraded import _Capped
 from bsfan.tables import parse_rational
@@ -731,7 +731,7 @@ def compare_degree_sequences(d1, d2):
     return Comparison(oracles.compare(d1, d2))
 
 
-class FormalEvaluator(CohomologyEvaluator):
+class FormalEvaluator:
     """Finite signed combination of evaluators; values may be negative."""
 
     def __init__(self, terms):

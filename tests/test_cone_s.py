@@ -3,7 +3,8 @@ from functools import partial
 import pytest
 
 from bsfan import (EMPTY, INF, BettiTable, CodimensionSequence,
-                   Decomposition, DegreeSequence, MonadViolation, NotInCone,
+                   Decomposition, DegreeSequence, MonadViolation,
+                   MultiBettiTable, NotInCone, ValidationError, decompose_a,
                    decompose_s, dual, euler, infinite_prefix, linear_combine,
                    monad_split, pure_diagram)
 from helpers import (F, MONAD_TABLE, MONOMIAL_RES_TABLE, T, TENSOR_TABLE,
@@ -458,3 +459,20 @@ class TestCertificates:
                 seen[kind] += 1
                 seen["partial"] += bool(exc.partial_pieces)
         assert min(seen.values()) >= 100
+
+
+ONE_FREE = CodimensionSequence.constant(1, 0)
+RANK_ONE = MultiBettiTable(1, {(0, (0,)): 1})
+
+
+@pytest.mark.parametrize("run", [
+    partial(decompose_s, RANK_ONE, ONE_FREE, 0),
+    partial(decompose_a, RANK_ONE, ONE_FREE),
+    partial(monad_split, RANK_ONE, 1),
+    partial(infinite_prefix, RANK_ONE, 3, 1),
+], ids=["decompose_s", "decompose_a", "monad_split", "infinite_prefix"])
+def test_greedy_refuses_a_multigraded_table(run):
+    """The greedy reads integer degrees; a Z^m table, even of rank 1, is
+    refused by decompose_s, which every greedy entry point runs."""
+    with pytest.raises(ValidationError, match="single-graded"):
+        run()

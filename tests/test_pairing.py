@@ -5,11 +5,10 @@ from math import inf
 import pytest
 
 from bsfan import (BettiTable, BsfanError, CodimensionSequence,
-                   CohomologyEvaluator, DegreeSequence, EvaluatorRangeError,
-                   MultiBettiTable, ProductSpace, SupernaturalSheaf,
-                   TwistSheaf, WindowEvaluator, chi, decompose_s,
-                   es_functional, linear_combine, pair, pair_check,
-                   pure_diagram, shift)
+                   DegreeSequence, EvaluatorRangeError, MultiBettiTable,
+                   ProductSpace, SupernaturalSheaf, TwistSheaf,
+                   WindowEvaluator, chi, decompose_s, es_functional,
+                   linear_combine, pair, pair_check, pure_diagram, shift)
 from bsfan.cli import main
 from bsfan.multigraded import _Capped
 from helpers import (F, T, TWO_STRAND_TABLE, FormalEvaluator,
@@ -216,7 +215,7 @@ class TestDimensionCap:
         assert (err.value.twists, err.value.dimension) == ([-3], 1)
 
 
-class Counting(CohomologyEvaluator):
+class Counting:
     """An evaluator that records every twist whose column is asked for."""
 
     def __init__(self, inner):

@@ -184,8 +184,8 @@ def test_import_bsfan_loads_no_layer():
 # the command line, its certificates or the README use
 ALL = [
     "APiece", "AVerdict", "BettiTable", "BsfanError", "CodimensionSequence",
-    "CohomologyEvaluator", "Decomposition", "DegreeSequence", "EMPTY",
-    "EvaluatorRangeError", "GradedOrder", "INF", "MonadSplit",
+    "Decomposition", "DegreeSequence", "EMPTY", "EvaluatorRangeError",
+    "GradedOrder", "INF", "MonadSplit",
     "MonadViolation", "MultiBettiTable", "NotInCone", "ParseError", "Piece",
     "ProductSpace", "SupernaturalSheaf", "TwistSheaf",
     "ValidationError", "Violation", "WindowEvaluator", "chi",
@@ -287,6 +287,51 @@ def test_no_module_binds_an_unread_import():
     for path in sorted(Path(SRC, "bsfan").glob("*.py")):
         assert unread_imports(path.read_text(encoding="utf-8")) == [], \
             path.name
+
+
+def entries_writers(source):
+    """Dotted names of the scopes in source (functions and classes, or
+    "<module>") that assign an _entries attribute, by an assignment target
+    or by setattr with that name, the __init__ methods aside."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "_entries"
+                    and isinstance(child.ctx, ast.Store)
+                    or isinstance(child, ast.Call)
+                    and ast.unparse(child.func) == "setattr"
+                    and ast.unparse(child.args[1]) == "'_entries'"):
+                if not scope.endswith("__init__"):
+                    found.add(scope or "<module>")
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_entries_writers_are_found():
+    assert entries_writers(
+        "class A:\n"
+        "    def __init__(self): self._entries = {}\n"
+        "    def f(self): self.x._entries = 1\n"
+        "def g(t):\n"
+        "    setattr(t, '_entries', {})\n"
+        "    def h(): t._entries, y = {}, 0\n"
+        "    return t._entries\n"
+        "A()._entries = None\n") == ["<module>", "A.f", "g", "g.h"]
+
+
+def test_only_trusted_writes_entries_outside_an_init():
+    # a table's entries are checked once, by its __init__ or by the caller
+    # of BettiTable._trusted, which alone builds a table from them
+    writers = [(path.name, scope)
+               for path in sorted(Path(SRC, "bsfan").glob("*.py"))
+               for scope in entries_writers(path.read_text(encoding="utf-8"))]
+    assert writers == [("tables.py", "BettiTable._trusted")]
 
 
 def uncalled(trees):
