@@ -5,9 +5,9 @@ operation, and writes either canonical JSON or a pretty rendering.  A row
 holds the help line, the output flags, the options, the call (load the
 arguments, run the library function) and the renderer of its result, if
 it has one.  main writes the rendered text under --format pretty (always,
-for a row without --format); every other result and certificate goes to
-the one writer, _emit_json, as one line built by _json from the value's
-structure, so the library's records carry no serializers.  main reads a
+for a row without --format); every other result and certificate is one
+line from _json_line, built by _json from the value's structure, so the
+library's records carry no serializers.  main reads a
 well-formed command line straight from the row's options (_parse) and
 loads argparse only for help and usage errors, building options only for
 the subcommands argv names; json loads at the first read or write, and
@@ -15,12 +15,13 @@ the call reaches each layer as bsfan.<layer>, which the package imports
 on first use, so a process pays for its own subcommand and nothing else.
 run is the process entry (the bsfan script and python -m bsfan.cli);
 main(argv) is the in-process call and has no process-wide side effect.
-Exit codes: 0 for success / in-cone, 1 when _emit_json wrote a failure
-certificate, 2 for malformed input or usage errors (diagnostics go to
-stderr).
+Exit codes: 0 for success / in-cone, 1 when main wrote a failure
+certificate, 2 for malformed input, usage errors or output that stdout
+cannot take, of which it may hold a part (diagnostics go to stderr).
 """
 
-import gc
+import atexit
+import os
 import re
 import sys
 from collections import namedtuple
@@ -128,15 +129,21 @@ def _json(value):
             for key, v in pairs if v is not None}
 
 
-def _emit_json(value):
-    """Write the canonical JSON line of value and return the exit code: 1
-    when the object written is a failure certificate, an object with
-    "status": "fail" or with a "verdicts" list that holds one, else 0."""
+def _json_line(value):
+    """The canonical JSON line of value and its exit code: 1 when the
+    object is a failure certificate, an object with "status": "fail" or
+    with a "verdicts" list that holds one, else 0."""
     import json
     obj = _json(value)
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
     verdicts = [obj, *obj.get("verdicts", ())]
-    return int(any(v.get("status") == "fail" for v in verdicts))
+    return (json.dumps(obj, separators=(",", ":")),
+            int(any(v.get("status") == "fail" for v in verdicts)))
+
+
+def _cannot_write(exc):
+    """Report output that stdout refused; its exit code, 2."""
+    sys.stderr.write(f"error: cannot write output: {exc}\n")
+    return 2
 
 
 def _verdict(verdict):
@@ -401,8 +408,8 @@ def main(argv=None):
     read by _parse; any other (help, a usage error, an abbreviated or
     repeated option) goes to argparse, which prints help and usage errors
     and exits.  The input is read under the interpreter's int digit limit;
-    the answer or certificate is written with none, then the limit
-    returns."""
+    the answer or certificate is built with none, then the limit returns,
+    and one write sends it: an OSError there returns 2."""
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv) or build_parser(argv).parse_args(argv)
     command = COMMANDS[args.command]
@@ -415,10 +422,15 @@ def main(argv=None):
             value, pretty = exc, False
         finally:
             sys.set_int_max_str_digits(0)
-        if not (pretty and command.pretty):
-            return _emit_json(value)
-        sys.stdout.write(command.pretty(value, args) + "\n")
-        return 0
+        if pretty and command.pretty:
+            text, code = command.pretty(value, args), 0
+        else:
+            text, code = _json_line(value)
+        try:
+            sys.stdout.write(text + "\n")
+        except OSError as exc:
+            return _cannot_write(exc)
+        return code
     except (BsfanError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -430,13 +442,21 @@ def main(argv=None):
 
 
 def run():
-    """The process entry: freeze every object made so far (the interpreter,
-    site and this module) into the permanent generation, which no
-    collection walks, not even the one at shutdown, then exit with main's
-    code.  The operating system frees the frozen heap; streams are still
-    flushed and atexit still runs."""
-    gc.freeze()
-    sys.exit(main())
+    """The process entry: take main's code, or argparse's for help and
+    usage errors, run the atexit callbacks, flush stdout then stderr, and
+    end by os._exit, which skips the module teardown and object
+    deallocation of a normal exit.  A flush stdout refuses exits 2."""
+    try:
+        code = main()
+    except SystemExit as done:  # argparse's help and usage errors
+        code = done.code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _cannot_write(exc)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

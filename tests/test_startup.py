@@ -9,15 +9,14 @@ and usage errors do, and they load neither json nor fractions), and
 `import bsfan` loads no layer module.  Five lints read the sources: no
 import goes unread, every public name has a caller in src/, only
 bsfan.__getattr__ imports a module by name, no module raises TypeError,
-and only tables reads a sequence of integers.  The process entry cli.run freezes the start-up heap
-(gc.freeze) so that the collection at shutdown skips it; the guards below
-check that a process reaches exit frozen and with main's bytes, and that
-main itself, which tests and the benchmark call in process, freezes
-nothing.  Nothing here asserts a time.
+and only tables reads a sequence of integers.  The process entry cli.run
+ends the process itself: it runs the atexit callbacks, flushes stdout and
+stderr, and calls os._exit, the one in src/, which skips the interpreter's
+teardown; the guards below check that a job, help and a usage error still
+run the callbacks and give main's bytes.  Nothing here asserts a time.
 """
 
 import ast
-import gc
 import importlib
 import os
 import re
@@ -375,18 +374,17 @@ def test_every_public_name_has_a_caller_in_src():
 # return or by SystemExit.
 ENTRY_ARGV = {"job": ["dual", "--table", TABLE], "help": ["--help"],
               "usage": USAGE_ARGV["missing-option"]}
-# python -m bsfan.cli, and main called as a script would call it
+# python -m bsfan.cli
 AS_MODULE = 'runpy.run_module("bsfan.cli", run_name="__main__", alter_sys=True)'
-MAIN_ONLY = "from bsfan.cli import main; sys.exit(main())"
+MARKER = "atexit probe ran\n"
 
 
 def spawn(entry, argv):
     """Exit code, stdout and stderr of a process that runs entry with argv
-    and, once the interpreter shuts down, appends "frozen <count>" to
-    stderr from an atexit probe."""
-    source = ("import atexit, gc, runpy, sys\n"
-              "atexit.register(lambda: sys.stderr.write(\n"
-              "    f'frozen {gc.get_freeze_count()}\\n'))\n" + entry)
+    and whose atexit probe, if the callbacks run, appends MARKER to
+    stderr."""
+    source = ("import atexit, runpy, sys\n"
+              f"atexit.register(sys.stderr.write, {MARKER!r})\n" + entry)
     env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
     proc = subprocess.run([sys.executable, "-c", source, *argv],
                           capture_output=True, text=True, env=env,
@@ -404,25 +402,18 @@ def in_process(capsys, argv):
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_ARGV))
-def test_main_freezes_nothing(capsys, name):
-    before = gc.get_freeze_count()
-    in_process(capsys, ENTRY_ARGV[name])
-    assert gc.get_freeze_count() == before
-
-
-@pytest.mark.parametrize("name", sorted(ENTRY_ARGV))
-def test_process_reaches_exit_frozen_with_mains_bytes(capsys, monkeypatch,
-                                                      name):
+def test_process_exits_after_atexit_with_mains_bytes(capsys, monkeypatch,
+                                                     name):
     code, out, err = spawn(AS_MODULE, ENTRY_ARGV[name])
-    err, _, frozen = err.rpartition("frozen ")
-    assert int(frozen) > 0
+    assert err.endswith(MARKER)
     monkeypatch.setenv("COLUMNS", "80")
-    assert (code, out, err) == in_process(capsys, ENTRY_ARGV[name])
+    assert (code, out, err[:-len(MARKER)]) == in_process(capsys,
+                                                         ENTRY_ARGV[name])
 
 
-def test_probe_reads_an_unfrozen_exit():
-    code, _, err = spawn(MAIN_ONLY, ENTRY_ARGV["job"])
-    assert (code, err) == (0, "frozen 0\n")
+def test_probe_misses_a_bare_os_exit():
+    # the marker is the callbacks' doing: os._exit alone runs none
+    assert spawn("import os; os._exit(0)", []) == (0, "", "")
 
 
 def test_script_and_main_block_name_run():
@@ -435,19 +426,21 @@ def test_script_and_main_block_name_run():
     assert [ast.unparse(node) for node in block.body] == ["run()"]
 
 
-def test_one_freeze_in_src_inside_run():
-    freezes = []
+def test_one_os_exit_in_src_inside_run():
+    exits = []
     for path in sorted(Path(SRC, "bsfan").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for function in ast.walk(tree):
             if isinstance(function, ast.FunctionDef):
-                freezes += [(path.name, function.name)
-                            for node in ast.walk(function)
-                            if isinstance(node, ast.Call)
-                            and ast.unparse(node.func) == "gc.freeze"]
-    assert freezes == [("cli.py", "run")]
-    assert sum(path.read_text(encoding="utf-8").count("freeze(")
-               for path in Path(SRC, "bsfan").glob("*.py")) == 1
+                exits += [(path.name, function.name)
+                          for node in ast.walk(function)
+                          if isinstance(node, ast.Call)
+                          and ast.unparse(node.func) == "os._exit"]
+    assert exits == [("cli.py", "run")]
+    sources = [path.read_text(encoding="utf-8")
+               for path in Path(SRC, "bsfan").glob("*.py")]
+    assert sum(source.count("_exit(") for source in sources) == 1
+    assert not any("freeze" in source for source in sources)
 
 
 def test_one_lazy_loader_in_src():
